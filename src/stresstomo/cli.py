@@ -13,6 +13,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -91,6 +92,25 @@ def _merge(base, override, path=""):
     return out
 
 
+# numeric config keys: integers with their least value, positive and plain reals
+_INTEGERS = {"grid.n": 8, "families.angles": 3, "families.offsets": 1,
+             "families.sphere_directions": 1, "seed": 0, "tolerances.cg_maxiter": 1}
+_POSITIVE = ("grid.halfwidth", "grid.ball_radius", "scale", "truth_r0",
+             "tolerances.cg_tol", "tolerances.floor")
+_REAL = ("material.lam", "material.mu", "material.rho", "noise")
+
+
+def _check_number(key, v, integer=False):
+    if (
+        isinstance(v, bool)
+        or not isinstance(v, int if integer else (int, float))
+        or isinstance(v, float) and not math.isfinite(v)
+    ):
+        raise ConfigError(f"{key} must be {'an integer' if integer else 'a finite number'}, got {v!r}")
+    if v < _INTEGERS.get(key, -math.inf) or key in _POSITIVE and v <= 0:
+        raise ConfigError(f"{key} is out of range: {v!r}")
+
+
 def load_config(path=None, seed=None):
     user = {}
     if path is not None:
@@ -101,25 +121,37 @@ def load_config(path=None, seed=None):
             raise ConfigError(f"cannot read config {path}: {e}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+    if not isinstance(user, dict):
+        raise ConfigError("config must be a JSON object")
     cfg = _merge(_DEFAULTS, user)
     if seed is not None:
         cfg["seed"] = int(seed)
     if cfg["pipeline"] not in ("pwave", "swave", "verify"):
         raise ConfigError(f"unknown pipeline {cfg['pipeline']!r}")
-    if cfg["grid"]["n"] < 8:
-        raise ConfigError("grid.n must be at least 8")
-    if len(cfg["material"]["nu"]) != 4:
+    nu = cfg["material"]["nu"]
+    if not isinstance(nu, list) or len(nu) != 4:
         raise ConfigError("material.nu must have four entries")
-    for k, v in cfg["tolerances"].items():
-        if v <= 0:
-            raise ConfigError(f"tolerances.{k} must be positive")
+    for i, v in enumerate(nu):
+        _check_number(f"material.nu[{i}]", v)
+    for key in (*_INTEGERS, *_POSITIVE, *_REAL):
+        section, _, name = key.rpartition(".")
+        v = (cfg[section] if section else cfg)[name]
+        if v is not None or key not in ("families.offsets", "truth_r0"):
+            _check_number(key, v, key in _INTEGERS)
     if cfg["noise"] < 0:
         raise ConfigError("noise must be nonnegative")
+    n = cfg["grid"]["n"]
     if cfg["families"]["offsets"] is None:
-        cfg["families"]["offsets"] = cfg["grid"]["n"]
+        cfg["families"]["offsets"] = n
+    if cfg["families"]["offsets"] < n:
+        raise ConfigError("families.offsets must be at least grid.n")
     if cfg["truth_r0"] is None:
-        n = cfg["grid"]["n"]
         cfg["truth_r0"] = 0.7 if n >= 40 else 0.5 if n >= 20 else 0.25
+    try:
+        _grid_from(cfg)
+        _params_from(cfg)
+    except ValueError as e:
+        raise ConfigError(str(e))
     return cfg
 
 
@@ -201,11 +233,14 @@ def cmd_invert(cfg, out):
     grid = _grid_from(cfg)
     params = _params_from(cfg)
     man_path = _require(os.path.join(out, "sinograms.json"), "sinogram manifest")
-    with open(man_path) as fh:
-        man = json.load(fh)
-    if man["config_hash"] != config_hash(cfg):
-        raise ConfigError("sinograms were produced under a different config")
-    sinos = [read_sinogram(os.path.join(out, n)) for n in man["files"]]
+    try:
+        with open(man_path) as fh:
+            man = json.load(fh)
+        if man["config_hash"] != config_hash(cfg):
+            raise ConfigError("sinograms were produced under a different config")
+        sinos = [read_sinogram(os.path.join(out, n)) for n in man["files"]]
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"unreadable sinograms: {e}")
     tol = cfg["tolerances"]
     if cfg["pipeline"] == "pwave":
         cond = check_pwave_conditions(params, floor=tol["floor"])
@@ -400,15 +435,10 @@ def main(argv=None):
     ap.add_argument("--config", help="JSON experiment config")
     ap.add_argument("--seed", type=int, help="override the config seed")
     ap.add_argument("--out", default="out", help="artifact directory")
-    ap.add_argument("--threads", type=int, default=0, help="worker threads (0 = library default)")
     ap.add_argument("--table", default="noise", choices=["noise", "born", "conditions"],
                     help="which table `export` emits")
     ap.add_argument("--dry-run", action="store_true", help="print the resolved config and exit")
     args = ap.parse_args(argv)
-
-    if args.threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
 
     try:
         cfg = load_config(args.config, seed=args.seed)

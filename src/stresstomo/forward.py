@@ -6,9 +6,11 @@ polarization propagator (a unitary 2x2 ODE flow in the ray frame) with its
 Born reduction to mixed-ray-transform data; and the discrete adjoints used
 by iterative inversion.
 
-All family-level operations share one quadrature layout: every chord of a
-family carries the same node count, nodes equispaced on [0, L] per ray, and
-composite-trapezoid weights, so empty chords (L = 0) contribute nothing.
+Every family-level transform is one operation with its own dyad table: per
+view, the field is contracted on the grid with k <= 3 dyads fixed by the
+view's direction and frame, and only those k scalars are interpolated at
+the chord nodes and summed with the family's trapezoid weights (_gather).
+The adjoints are the exact transpose (_scatter).
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, SymField2
-from .geometry import PlaneFamily, Ray, SphereFamily, trilinear
+from .fields import SYM_MULT, ScalarField, SymField2
+from .geometry import PlaneFamily, Ray, SphereFamily, _stencil, trilinear
 from .material import ConditionError, check_pwave_conditions, pwave_weights, swave_weights
 
 _EYE2 = np.eye(2)
+_G6 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])  # the metric in symmetric storage
+_FAMILIES = (PlaneFamily, SphereFamily)
 
 
 @dataclass
@@ -72,41 +76,87 @@ def sym_outer(a, b):
     )
 
 
-def _is_family(rays):
-    return isinstance(rays, (PlaneFamily, SphereFamily))
+# ---------------------------------------------------------------------------
+# dyad tables: (direction, frame) -> (..., k, 6) rows in symmetric storage
 
 
-def _n_views(family):
-    return len(family.thetas) if isinstance(family, PlaneFamily) else len(family.directions)
+def _tangent_dyads(d, frame):
+    """I: the tangent dyad d d."""
+    return sym_outer(d, d)[..., None, :]
 
 
-def _view_frame(family, m):
-    if isinstance(family, SphereFamily):
-        return family.frame(m)
-    return np.stack([family.offset_axis(m), np.eye(3)[family.axis]])
+def _kpair_dyads(d, frame):
+    """K: the trace-free pair (e1 e1 - e2 e2)/2 and sym(e1 e2)."""
+    e1, e2 = frame[..., 0, :], frame[..., 1, :]
+    return np.stack([0.5 * (sym_outer(e1, e1) - sym_outer(e2, e2)), sym_outer(e1, e2)], axis=-2)
 
 
-def _view_nodes(family, m, n_nodes=None):
-    """Node points, direction, trapezoid weights, and step for one view."""
-    starts, d, lengths = family.chords(m)
-    n = n_nodes or family.n_nodes
-    t = np.linspace(0.0, 1.0, n)
-    pts = starts[..., None, :] + (lengths[..., None] * t)[..., None] * d
-    dt = lengths / (n - 1)
-    w = np.repeat(dt[..., None], n, axis=-1)
-    w[..., 0] *= 0.5
-    w[..., -1] *= 0.5
-    return pts, d, w, dt
+def _generator_dyads(d, frame, a):
+    """Entries (11, 22, 12) of the polarization generator per unit shear
+    weight: G_ab = R(e_a, e_b) + delta_ab (R_dd + a tr R)."""
+    e1, e2 = frame[..., 0, :], frame[..., 1, :]
+    diag = sym_outer(d, d) + a * _G6
+    return np.stack([sym_outer(e1, e1) + diag, sym_outer(e2, e2) + diag, sym_outer(e1, e2)], axis=-2)
 
 
-def _integrate_family(values, grid, family, integrand):
-    """Stack of per-view integrals; integrand(samples, d, frame) -> per-node."""
+def _shear_dyads(params, scale):
+    """The generator table with the shear weight, for the stress times scale."""
+    sw = swave_weights(params)
+    return lambda d, frame: scale * sw.scale * _generator_dyads(d, frame, sw.a)
+
+
+def _sym2(g):
+    """Entries (..., 3) in the order (11, 22, 12) -> symmetric (..., 2, 2)."""
+    return np.stack([g[..., [0, 2]], g[..., [2, 1]]], axis=-2)
+
+
+# ---------------------------------------------------------------------------
+# the gather/scatter pair
+
+
+def _trapezoid(samples, w, dt):
+    return np.sum(samples * w[..., None], axis=-2)
+
+
+def _gather(values, grid, family, dyads, per_view=_trapezoid, n_nodes=None):
+    """Contract-then-gather over the views of a family.
+
+    Per view the grid field (dims + (6,)) is first contracted with the
+    view's dyad table D = dyads(d, frame) (k x 6), so trilinear samples only
+    k scalars.  per_view(samples (..., n, k), weights (..., n), step (...))
+    maps them to the view's records, by default the k trapezoid integrals
+    per ray; the records are stacked over views.
+    """
+    flat = values.reshape(-1, 6)
     out = []
-    for m in range(_n_views(family)):
-        pts, d, w, _ = _view_nodes(family, m)
-        vals = trilinear(grid, values, pts)
-        out.append(np.sum(integrand(vals, d, _view_frame(family, m)) * w, axis=-1))
+    for m in range(family.n_views):
+        pts, d, w, dt = family.nodes(m, n_nodes)
+        D = dyads(d, family.frame(m))
+        contracted = (flat @ (SYM_MULT * D).T).reshape(grid.dims + (len(D),))
+        out.append(per_view(trilinear(grid, contracted, pts), w, dt))
     return np.stack(out)
+
+
+def _scatter(data, grid, family, dyads):
+    """Transpose of _gather's trapezoid integrals: data (views, ..., k) onto
+    a symmetric field.
+
+    Per view the k data streams are spread over k grid scalars with the
+    interpolation stencil and expanded with the view's dyads.  Dividing by
+    the cell volume makes this the adjoint for the plain sum over rays and
+    the cell-volume weighted L2 field inner product.
+    """
+    size = int(np.prod(grid.dims))
+    out = np.zeros((size, 6))
+    for m in range(family.n_views):
+        pts, d, w, _ = family.nodes(m)
+        streams = np.moveaxis(data[m][..., None, :] * w[..., None], -1, 0)
+        scalars = np.zeros((len(streams), size))
+        for idx, weights in _stencil(grid, pts):
+            for j, s in enumerate(streams):
+                scalars[j] += np.bincount(idx.ravel(), (weights * s).ravel(), size)
+        out += scalars.T @ dyads(d, family.frame(m))
+    return SymField2(grid, out.reshape(grid.dims + (6,)) / grid.cell_volume())
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +174,16 @@ def ray_integral_scalar(field: ScalarField, ray: Ray):
 
 
 def scalar_transform(field: ScalarField, family) -> Sinogram:
-    """Per-ray integrals of a scalar over a whole family."""
-    vals = _integrate_family(
-        field.values[..., None], field.grid, family, lambda v, d, f: v[..., 0]
-    )
-    return Sinogram(family, "scalar", vals)
+    """Per-ray integrals of a scalar over a whole family.
+
+    The scalar is stored as the 11 component of a symmetric field and read
+    back through that component's dyad.
+    """
+    u = np.zeros(field.grid.dims + (6,))
+    u[..., 0] = field.values
+    e11 = np.eye(6)[:1]  # e1 e1 in symmetric storage
+    vals = _gather(u, field.grid, family, lambda d, frame: e11)
+    return Sinogram(family, "scalar", vals[..., 0])
 
 
 def longitudinal_transform(u: SymField2, rays):
@@ -137,13 +192,10 @@ def longitudinal_transform(u: SymField2, rays):
     rays may be a family (vectorized), a list of families, or an iterable
     of Ray objects.
     """
-    if isinstance(rays, (list, tuple)) and rays and _is_family(rays[0]):
+    if isinstance(rays, (list, tuple)) and rays and isinstance(rays[0], _FAMILIES):
         return [longitudinal_transform(u, fam) for fam in rays]
-    if _is_family(rays):
-        vals = _integrate_family(
-            u.values, u.grid, rays, lambda v, d, f: sym_qform(v, d, d)
-        )
-        return Sinogram(rays, "scalar", vals)
+    if isinstance(rays, _FAMILIES):
+        return Sinogram(rays, "scalar", _gather(u.values, u.grid, rays, _tangent_dyads)[..., 0])
     out = []
     for ray in rays:
         v = trilinear(u.grid, u.values, ray.points)
@@ -162,7 +214,7 @@ def transverse_transform(F: SymField2, ray: Ray, eta):
 
 
 def pwave_data(R: SymField2, params, rays):
-    """Compressional phase data D per ray.
+    """Compressional phase data D per ray of a family or a list of families.
 
     D = integral of scale * (R_tt + a * tr R) with the constant-coefficient
     weights; equals I(f + a (tr f) g) for f = scale * R.
@@ -175,44 +227,16 @@ def pwave_data(R: SymField2, params, rays):
     if not params.constants_mode:
         raise NotImplementedError("geodesic compressional data needs constant coefficients here")
 
-    def integrand(v, d, f):
-        return w.scale * (sym_qform(v, d, d) + w.a * (v[..., 0] + v[..., 1] + v[..., 2]))
+    def dyads(d, frame):
+        return w.scale * (sym_outer(d, d) + w.a * _G6)[None]
 
-    if isinstance(rays, (list, tuple)) and rays and _is_family(rays[0]):
-        return [
-            Sinogram(fam, "scalar", _integrate_family(R.values, R.grid, fam, integrand))
-            for fam in rays
-        ]
-    if _is_family(rays):
-        return Sinogram(rays, "scalar", _integrate_family(R.values, R.grid, rays, integrand))
-    out = []
-    for ray in rays:
-        v = trilinear(R.grid, R.values, ray.points)
-        out.append(np.trapezoid(integrand(v, ray.tangents, None), ray.tau))
-    return Sinogram(None, "scalar", np.asarray(out))
+    fams = rays if isinstance(rays, (list, tuple)) else [rays]
+    out = [Sinogram(f, "scalar", _gather(R.values, R.grid, f, dyads)[..., 0]) for f in fams]
+    return out if isinstance(rays, (list, tuple)) else out[0]
 
 
 # ---------------------------------------------------------------------------
 # shear-wave propagator
-
-
-def _frame_generator(vals6, d, frame, s_scale, a):
-    """2x2 polarization generator G in the ray frame.
-
-    G_ab = s * (R(e_a, e_b) + delta_ab (R_dd + a tr R)) where s and a are
-    the shear weights; the ODE matrix is -i G.
-    """
-    e1, e2 = frame
-    g11 = sym_qform(vals6, e1, e1)
-    g22 = sym_qform(vals6, e2, e2)
-    g12 = sym_qform(vals6, e1, e2)
-    diag = sym_qform(vals6, d, d) + a * (vals6[..., 0] + vals6[..., 1] + vals6[..., 2])
-    G = np.empty(vals6.shape[:-1] + (2, 2))
-    G[..., 0, 0] = s_scale * (g11 + diag)
-    G[..., 1, 1] = s_scale * (g22 + diag)
-    G[..., 0, 1] = s_scale * g12
-    G[..., 1, 0] = s_scale * g12
-    return G
 
 
 def _flow(G, dt):
@@ -267,21 +291,15 @@ def rytov_propagate(R: SymField2, params, ray: Ray, scale=1.0, tol=1e-8):
     """
     if ray.frames is None:
         raise ValueError("ray frame not populated")
-    sw = swave_weights(params)
+    dyads = _shear_dyads(params, scale)
     pts, tans, tau, frames = ray.points, ray.tangents, ray.tau, ray.frames
     for _ in range(4):
-        vals = trilinear(R.grid, scale * R.values, pts)
         d = tans / np.linalg.norm(tans, axis=-1, keepdims=True)
+        D = SYM_MULT * dyads(d, frames)
+        G = _sym2(np.einsum("nc,nkc->nk", trilinear(R.grid, R.values, pts), D))
         U = np.eye(2, dtype=complex)
         for i in range(len(tau) - 1):
-            G = np.stack(
-                [
-                    _frame_generator(vals[j], d[j], frames[j], sw.scale, sw.a)
-                    for j in (i, i + 1)
-                ]
-            )
-            h = tau[i + 1] - tau[i]
-            U = _flow(G[None], np.array([h]))[0] @ U
+            U = _flow(G[None, i : i + 2], np.array([tau[i + 1] - tau[i]]))[0] @ U
         if unitarity_drift(U[None]) <= tol:
             return U
         pts, tans, tau, frames = _midpoint_refine(pts, tans, tau, frames)
@@ -289,21 +307,18 @@ def rytov_propagate(R: SymField2, params, ray: Ray, scale=1.0, tol=1e-8):
 
 
 def rytov_family(R: SymField2, params, family, scale=1.0, tol=1e-8) -> Sinogram:
-    """Propagators for every chord of a family, vectorized per view."""
-    sw = swave_weights(params)
+    """Propagators for every chord of a family, vectorized per view.
+
+    The node count is refined (up to 3 times) while the unitarity drift
+    exceeds tol; the drift of the result is kept as `drift`.
+    """
+    dyads = _shear_dyads(params, scale)
     n = family.n_nodes
     for _ in range(4):
-        views = []
-        drift = 0.0
-        for m in range(_n_views(family)):
-            pts, d, _, dt = _view_nodes(family, m, n_nodes=n)
-            vals = trilinear(R.grid, scale * R.values, pts)
-            G = _frame_generator(vals, d, _view_frame(family, m), sw.scale, sw.a)
-            U = _flow(G, dt)
-            drift = max(drift, unitarity_drift(U))
-            views.append(U)
+        U = _gather(R.values, R.grid, family, dyads, lambda g, w, dt: _flow(_sym2(g), dt), n)
+        drift = unitarity_drift(U)
         if drift <= tol:
-            out = Sinogram(family, "propagator", np.stack(views))
+            out = Sinogram(family, "propagator", U)
             out.drift = drift
             return out
         n = 2 * n - 1
@@ -326,18 +341,8 @@ def born_reduce(sino: Sinogram) -> Sinogram:
 def mixed_transform(R: SymField2, params, family, scale=1.0) -> Sinogram:
     """Direct quadrature of the mixed ray transform: per ray the 2x2 form
     with entries integral of G_ab (the Born limit of the propagator data)."""
-    sw = swave_weights(params)
-
-    def integrand(v, d, f):
-        return np.moveaxis(_frame_generator(v, d, f, sw.scale, sw.a), (-2, -1), (0, 1))
-
-    out = []
-    for m in range(_n_views(family)):
-        pts, d, w, _ = _view_nodes(family, m)
-        vals = trilinear(R.grid, scale * R.values, pts)
-        G = _frame_generator(vals, d, _view_frame(family, m), sw.scale, sw.a)
-        out.append(np.sum(G * w[..., None, None], axis=-3))
-    return Sinogram(family, "lmatrix", np.stack(out))
+    lm = _gather(R.values, R.grid, family, _shear_dyads(params, scale))
+    return Sinogram(family, "lmatrix", _sym2(lm))
 
 
 def truncated_reduce(lm: Sinogram) -> Sinogram:
@@ -366,48 +371,7 @@ def kdata_transform(F: SymField2, family) -> Sinogram:
     Per ray, d = integral of F : (e1 e1 - e2 e2)/2 and o = integral of
     F : sym(e1 x e2).
     """
-    out = []
-    for m in range(_n_views(family)):
-        pts, d, w, _ = _view_nodes(family, m)
-        vals = trilinear(F.grid, F.values, pts)
-        e1, e2 = _view_frame(family, m)
-        f11 = sym_qform(vals, e1, e1)
-        f22 = sym_qform(vals, e2, e2)
-        f12 = sym_qform(vals, e1, e2)
-        dd = np.sum(0.5 * (f11 - f22) * w, axis=-1)
-        oo = np.sum(f12 * w, axis=-1)
-        out.append(np.stack([dd, oo], axis=-1))
-    return Sinogram(family, "kpair", np.stack(out))
-
-
-def _scatter(grid, out, pts, contrib):
-    """Trilinear scatter (transpose of the gather used by trilinear)."""
-    p = pts.reshape(-1, 3)
-    c = contrib.reshape(-1, contrib.shape[-1])
-    u = (p - np.asarray(grid.origin)) / np.asarray(grid.spacing)
-    top = np.asarray(grid.dims) - 1
-    inside = np.all((u >= 0.0) & (u <= top), axis=-1)
-    u = np.clip(u[inside], 0.0, top)
-    c = c[inside]
-    i0 = np.minimum(u.astype(int), top - 1)
-    frac = u - i0
-    dims = grid.dims
-    ncomp = c.shape[-1]
-    flat = out.reshape(-1, ncomp)
-    for dx in (0, 1):
-        wx = frac[:, 0] if dx else 1.0 - frac[:, 0]
-        for dy in (0, 1):
-            wy = frac[:, 1] if dy else 1.0 - frac[:, 1]
-            for dz in (0, 1):
-                wz = frac[:, 2] if dz else 1.0 - frac[:, 2]
-                idx = ((i0[:, 0] + dx) * dims[1] + (i0[:, 1] + dy)) * dims[2] + (
-                    i0[:, 2] + dz
-                )
-                w = wx * wy * wz
-                for comp in range(ncomp):
-                    flat[:, comp] += np.bincount(
-                        idx, weights=w * c[:, comp], minlength=flat.shape[0]
-                    )
+    return Sinogram(family, "kpair", _gather(F.values, F.grid, family, _kpair_dyads))
 
 
 def longitudinal_adjoint(family, values, grid) -> SymField2:
@@ -416,27 +380,12 @@ def longitudinal_adjoint(family, values, grid) -> SymField2:
     Adjoint of longitudinal_transform with respect to the plain sum over
     rays and the L2 field inner product (cell-volume weighted).
     """
-    out = np.zeros(grid.dims + (6,))
-    for m in range(_n_views(family)):
-        pts, d, w, _ = _view_nodes(family, m)
-        dyad = sym_outer(d, d)
-        contrib = (values[m][..., None] * w)[..., None] * dyad
-        _scatter(grid, out, pts, contrib)
-    return SymField2(grid, out / grid.cell_volume())
+    return _scatter(values[..., None], grid, family, _tangent_dyads)
 
 
 def kdata_adjoint(family, values, grid) -> SymField2:
     """K*: backprojection of (d, o) pairs onto the frame's trace-free dyads."""
-    out = np.zeros(grid.dims + (6,))
-    for m in range(_n_views(family)):
-        pts, _, w, _ = _view_nodes(family, m)
-        e1, e2 = _view_frame(family, m)
-        Td = 0.5 * (sym_outer(e1, e1) - sym_outer(e2, e2))
-        To = sym_outer(e1, e2)
-        s = values[m]
-        contrib = (s[..., 0, None] * w)[..., None] * Td + (s[..., 1, None] * w)[..., None] * To
-        _scatter(grid, out, pts, contrib)
-    return SymField2(grid, out / grid.cell_volume())
+    return _scatter(values, grid, family, _kpair_dyads)
 
 
 def add_noise(sino: Sinogram, level, rng) -> Sinogram:

@@ -25,6 +25,35 @@ class TrappedRayError(RuntimeError):
 # interpolation
 
 
+def _stencil(grid: Grid3, points, mode="zero"):
+    """Yield (flat node index, weight) for the eight trilinear corners.
+
+    Each has shape points.shape[:-1]; the index addresses the node array
+    flattened over the grid axes.  mode "zero" gives points outside the
+    grid box zero weights (the field is extended by zero), mode "clamp"
+    clamps them to the nearest node.  Interpolation and its transpose
+    (scatter onto the nodes) share this stencil.
+    """
+    u = (np.asarray(points, dtype=float) - np.asarray(grid.origin)) / np.asarray(grid.spacing)
+    top = np.asarray(grid.dims) - 1
+    if mode not in ("zero", "clamp"):
+        raise ValueError(f"unknown interpolation mode {mode!r}")
+    outside = np.any((u < 0.0) | (u > top), axis=-1)
+    u = np.clip(u, 0.0, top)
+    i0 = np.minimum(u.astype(int), top - 1)
+    fx, fy, fz = np.moveaxis(u - i0, -1, 0)
+    gx = np.stack([1.0 - fx, fx])
+    if mode == "zero":
+        gx[:, outside] = 0.0  # every corner weight carries an x factor
+    _, ny, nz = grid.dims
+    base = (i0[..., 0] * ny + i0[..., 1]) * nz + i0[..., 2]
+    for dx in (0, 1):
+        for dy in (0, 1):
+            wxy = gx[dx] * (fy if dy else 1.0 - fy)
+            for dz in (0, 1):
+                yield base + (dx * ny + dy) * nz + dz, wxy * (fz if dz else 1.0 - fz)
+
+
 def trilinear(grid: Grid3, values, points, mode="zero"):
     """Trilinear interpolation of a node-sampled array at arbitrary points.
 
@@ -34,34 +63,11 @@ def trilinear(grid: Grid3, values, points, mode="zero"):
     coefficients that must not vanish outside).
     """
     values = np.asarray(values)
-    pts = np.asarray(points, dtype=float)
-    u = (pts - np.asarray(grid.origin)) / np.asarray(grid.spacing)
-    top = np.asarray(grid.dims) - 1
-    if mode == "zero":
-        outside = np.any((u < 0.0) | (u > top), axis=-1)
-        u = np.clip(u, 0.0, top)
-    elif mode == "clamp":
-        outside = None
-        u = np.clip(u, 0.0, top)
-    else:
-        raise ValueError(f"unknown interpolation mode {mode!r}")
-    i0 = np.minimum(u.astype(int), top - 1)
-    frac = u - i0
     comp_shape = values.shape[3:]
-    out = np.zeros(u.shape[:-1] + comp_shape, dtype=values.dtype)
-    ix, iy, iz = i0[..., 0], i0[..., 1], i0[..., 2]
-    fx, fy, fz = frac[..., 0], frac[..., 1], frac[..., 2]
-    for dx in (0, 1):
-        wx = fx if dx else 1.0 - fx
-        for dy in (0, 1):
-            wy = fy if dy else 1.0 - fy
-            for dz in (0, 1):
-                wz = fz if dz else 1.0 - fz
-                w = wx * wy * wz
-                corner = values[ix + dx, iy + dy, iz + dz]
-                out += w.reshape(w.shape + (1,) * len(comp_shape)) * corner
-    if outside is not None and np.any(outside):
-        out[outside] = 0.0
+    flat = values.reshape((-1,) + comp_shape)
+    out = np.zeros(np.shape(points)[:-1] + comp_shape, dtype=values.dtype)
+    for idx, w in _stencil(grid, points, mode):
+        out += w.reshape(w.shape + (1,) * len(comp_shape)) * np.take(flat, idx, axis=0)
     return out
 
 
@@ -136,8 +142,35 @@ def ball_chord(center, radius, point, direction):
 # straight-line families
 
 
+class _ChordFamily:
+    """View geometry shared by the straight-line families.
+
+    A family is a stack of views; `chords(m)` gives the start points, the
+    common direction and the chord lengths of view m.  Every chord carries
+    the same node count, nodes equispaced on [0, L], and composite-trapezoid
+    weights, so empty chords (L = 0) contribute nothing.
+    """
+
+    @property
+    def n_nodes(self):
+        return int(np.ceil(2.0 * self.radius / self.step)) + 1
+
+    def nodes(self, m, n_nodes=None):
+        """Node points (..., n, 3), direction, trapezoid weights (..., n) and
+        per-chord step of view m."""
+        starts, d, lengths = self.chords(m)
+        n = n_nodes or self.n_nodes
+        t = np.linspace(0.0, 1.0, n)
+        pts = starts[..., None, :] + (lengths[..., None] * t)[..., None] * d
+        dt = lengths / (n - 1)
+        w = np.repeat(dt[..., None], n, axis=-1)
+        w[..., 0] *= 0.5
+        w[..., -1] *= 0.5
+        return pts, d, w, dt
+
+
 @dataclass
-class PlaneFamily:
+class PlaneFamily(_ChordFamily):
     """Parallel-beam chords confined to planes x_axis = const.
 
     Every ray tangent is orthogonal to e_axis.  Per slice, a 2D parallel
@@ -162,8 +195,8 @@ class PlaneFamily:
         self._ek = u[self.axis]
 
     @property
-    def n_nodes(self):
-        return int(np.ceil(2.0 * self.radius / self.step)) + 1
+    def n_views(self):
+        return len(self.thetas)
 
     @property
     def ray_count(self):
@@ -176,6 +209,11 @@ class PlaneFamily:
     def offset_axis(self, a):
         t = self.thetas[a]
         return -np.sin(t) * self._u1 + np.cos(t) * self._u2
+
+    def frame(self, a):
+        """Orthonormal frame (offset axis, slice axis) of the plane
+        orthogonal to the rays of angle a."""
+        return np.stack([self.offset_axis(a), self._ek])
 
     def chords(self, a):
         """Start points (O, S, 3) and chord lengths (O, S) for one angle."""
@@ -212,7 +250,7 @@ class PlaneFamily:
 
 
 @dataclass
-class SphereFamily:
+class SphereFamily(_ChordFamily):
     """Chords along a dense set of sphere directions, 2D offset grid each.
 
     Used by the truncated transverse transform: each direction carries a
@@ -233,8 +271,8 @@ class SphereFamily:
         self._frames = np.asarray(frames)
 
     @property
-    def n_nodes(self):
-        return int(np.ceil(2.0 * self.radius / self.step)) + 1
+    def n_views(self):
+        return len(self.directions)
 
     @property
     def ray_count(self):

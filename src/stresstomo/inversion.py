@@ -8,6 +8,7 @@ the trace by scalar filtered backprojection of the eta-averaged diagonal
 data.
 """
 
+import functools
 import json
 import time
 import warnings
@@ -34,18 +35,16 @@ from .fields import (
 )
 from .forward import (
     Sinogram,
-    _n_views,
-    _view_frame,
-    _view_nodes,
+    _gather,
+    _generator_dyads,
     born_reduce,
     kdata_adjoint,
     kdata_transform,
     longitudinal_transform,
-    sym_qform,
     truncated_reduce,
     unitarity_drift,
 )
-from .geometry import PlaneFamily, SphereFamily, trilinear
+from .geometry import PlaneFamily, SphereFamily
 from .material import pwave_weights, swave_weights
 
 
@@ -402,24 +401,24 @@ def detangle_trace(m: SymField2, a, floor=1e-8) -> SymField2:
 
 def pwave_pipeline(data, params, grid: Grid3, refine=1):
     """Compressional reconstruction: invert I, detangle the trace, rescale."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     w = pwave_weights(params)
     report = ReconReport(
         config={"pipeline": "pwave", "a": w.a, "scale": w.scale, "refine": refine}
     )
     m = invert_I_solenoidal(data, grid, refine=refine)
-    report.timing["invert_I"] = time.time() - t0
-    t1 = time.time()
+    report.timing["invert_I"] = time.perf_counter() - t0
+    t1 = time.perf_counter()
     f = detangle_trace(m, w.a)
     R = SymField2(grid, f.values * w.b)
-    report.timing["detangle"] = time.time() - t1
+    report.timing["detangle"] = time.perf_counter() - t1
     rn = R.norm()
     dn = divergence(R).norm()
     diam = 2.0 * grid.domain.radius
     report.stages["m_norm"] = m.norm()
     report.stages["R_norm"] = rn
     report.errors["divergence_residual"] = dn * diam / max(rn, 1e-300)
-    report.timing["total"] = time.time() - t0
+    report.timing["total"] = time.perf_counter() - t0
     return R, report
 
 
@@ -517,6 +516,13 @@ def _ramlak_filter(p, offsets):
     return np.real(np.fft.ifft(spec, axis=-1))[..., :n] / (2.0 * np.pi)
 
 
+def _trace_dyads(d, frame, a):
+    """Polarization mean and split of the diagonal generator entries:
+    (G11 + G22)/2 and G11 - G22 per unit shear weight."""
+    g11, g22, _ = np.moveaxis(_generator_dyads(d, frame, a), -2, 0)
+    return np.stack([0.5 * (g11 + g22), g11 - g22], axis=-2)
+
+
 def recover_trace(ldata, Ftilde: SymField2, a, floor=1e-8, eta_tol=1e-6):
     """Trace of F from eta-averaged diagonal shear data and the known
     trace-free part.
@@ -536,22 +542,11 @@ def recover_trace(ldata, Ftilde: SymField2, a, floor=1e-8, eta_tol=1e-6):
         raise ValueError("trace recovery needs the family orthogonal to axis 3")
 
     def scalar_rhs(sino):
-        fam = sino.family
         L = sino.values
         diag = 0.5 * (L[..., 0, 0] + L[..., 1, 1])
         split = L[..., 0, 0] - L[..., 1, 1]
-        pred_diag = np.empty_like(diag)
-        pred_split = np.empty_like(diag)
-        for m in range(_n_views(fam)):
-            pts, d, w, _ = _view_nodes(fam, m)
-            vals = trilinear(grid, Ftilde.values, pts)
-            e1, e2 = _view_frame(fam, m)
-            j11 = np.sum(sym_qform(vals, e1, e1) * w, axis=-1)
-            j22 = np.sum(sym_qform(vals, e2, e2) * w, axis=-1)
-            ii = np.sum(sym_qform(vals, d, d) * w, axis=-1)
-            tt = np.sum((vals[..., 0] + vals[..., 1] + vals[..., 2]) * w, axis=-1)
-            pred_diag[m] = 0.5 * (j11 + j22) + ii + a * tt
-            pred_split[m] = j11 - j22
+        pred = _gather(Ftilde.values, grid, sino.family, functools.partial(_trace_dyads, a=a))
+        pred_diag, pred_split = pred[..., 0], pred[..., 1]
         mism = np.max(np.abs(split - pred_split))
         scale = max(np.max(np.abs(diag)), 1e-300)
         if mism > eta_tol * scale:
@@ -608,7 +603,7 @@ def swave_pipeline(sinograms, params, grid: Grid3, scale, lam=None, maxiter=500,
     propagators were collected; the result approximates the true R up to
     the quadratic Born remainder.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     sw = swave_weights(params)
     report = ReconReport(
         config={"pipeline": "swave", "a": sw.a, "scale": scale, "weight": sw.scale}
@@ -628,23 +623,23 @@ def swave_pipeline(sinograms, params, grid: Grid3, scale, lam=None, maxiter=500,
     lsphere = next(s for s in lred if isinstance(s.family, SphereFamily))
     lplanes = [s for s in lred if isinstance(s.family, PlaneFamily)]
 
-    t1 = time.time()
+    t1 = time.perf_counter()
     kdata = truncated_reduce(lsphere)
     Ft = invert_K_tracefree(kdata, grid, lam=lam, maxiter=maxiter, tol=tol)
     report.stages["cg"] = getattr(Ft, "_cg_info", {})
-    report.timing["invert_K"] = time.time() - t1
+    report.timing["invert_K"] = time.perf_counter() - t1
 
-    t2 = time.time()
+    t2 = time.perf_counter()
     # the split consistency check compares against the *estimated* trace-free
     # part, so its tolerance must sit above the reconstruction error level
     tr_rec = recover_trace(lplanes, Ft, sw.a, eta_tol=0.2)
-    report.timing["recover_trace"] = time.time() - t2
+    report.timing["recover_trace"] = time.perf_counter() - t2
 
     R = SymField2(grid, Ft.values + (tr_rec.values[..., None] / 3.0) * identity_sym(grid).values)
     report.stages["tracefree_norm"] = Ft.norm()
     report.stages["trace_norm"] = tr_rec.norm()
     report.stages["R_norm"] = R.norm()
-    report.timing["total"] = time.time() - t0
+    report.timing["total"] = time.perf_counter() - t0
     return R, report
 
 

@@ -136,20 +136,10 @@ def family_from_manifest(man):
     raise ValueError(f"unknown family kind {man['kind']!r}")
 
 
-def write_family_manifest(path, family):
-    with open(path, "w") as fh:
-        json.dump(family_manifest(family), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_family_manifest(path):
-    with open(path) as fh:
-        return family_from_manifest(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # sinogram CSV + sidecar manifest
 
+_HEADER = ["family", "slice", "angle", "offset", "kind"]
 _KIND_COLUMNS = {
     "scalar": ["value"],
     "propagator": [
@@ -193,36 +183,20 @@ def _unflatten_records(kind, cols):
 def write_sinogram(path, sino: Sinogram, family_id=None):
     """CSV with one row per ray plus a JSON sidecar manifest.
 
-    Plane families index rows by (slice, angle, offset); sphere families
-    use the direction index in the angle column and the two transverse
-    offsets in the offset and slice columns.
+    Rows run over (view, offset, slice) and are keyed (slice, angle,
+    offset): plane families put the angle in the angle column; sphere
+    families put the direction there and the two transverse offsets in
+    the offset and slice columns.
     """
     fam = sino.family
     if family_id is None:
         family_id = f"plane{fam.axis}" if fam.kind == "plane" else "sphere"
     flat = _flatten_records(sino.kind, sino.values)
-    cols = _KIND_COLUMNS[sino.kind]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["family", "slice", "angle", "offset", "kind"] + cols)
-        if fam.kind == "plane":
-            A, O, S = len(fam.thetas), len(fam.offsets), len(fam.slices)
-            for a in range(A):
-                for o in range(O):
-                    for s in range(S):
-                        w.writerow(
-                            [family_id, s, a, o, sino.kind]
-                            + [repr(float(v)) for v in flat[a, o, s]]
-                        )
-        else:
-            D, O = len(fam.directions), len(fam.offsets)
-            for d in range(D):
-                for o1 in range(O):
-                    for o2 in range(O):
-                        w.writerow(
-                            [family_id, o2, d, o1, sino.kind]
-                            + [repr(float(v)) for v in flat[d, o1, o2]]
-                        )
+        w.writerow(_HEADER + _KIND_COLUMNS[sino.kind])
+        for v, o, s in np.ndindex(flat.shape[:3]):
+            w.writerow([family_id, s, v, o, sino.kind] + [repr(float(x)) for x in flat[v, o, s]])
     with open(str(path) + ".manifest.json", "w") as fh:
         json.dump(
             {"family_id": family_id, "kind": sino.kind, "family": family_manifest(fam)},
@@ -234,31 +208,48 @@ def write_sinogram(path, sino: Sinogram, family_id=None):
 
 
 def read_sinogram(path):
+    """Read a sinogram CSV and its manifest.
+
+    Every ray index of the family must appear exactly once; malformed
+    records raise ValueError and non-finite values FloatingPointError, both
+    naming the file.
+    """
     with open(str(path) + ".manifest.json") as fh:
         man = json.load(fh)
     fam = family_from_manifest(man["family"])
     kind = man["kind"]
     ncol = len(_KIND_COLUMNS[kind])
+    last = len(fam.slices) if fam.kind == "plane" else len(fam.offsets)
+    shape = (fam.n_views, len(fam.offsets), last)
+    count = int(np.prod(shape))
+    # rows are keyed (slice, angle, offset); records are stored (angle, offset, slice)
+    keys = np.empty((count, 3), dtype=np.intp)
+    cols = np.empty((count, ncol))
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
-        if header[:5] != ["family", "slice", "angle", "offset", "kind"]:
+        if next(rd, None) != _HEADER + _KIND_COLUMNS[kind]:
             raise ValueError(f"{path}: bad sinogram header")
-        rows = list(rd)
-    if fam.kind == "plane":
-        shape = (len(fam.thetas), len(fam.offsets), len(fam.slices))
-        order = lambda r: (int(r[2]), int(r[3]), int(r[1]))
-    else:
-        shape = (len(fam.directions), len(fam.offsets), len(fam.offsets))
-        order = lambda r: (int(r[2]), int(r[3]), int(r[1]))
-    if len(rows) != int(np.prod(shape)):
-        raise ValueError(f"{path}: expected {int(np.prod(shape))} rows, got {len(rows)}")
-    flat = np.empty(shape + (ncol,))
-    for r in rows:
-        if r[4] != kind:
-            raise ValueError(f"{path}: record kind {r[4]!r} does not match manifest")
-        flat[order(r)] = [float(v) for v in r[5 : 5 + ncol]]
-    return Sinogram(fam, kind, _unflatten_records(kind, flat))
+        n = 0
+        for n, r in enumerate(rd, start=1):
+            if n > count or len(r) != 5 + ncol or r[4] != kind:
+                raise ValueError(f"{path}:{n + 1}: unexpected or malformed {kind} record")
+            try:
+                keys[n - 1] = int(r[2]), int(r[3]), int(r[1])
+                cols[n - 1] = [float(v) for v in r[5:]]
+            except (OverflowError, ValueError) as e:
+                raise ValueError(f"{path}:{n + 1}: {e}") from None
+    if n != count:
+        raise ValueError(f"{path}: expected {count} rows, got {n}")
+    if np.any(keys < 0) or np.any(keys >= shape):
+        raise ValueError(f"{path}: ray index out of range")
+    flat_keys = np.ravel_multi_index(keys.T, shape)
+    if len(np.unique(flat_keys)) != count:
+        raise ValueError(f"{path}: duplicated ray index")
+    if not np.all(np.isfinite(cols)):
+        raise FloatingPointError(f"{path}: non-finite sinogram value")
+    flat = np.empty((count, ncol))
+    flat[flat_keys] = cols
+    return Sinogram(fam, kind, _unflatten_records(kind, flat.reshape(shape + (ncol,))))
 
 
 # ---------------------------------------------------------------------------

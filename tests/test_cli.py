@@ -7,6 +7,7 @@ import pytest
 from stresstomo.cli import (
     EXIT_CONDITION,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     config_hash,
     load_config,
@@ -149,3 +150,62 @@ def test_export_born_table(tmp_path):
     slopes = [float(r.split(",")[2]) for r in lines[2:]]
     for s in slopes:
         assert 1.7 < s < 2.3
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"families": {"angles": 2, "offsets": 24}},
+        {"grid": {"n": "16"}},
+        {"grid": {"n": 16.0}},
+        {"families": {"angles": 24, "offsets": 8}},
+        {"material": {"lam": 1.0, "mu": -1.0, "rho": 1.0, "nu": [0.1, 0.4, -0.2, 0.5]}},
+        {"material": {"lam": 1.0, "mu": 1.0, "rho": 1.0, "nu": [0.1, "x", -0.2, 0.5]}},
+        {"grid": {"n": 16, "ball_radius": 2.0}},
+        {"tolerances": {"cg_maxiter": True}},
+        {"seed": -1},
+        {"scale": 0.0},
+    ],
+)
+def test_load_config_rejects_bad_types_and_ranges(tmp_path, over):
+    cfg = write_cfg(tmp_path, **over)
+    assert main(["forward", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+
+
+def test_threads_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["verify", "--threads", "2", "--out", str(tmp_path)])
+
+
+def _forwarded(tmp_path):
+    cfg = write_cfg(tmp_path)
+    out = str(tmp_path / "run")
+    assert main(["generate", "--config", cfg, "--out", out]) == EXIT_OK
+    assert main(["forward", "--config", cfg, "--out", out]) == EXIT_OK
+    path = os.path.join(out, "pwave_plane1.csv")
+    with open(path) as fh:
+        return cfg, out, path, fh.read().splitlines()
+
+
+def test_invert_malformed_sinogram_exits_config(tmp_path, capsys):
+    cfg, out, path, rows = _forwarded(tmp_path)
+    with open(path, "w") as fh:
+        fh.write("\n".join(rows[:2] + [rows[1]] + rows[3:]) + "\n")
+    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert "pwave_plane1.csv" in capsys.readouterr().err
+
+
+def test_invert_non_finite_sinogram_exits_numerical(tmp_path, capsys):
+    cfg, out, path, rows = _forwarded(tmp_path)
+    rows[7] = rows[7].rsplit(",", 1)[0] + ",nan"
+    with open(path, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_NUMERICAL
+    assert "pwave_plane1.csv" in capsys.readouterr().err
+
+
+def test_invert_broken_sinogram_manifest_exits_config(tmp_path):
+    cfg, out, _, _ = _forwarded(tmp_path)
+    with open(os.path.join(out, "sinograms.json"), "w") as fh:
+        fh.write("{not json")
+    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONFIG

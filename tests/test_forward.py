@@ -1,7 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stresstomo.fields import (
+    SYM_MULT,
     Grid3,
     ScalarField,
     SymField2,
@@ -18,6 +23,11 @@ from stresstomo.fields import (
 )
 from stresstomo.forward import (
     Sinogram,
+    _gather,
+    _generator_dyads,
+    _kpair_dyads,
+    _scatter,
+    _tangent_dyads,
     add_noise,
     born_reduce,
     kdata_adjoint,
@@ -42,6 +52,7 @@ from stresstomo.geometry import (
     line_ray,
     trilinear,
 )
+from stresstomo.inversion import _trace_dyads
 from stresstomo.material import ConditionError, MaterialParams, swave_weights
 
 
@@ -377,3 +388,57 @@ def test_add_noise_scale(grid, rng):
     noisy = add_noise(sino, 0.01, rng)
     dev = noisy.values - sino.values
     assert 0.005 <= np.std(dev) <= 0.015
+
+
+# ---------------------------------------------------------------------------
+# the contract-then-gather / scatter pair on random family geometries
+
+_PAIR_GRID = Grid3.cube(8)
+
+
+@st.composite
+def random_families(draw):
+    offsets = np.linspace(-0.95, 0.95, draw(st.integers(1, 5)))
+    step = draw(st.floats(0.04, 0.5))
+    if draw(st.booleans()):
+        angles = draw(st.integers(1, 5))
+        thetas = draw(st.floats(0.0, np.pi)) + np.arange(angles) * np.pi / angles
+        slices = np.linspace(-0.9, 0.9, draw(st.integers(1, 4)))
+        return PlaneFamily(draw(st.integers(0, 2)), thetas, offsets, slices, (0, 0, 0), 1.0, step)
+    return build_sphere_family(_PAIR_GRID, draw(st.integers(1, 6)), len(offsets), step)
+
+
+def _all_components_then_contract(values, family, dyads):
+    """Reference: interpolate all six components, contract per node."""
+    out = []
+    for m in range(family.n_views):
+        pts, d, w, _ = family.nodes(m)
+        D = SYM_MULT * dyads(d, family.frame(m))
+        out.append(np.einsum("...nc,kc,...n->...k", trilinear(_PAIR_GRID, values, pts), D, w))
+    return np.stack(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=random_families(),
+    a=st.floats(-2.0, 2.0),
+    which=st.sampled_from(["I", "K", "generator", "trace"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gather_scatter_pair_property(family, a, which, seed):
+    dyads = {
+        "I": _tangent_dyads,
+        "K": _kpair_dyads,
+        "generator": functools.partial(_generator_dyads, a=a),
+        "trace": functools.partial(_trace_dyads, a=a),
+    }[which]
+    rng = np.random.default_rng(seed)
+    F = SymField2(_PAIR_GRID, rng.normal(size=_PAIR_GRID.dims + (6,)))
+    got = _gather(F.values, _PAIR_GRID, family, dyads)
+    want = _all_components_then_contract(F.values, family, dyads)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    y = rng.normal(size=got.shape)
+    lhs = float(np.sum(got * y))
+    rhs = sym_inner(F, _scatter(y, _PAIR_GRID, family, dyads))
+    assert abs(lhs - rhs) <= 1e-10 * max(np.linalg.norm(got) * np.linalg.norm(y), 1e-300)

@@ -104,6 +104,46 @@ def test_sinogram_round_trip_each_kind(grid, rng, tmp_path):
         assert np.array_equal(back.values, s.values)
 
 
+def _small_sinogram(grid, rng, tmp_path):
+    R = random_bump_sym(grid, rng, radius=0.6)
+    p = tmp_path / "s.csv"
+    write_sinogram(p, longitudinal_transform(R, build_line_families(grid, 6, 16)[0]))
+    return p, p.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        # a duplicated row replaces another: one record would stay unset
+        (lambda rows: rows[:2] + [rows[1]] + rows[3:], "duplicated"),
+        (lambda rows: rows[:1] + [rows[1].replace("plane0,0,0,", "plane0,-1,0,", 1)] + rows[2:],
+         "out of range"),
+        (lambda rows: rows[:1] + [rows[1].replace("plane0,0,0,", "plane0,16,0,", 1)] + rows[2:],
+         "out of range"),
+        (lambda rows: rows[:1] + [rows[1] + ",1.0"] + rows[2:], "malformed"),
+        (lambda rows: rows[:1] + [rows[1].replace("plane0,0,", "plane0,x,", 1)] + rows[2:],
+         "invalid literal"),
+        (lambda rows: rows[:-1], "expected"),
+    ],
+)
+def test_sinogram_rejects_malformed_records(grid, rng, tmp_path, edit, match):
+    p, rows = _small_sinogram(grid, rng, tmp_path)
+    p.write_text("\n".join(edit(rows)) + "\n")
+    with pytest.raises(ValueError, match=match) as err:
+        read_sinogram(p)
+    assert str(p) in str(err.value)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_sinogram_rejects_non_finite_values(grid, rng, tmp_path, bad):
+    p, rows = _small_sinogram(grid, rng, tmp_path)
+    rows[5] = rows[5].rsplit(",", 1)[0] + "," + bad
+    p.write_text("\n".join(rows) + "\n")
+    with pytest.raises(FloatingPointError, match="non-finite") as err:
+        read_sinogram(p)
+    assert str(p) in str(err.value)
+
+
 def test_sinogram_write_is_deterministic(grid, rng, tmp_path):
     R = random_bump_sym(grid, rng, radius=0.6)
     plane = build_line_families(grid, 6, 16)[1]
