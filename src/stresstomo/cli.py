@@ -177,6 +177,14 @@ def _require(path, what):
     return path
 
 
+def _read_artifact(reader, path, what):
+    """Read an input artifact; a missing or malformed one is a config error."""
+    try:
+        return reader(_require(path, what))
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"unreadable {what}: {e}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -199,7 +207,7 @@ def cmd_generate(cfg, out):
 def cmd_forward(cfg, out):
     grid = _grid_from(cfg)
     params = _params_from(cfg)
-    R = read_field(_require(os.path.join(out, "truth.stf"), "truth field"))
+    R = _read_artifact(read_field, os.path.join(out, "truth.stf"), "truth field")
     if not isinstance(R, SymField2):
         raise ConfigError("truth.stf does not hold a symmetric 2-tensor field")
     fam = cfg["families"]
@@ -262,7 +270,7 @@ def cmd_invert(cfg, out):
     report.config["seed"] = cfg["seed"]
     truth_path = os.path.join(out, "truth.stf")
     if os.path.exists(truth_path):
-        truth = read_field(truth_path)
+        truth = _read_artifact(read_field, truth_path, "truth field")
         report.errors["relative_l2"] = float(
             np.linalg.norm(R.values - truth.values) / np.linalg.norm(truth.values)
         )
@@ -336,7 +344,7 @@ def cmd_verify(cfg, out):
 def cmd_report(cfg, out, inputs):
     if not inputs:
         raise ConfigError("report needs at least one report.json input")
-    reports = [read_report(_require(p, "report")) for p in inputs]
+    reports = [_read_artifact(read_report, p, "report") for p in inputs]
     hashes = {r.config.get("config_hash") for r in reports}
     if len(hashes) > 1:
         print(f"refusing to merge reports with mismatched config hashes: {sorted(hashes)}")
@@ -368,7 +376,7 @@ def cmd_export(cfg, out, what, inputs):
             raise ConfigError("export noise needs report.json inputs")
         rows = []
         for p in inputs:
-            r = read_report(_require(p, "report"))
+            r = _read_artifact(read_report, p, "report")
             rows.append((r.config.get("noise", 0.0), r.errors.get("relative_l2", "")))
         rows.sort()
         path = os.path.join(out, "error_vs_noise.csv")

@@ -10,17 +10,20 @@ Every family-level transform is one operation with its own dyad table: per
 view, the field is contracted on the grid with k <= 3 dyads fixed by the
 view's direction and frame, and only those k scalars are interpolated at
 the chord nodes and summed with the family's trapezoid weights (_gather).
-The adjoints are the exact transpose (_scatter).
+The adjoints run over the same chords' merged interpolation weights
+(_backproject).  A FamilyOperator caches those weights for one family, so
+that a solver applies K and K* without rebuilding the geometry.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import SYM_MULT, ScalarField, SymField2
-from .geometry import PlaneFamily, Ray, SphereFamily, _stencil, trilinear
+from .geometry import PlaneFamily, Ray, SphereFamily, _stencil, chord_nodes, trilinear
 from .material import ConditionError, check_pwave_conditions, pwave_weights, swave_weights
 
 _EYE2 = np.eye(2)
@@ -137,26 +140,122 @@ def _gather(values, grid, family, dyads, per_view=_trapezoid, n_nodes=None):
     return np.stack(out)
 
 
-def _scatter(data, grid, family, dyads):
-    """Transpose of _gather's trapezoid integrals: data (views, ..., k) onto
-    a symmetric field.
+_CHUNK = 32  # chords per build step: keeps the build temporaries below 1 MB
 
-    Per view the k data streams are spread over k grid scalars with the
-    interpolation stencil and expanded with the view's dyads.  Dividing by
-    the cell volume makes this the adjoint for the plain sum over rays and
-    the cell-volume weighted L2 field inner product.
+
+@dataclass
+class _ViewStencil:
+    """Merged interpolation weights of one view's chords.
+
+    rays: flat indices (into shape) of the chords that carry entries, in
+    order; counts: entries per such chord; nodes (int32) and weights: the
+    flat grid node and the trapezoid-weighted trilinear weight of every
+    entry, merged per (chord, node) and ordered by chord, then node.
+    """
+
+    d: np.ndarray
+    frame: np.ndarray
+    shape: tuple
+    rays: np.ndarray
+    counts: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
+def _view_stencils(family, grid):
+    """Yield the merged stencil of every view of a family, chunk by chunk."""
+    size = int(np.prod(grid.dims))
+    for m in range(family.n_views):
+        starts, d, lengths = family.chords(m)
+        flat_starts, flat_lengths = starts.reshape(-1, 3), lengths.ravel()
+        live = np.flatnonzero(flat_lengths > 0.0)
+        parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0))]
+        for c in range(0, len(live), _CHUNK):
+            sel = live[c : c + _CHUNK]
+            pts, w, _ = chord_nodes(flat_starts[sel], d, flat_lengths[sel], family.n_nodes)
+            corners = list(_stencil(grid, pts))
+            keys = np.stack([idx for idx, _ in corners], axis=1) + sel[:, None, None] * size
+            wts = np.stack([cw * w for _, cw in corners], axis=1)
+            keep = wts != 0.0
+            if not np.any(keep):
+                continue
+            keys, wts = keys[keep], wts[keep]
+            order = np.argsort(keys, kind="stable")
+            keys, wts = keys[order], wts[order]
+            first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            rays, counts = np.unique(keys[first] // size, return_counts=True)
+            parts.append((rays, counts, (keys[first] % size).astype(np.int32),
+                          np.add.reduceat(wts, first)))
+        rays, counts, nodes, weights = (np.concatenate(p) for p in zip(*parts))
+        yield _ViewStencil(d, family.frame(m), lengths.shape, rays, counts, nodes, weights)
+
+
+def _backproject(data, grid, views, dyads):
+    """Transpose of the trapezoid integrals over the views' stencils: data
+    (views, ..., k) onto a symmetric field.
+
+    Per view each of the k data streams is repeated over its chord's
+    entries, weighted and summed onto the grid nodes (one bincount per
+    stream), then expanded with the view's dyads.  Dividing by the cell
+    volume makes this the adjoint for the plain sum over rays and the
+    cell-volume weighted L2 field inner product.
     """
     size = int(np.prod(grid.dims))
     out = np.zeros((size, 6))
-    for m in range(family.n_views):
-        pts, d, w, _ = family.nodes(m)
-        streams = np.moveaxis(data[m][..., None, :] * w[..., None], -1, 0)
-        scalars = np.zeros((len(streams), size))
-        for idx, weights in _stencil(grid, pts):
-            for j, s in enumerate(streams):
-                scalars[j] += np.bincount(idx.ravel(), (weights * s).ravel(), size)
-        out += scalars.T @ dyads(d, family.frame(m))
+    for rec, v in zip(data, views):
+        rec = rec.reshape(-1, rec.shape[-1])[v.rays]
+        scalars = np.stack(
+            [np.bincount(v.nodes, np.repeat(s, v.counts) * v.weights, size) for s in rec.T]
+        )
+        out += scalars.T @ dyads(v.d, v.frame)
     return SymField2(grid, out.reshape(grid.dims + (6,)) / grid.cell_volume())
+
+
+class FamilyOperator:
+    """One family's chord stencils on one grid, built once for repeated
+    transforms (the CG solve of invert_K_tracefree).
+
+    apply(values, dyads) gives _gather's trapezoid integrals, up to the
+    summation order; adjoint(data, dyads) is its exact transpose.  An entry
+    is an int32 node and a float64 weight, 12 bytes.  One-shot transforms
+    use _gather instead: building costs more than one gather.
+    """
+
+    def __init__(self, family, grid):
+        t0 = time.perf_counter()
+        self.family, self.grid = family, grid
+        self.views = list(_view_stencils(family, grid))
+        self.build_s = time.perf_counter() - t0
+
+    @property
+    def entries(self):
+        return sum(len(v.nodes) for v in self.views)
+
+    def apply(self, values, dyads):
+        """Per view: contract with the k dyads, then per scalar take it at
+        the entries, weight it and sum it per chord."""
+        flat = values.reshape(-1, 6)
+        out = []
+        for v in self.views:
+            D = dyads(v.d, v.frame)
+            rec = np.zeros((len(D), int(np.prod(v.shape))))
+            if len(v.rays):
+                starts = np.cumsum(v.counts) - v.counts
+                for j, s in enumerate((SYM_MULT * D) @ flat.T):
+                    rec[j, v.rays] = np.add.reduceat(np.take(s, v.nodes) * v.weights, starts)
+            out.append(np.moveaxis(rec, 0, -1).reshape(v.shape + (len(D),)))
+        return np.stack(out)
+
+    def adjoint(self, data, dyads):
+        return _backproject(data, self.grid, self.views, dyads)
+
+
+def _adjoint(family, data, grid, dyads):
+    """Adjoint over an operator's cached stencils, or over a plain family's
+    stencils built one view at a time."""
+    if isinstance(family, FamilyOperator):
+        return family.adjoint(data, dyads)
+    return _backproject(data, grid, _view_stencils(family, grid), dyads)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +468,11 @@ def kdata_transform(F: SymField2, family) -> Sinogram:
     """K(F): the truncated transverse transform straight from a field.
 
     Per ray, d = integral of F : (e1 e1 - e2 e2)/2 and o = integral of
-    F : sym(e1 x e2).
+    F : sym(e1 x e2).  family may be a FamilyOperator, whose cached
+    stencils are then used.
     """
+    if isinstance(family, FamilyOperator):
+        return Sinogram(family.family, "kpair", family.apply(F.values, _kpair_dyads))
     return Sinogram(family, "kpair", _gather(F.values, F.grid, family, _kpair_dyads))
 
 
@@ -380,12 +482,15 @@ def longitudinal_adjoint(family, values, grid) -> SymField2:
     Adjoint of longitudinal_transform with respect to the plain sum over
     rays and the L2 field inner product (cell-volume weighted).
     """
-    return _scatter(values[..., None], grid, family, _tangent_dyads)
+    return _adjoint(family, values[..., None], grid, _tangent_dyads)
 
 
 def kdata_adjoint(family, values, grid) -> SymField2:
-    """K*: backprojection of (d, o) pairs onto the frame's trace-free dyads."""
-    return _scatter(values, grid, family, _kpair_dyads)
+    """K*: backprojection of (d, o) pairs onto the frame's trace-free dyads.
+
+    family may be a FamilyOperator, whose cached stencils are then used.
+    """
+    return _adjoint(family, values, grid, _kpair_dyads)
 
 
 def add_noise(sino: Sinogram, level, rng) -> Sinogram:

@@ -159,14 +159,20 @@ class _ChordFamily:
         """Node points (..., n, 3), direction, trapezoid weights (..., n) and
         per-chord step of view m."""
         starts, d, lengths = self.chords(m)
-        n = n_nodes or self.n_nodes
-        t = np.linspace(0.0, 1.0, n)
-        pts = starts[..., None, :] + (lengths[..., None] * t)[..., None] * d
-        dt = lengths / (n - 1)
-        w = np.repeat(dt[..., None], n, axis=-1)
-        w[..., 0] *= 0.5
-        w[..., -1] *= 0.5
+        pts, w, dt = chord_nodes(starts, d, lengths, n_nodes or self.n_nodes)
         return pts, d, w, dt
+
+
+def chord_nodes(starts, d, lengths, n):
+    """Node points (..., n, 3), trapezoid weights (..., n) and step (...) of
+    n equispaced nodes on the chords starts + [0, lengths] d."""
+    t = np.linspace(0.0, 1.0, n)
+    pts = starts[..., None, :] + (lengths[..., None] * t)[..., None] * d
+    dt = lengths / (n - 1)
+    w = np.repeat(dt[..., None], n, axis=-1)
+    w[..., 0] *= 0.5
+    w[..., -1] *= 0.5
+    return pts, w, dt
 
 
 @dataclass

@@ -34,6 +34,7 @@ from .fields import (
     tangential_projector,
 )
 from .forward import (
+    FamilyOperator,
     Sinogram,
     _gather,
     _generator_dyads,
@@ -449,23 +450,27 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=500, tol=
     """Solve min |K F - kdata|^2 + lam |F|^2 over trace-free symmetric F.
 
     Conjugate gradient on the normal equations; trace-freeness is enforced
-    by working in a 5-component deviatoric basis per node.
+    by working in a 5-component deviatoric basis per node.  K and K* run
+    on one FamilyOperator, built here and dropped on return.  Returns
+    (F, info): info holds the iteration count, lam, the final relative
+    residual, the relative residual after every iteration, and the
+    operator's entry count and build time.
     """
     if kdata.kind != "kpair":
         raise ValueError("invert_K_tracefree expects kpair records")
-    fam = kdata.family
+    op = FamilyOperator(kdata.family, grid)
+    info = {"operator_entries": op.entries, "operator_build_s": op.build_s}
 
     def K(x):
-        return kdata_transform(SymField2(grid, _coef_to_sym(x)), fam).values
+        return kdata_transform(SymField2(grid, _coef_to_sym(x)), op).values
 
     def Kt(yv):
-        return _sym_to_coef(kdata_adjoint(fam, yv, grid).values)
+        return _sym_to_coef(kdata_adjoint(op, yv, grid).values)
 
     b = Kt(kdata.values)
     if not np.any(b):
         F = SymField2(grid, np.zeros(grid.dims + (6,)))
-        F._cg_info = {"iterations": 0, "lam": 0.0, "residual": 0.0}
-        return F
+        return F, dict(info, iterations=0, lam=0.0, residual=0.0, residuals=[])
     data_norm = float(np.linalg.norm(kdata.values))
     if lam is None:
         lam = 1e-6 * float(np.linalg.norm(b)) / max(data_norm, 1e-300)
@@ -474,6 +479,7 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=500, tol=
     p = r.copy()
     rs = float(np.sum(r * r))
     b0 = float(np.sum(b * b))
+    history = []
     iters = 0
     for iters in range(1, maxiter + 1):
         Ap = Kt(K(p)) + lam * p
@@ -481,6 +487,7 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=500, tol=
         x += alpha * p
         r -= alpha * Ap
         rs_new = float(np.sum(r * r))
+        history.append(float(np.sqrt(rs_new / b0)))
         if rs_new <= tol**2 * b0:
             rs = rs_new
             break
@@ -492,8 +499,7 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=500, tol=
             f"(residual {np.sqrt(rs / b0):.3e})"
         )
     F = SymField2(grid, _coef_to_sym(x))
-    F._cg_info = {"iterations": iters, "lam": lam, "residual": float(np.sqrt(rs / b0))}
-    return F
+    return F, dict(info, iterations=iters, lam=lam, residual=history[-1], residuals=history)
 
 
 # ---------------------------------------------------------------------------
@@ -616,18 +622,18 @@ def swave_pipeline(sinograms, params, grid: Grid3, scale, lam=None, maxiter=500,
     report.conditions["unitarity_drift"] = drift
 
     norm = 1.0 / (scale * sw.scale)
-    lred = []
-    for s in sinograms:
-        br = born_reduce(s)
-        lred.append(br.copy_with("lmatrix", br.values * norm))
-    lsphere = next(s for s in lred if isinstance(s.family, SphereFamily))
-    lplanes = [s for s in lred if isinstance(s.family, PlaneFamily)]
 
+    def lmatrix(s):
+        return s.copy_with("lmatrix", born_reduce(s).values * norm)
+
+    kdata = truncated_reduce(lmatrix(sphere[0]))
     t1 = time.perf_counter()
-    kdata = truncated_reduce(lsphere)
-    Ft = invert_K_tracefree(kdata, grid, lam=lam, maxiter=maxiter, tol=tol)
-    report.stages["cg"] = getattr(Ft, "_cg_info", {})
+    Ft, report.stages["cg"] = invert_K_tracefree(kdata, grid, lam=lam, maxiter=maxiter, tol=tol)
     report.timing["invert_K"] = time.perf_counter() - t1
+
+    # the plane families feed only the trace recovery: reduce them after
+    # the solve, so they are not resident beside the operator
+    lplanes = [lmatrix(s) for s in planes]
 
     t2 = time.perf_counter()
     # the split consistency check compares against the *estimated* trace-free

@@ -56,21 +56,29 @@ def write_field(path, fld):
         fh.write(vals.tobytes())
 
 
+def _unpack(fh, fmt, path):
+    size = struct.calcsize(fmt)
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise ValueError(f"{path}: truncated field header")
+    return struct.unpack(fmt, buf)
+
+
 def read_field(path):
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a field file (bad magic)")
-        (code,) = struct.unpack("<B", fh.read(1))
+        (code,) = _unpack(fh, "<B", path)
         if code not in _RANK_CLASSES:
             raise ValueError(f"{path}: unknown rank code {code}")
-        dims = struct.unpack("<3I", fh.read(12))
-        spacing = struct.unpack("<3d", fh.read(24))
-        origin = struct.unpack("<3d", fh.read(24))
-        (dcode,) = struct.unpack("<B", fh.read(1))
+        dims = _unpack(fh, "<3I", path)
+        spacing = _unpack(fh, "<3d", path)
+        origin = _unpack(fh, "<3d", path)
+        (dcode,) = _unpack(fh, "<B", path)
         if dcode not in _DOMAIN_KINDS:
             raise ValueError(f"{path}: unknown domain code {dcode}")
         if _DOMAIN_KINDS[dcode] == "ball":
-            params = struct.unpack("<4d", fh.read(32))
+            params = _unpack(fh, "<4d", path)
             domain = Domain("ball", tuple(params[:3]), params[3])
         else:
             domain = Domain("box")
@@ -288,4 +296,10 @@ def write_report(path, report: ReconReport):
 
 def read_report(path) -> ReconReport:
     with open(path) as fh:
-        return ReconReport.from_json(fh.read())
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: a report must be a JSON object")
+    return ReconReport.from_dict(d)

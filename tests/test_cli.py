@@ -209,3 +209,30 @@ def test_invert_broken_sinogram_manifest_exits_config(tmp_path):
     with open(os.path.join(out, "sinograms.json"), "w") as fh:
         fh.write("{not json")
     assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, damage",
+    [
+        ("invert", lambda b: b[: len(b) // 2]),  # truncated field data
+        ("forward", lambda b: b"NOPE" + b[4:]),  # bad magic
+        ("forward", lambda b: b[:10]),  # header cut short
+    ],
+    ids=["truncated", "bad-magic", "short-header"],
+)
+def test_corrupt_truth_field_exits_config(tmp_path, capsys, command, damage):
+    cfg, out, _, _ = _forwarded(tmp_path)
+    path = os.path.join(out, "truth.stf")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(damage(data))
+    assert main([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert "truth.stf" in capsys.readouterr().err
+
+
+def test_report_corrupt_input_exits_config(tmp_path, capsys):
+    bad = tmp_path / "report.json"
+    bad.write_text('{"errors": {"relative_l2": 0.1')
+    assert main(["report", str(bad), "--out", str(tmp_path / "merged")]) == EXIT_CONFIG
+    assert "report.json" in capsys.readouterr().err

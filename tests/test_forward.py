@@ -22,11 +22,11 @@ from stresstomo.fields import (
     sym_inner,
 )
 from stresstomo.forward import (
+    FamilyOperator,
     Sinogram,
     _gather,
     _generator_dyads,
     _kpair_dyads,
-    _scatter,
     _tangent_dyads,
     add_noise,
     born_reduce,
@@ -397,8 +397,8 @@ _PAIR_GRID = Grid3.cube(8)
 
 
 @st.composite
-def random_families(draw):
-    offsets = np.linspace(-0.95, 0.95, draw(st.integers(1, 5)))
+def random_families(draw, reach=0.95):
+    offsets = np.linspace(-reach, reach, draw(st.integers(1, 5)))
     step = draw(st.floats(0.04, 0.5))
     if draw(st.booleans()):
         angles = draw(st.integers(1, 5))
@@ -418,6 +418,15 @@ def _all_components_then_contract(values, family, dyads):
     return np.stack(out)
 
 
+def _pair_dyads(which, a):
+    return {
+        "I": _tangent_dyads,
+        "K": _kpair_dyads,
+        "generator": functools.partial(_generator_dyads, a=a),
+        "trace": functools.partial(_trace_dyads, a=a),
+    }[which]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     family=random_families(),
@@ -426,12 +435,7 @@ def _all_components_then_contract(values, family, dyads):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_gather_scatter_pair_property(family, a, which, seed):
-    dyads = {
-        "I": _tangent_dyads,
-        "K": _kpair_dyads,
-        "generator": functools.partial(_generator_dyads, a=a),
-        "trace": functools.partial(_trace_dyads, a=a),
-    }[which]
+    dyads = _pair_dyads(which, a)
     rng = np.random.default_rng(seed)
     F = SymField2(_PAIR_GRID, rng.normal(size=_PAIR_GRID.dims + (6,)))
     got = _gather(F.values, _PAIR_GRID, family, dyads)
@@ -440,5 +444,36 @@ def test_gather_scatter_pair_property(family, a, which, seed):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     y = rng.normal(size=got.shape)
     lhs = float(np.sum(got * y))
-    rhs = sym_inner(F, _scatter(y, _PAIR_GRID, family, dyads))
+    rhs = sym_inner(F, FamilyOperator(family, _PAIR_GRID).adjoint(y, dyads))
     assert abs(lhs - rhs) <= 1e-10 * max(np.linalg.norm(got) * np.linalg.norm(y), 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=random_families(reach=1.4),
+    a=st.floats(-2.0, 2.0),
+    which=st.sampled_from(["I", "K", "generator", "trace"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_family_operator_property(family, a, which, seed):
+    # offsets reach past the unit radius, so some chords miss the ball
+    dyads = _pair_dyads(which, a)
+    rng = np.random.default_rng(seed)
+    F = SymField2(_PAIR_GRID, rng.normal(size=_PAIR_GRID.dims + (6,)))
+    op = FamilyOperator(family, _PAIR_GRID)
+    got = op.apply(F.values, dyads)
+    want = _gather(F.values, _PAIR_GRID, family, dyads)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=1e-300)
+    for m in range(family.n_views):
+        assert not np.any(got[m][family.chords(m)[2] == 0.0])
+    y = rng.normal(size=got.shape)
+    back = op.adjoint(y, dyads)
+    lhs = float(np.sum(got * y))
+    assert abs(lhs - sym_inner(F, back)) <= 1e-10 * max(
+        np.linalg.norm(got) * np.linalg.norm(y), 1e-300
+    )
+    again = FamilyOperator(family, _PAIR_GRID)
+    assert again.entries == op.entries
+    assert again.apply(F.values, dyads).tobytes() == got.tobytes()
+    assert again.adjoint(y, dyads).values.tobytes() == back.values.tobytes()

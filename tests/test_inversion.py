@@ -171,17 +171,21 @@ def test_invert_K_zero_data(grid):
     fam = build_sphere_family(grid, 12)
     zero = SymField2(grid, np.zeros(grid.dims + (6,)))
     kd = kdata_transform(zero, fam)
-    F = invert_K_tracefree(kd, grid)
+    F, info = invert_K_tracefree(kd, grid)
     assert np.max(np.abs(F.values)) == 0.0
+    assert info["iterations"] == 0 and info["residuals"] == []
 
 
 def test_invert_K_output_trace_free(grid, rng):
     fam = build_sphere_family(grid, 12)
     F0 = random_smooth_sym(grid, rng)
     kd = kdata_transform(F0, fam)
-    F = invert_K_tracefree(kd, grid, tol=1e-2, maxiter=50)
+    F, info = invert_K_tracefree(kd, grid, tol=1e-2, maxiter=50)
     tr = F.values[..., :3].sum(-1)
     assert np.max(np.abs(tr)) < 1e-12 * max(F.max_abs(), 1e-300)
+    assert len(info["residuals"]) == info["iterations"] > 0
+    assert info["residual"] == info["residuals"][-1] <= 1e-2
+    assert info["operator_entries"] > 0
 
 
 def test_kdata_blind_to_pure_trace(grid, rng):
