@@ -185,6 +185,18 @@ def _read_artifact(reader, path, what):
         raise ConfigError(f"unreadable {what}: {e}")
 
 
+def _read_truth(path, grid):
+    """The truth field; a config error unless it is a symmetric 2-tensor
+    field on the config's grid."""
+    R = _read_artifact(read_field, path, "truth field")
+    if not isinstance(R, SymField2):
+        raise ConfigError(f"{path} does not hold a symmetric 2-tensor field")
+    if R.grid != grid:
+        raise ConfigError(f"{path} is on another grid than the config's: dims {R.grid.dims}, "
+                          f"spacing {R.grid.spacing} against {grid.dims}, {grid.spacing}")
+    return R
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -207,9 +219,7 @@ def cmd_generate(cfg, out):
 def cmd_forward(cfg, out):
     grid = _grid_from(cfg)
     params = _params_from(cfg)
-    R = _read_artifact(read_field, os.path.join(out, "truth.stf"), "truth field")
-    if not isinstance(R, SymField2):
-        raise ConfigError("truth.stf does not hold a symmetric 2-tensor field")
+    R = _read_truth(os.path.join(out, "truth.stf"), grid)
     fam = cfg["families"]
     planes = build_line_families(grid, fam["angles"], fam["offsets"])
     if cfg["pipeline"] == "pwave":
@@ -249,6 +259,8 @@ def cmd_invert(cfg, out):
         sinos = [read_sinogram(os.path.join(out, n)) for n in man["files"]]
     except (OSError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"unreadable sinograms: {e}")
+    truth_path = os.path.join(out, "truth.stf")
+    truth = _read_truth(truth_path, grid) if os.path.exists(truth_path) else None
     tol = cfg["tolerances"]
     if cfg["pipeline"] == "pwave":
         cond = check_pwave_conditions(params, floor=tol["floor"])
@@ -268,9 +280,7 @@ def cmd_invert(cfg, out):
         )
     report.config["config_hash"] = config_hash(cfg)
     report.config["seed"] = cfg["seed"]
-    truth_path = os.path.join(out, "truth.stf")
-    if os.path.exists(truth_path):
-        truth = _read_artifact(read_field, truth_path, "truth field")
+    if truth is not None:
         report.errors["relative_l2"] = float(
             np.linalg.norm(R.values - truth.values) / np.linalg.norm(truth.values)
         )

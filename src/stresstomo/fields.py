@@ -83,12 +83,9 @@ class Grid3:
     def cell_volume(self):
         return float(np.prod(self.spacing))
 
-    def freqs(self, pad=1):
-        """Angular frequency arrays per axis for a pad-times-enlarged grid."""
-        return [
-            2.0 * np.pi * np.fft.fftfreq(pad * self.dims[i], d=self.spacing[i])
-            for i in range(3)
-        ]
+    def freqs(self):
+        """Angular frequency arrays per axis."""
+        return [2.0 * np.pi * np.fft.fftfreq(n, d=h) for n, h in zip(self.dims, self.spacing)]
 
 
 @dataclass
@@ -199,22 +196,6 @@ def spectral_upsample(field, factor):
 # compactly supported strictly inside the grid box, wraparound only enters
 # at the aliasing level and padding is unnecessary.
 
-PAD = 1
-
-
-def _padded_fft(values, grid):
-    n = grid.dims
-    shape = tuple(PAD * d for d in n) + values.shape[3:]
-    buf = np.zeros(shape, dtype=complex)
-    buf[: n[0], : n[1], : n[2], ...] = values
-    return np.fft.fftn(buf, axes=(0, 1, 2))
-
-
-def _padded_ifft(spec, grid, real_output):
-    n = grid.dims
-    out = np.fft.ifftn(spec, axes=(0, 1, 2))[: n[0], : n[1], : n[2], ...]
-    return np.real(out) if real_output else out
-
 
 def _wavevectors(grid):
     """Meshed frequency arrays with the Nyquist planes zeroed.
@@ -224,21 +205,17 @@ def _wavevectors(grid):
     Zeroing it keeps every operator below exact on real fields; the dropped
     content is at the aliasing level for resolved fields.
     """
-    ks = []
-    for i in range(3):
-        k = 2.0 * np.pi * np.fft.fftfreq(PAD * grid.dims[i], d=grid.spacing[i])
-        n = PAD * grid.dims[i]
+    ks = grid.freqs()
+    for k, n in zip(ks, grid.dims):
         if n % 2 == 0:
             k[n // 2] = 0.0
-        ks.append(k)
     return np.meshgrid(*ks, indexing="ij")
 
 
 def _nyquist_mask(grid):
     """Boolean mask of frequency nodes lying on any Nyquist plane."""
     masks = []
-    for i in range(3):
-        n = PAD * grid.dims[i]
+    for n in grid.dims:
         m = np.zeros(n, dtype=bool)
         if n % 2 == 0:
             m[n // 2] = True
@@ -248,10 +225,7 @@ def _nyquist_mask(grid):
 
 
 def spectral_gradient(f: ScalarField) -> CovectorField:
-    spec = _padded_fft(f.values, f.grid)
-    ks = _wavevectors(f.grid)
-    grad = np.stack([_padded_ifft(1j * k * spec, f.grid, np.isrealobj(f.values)) for k in ks], axis=-1)
-    return CovectorField(f.grid, grad)
+    return CovectorField(f.grid, _gradient_nd(f.values, f.grid, "spectral"))
 
 
 def _gradient_nd(values, grid, backend):
@@ -259,13 +233,12 @@ def _gradient_nd(values, grid, backend):
     if backend == "centered":
         parts = [np.gradient(values, grid.spacing[i], axis=i) for i in range(3)]
         return np.stack(parts, axis=-1)
-    spec = _padded_fft(values, grid)
-    ks = _wavevectors(grid)
-    real = np.isrealobj(values)
+    spec = np.fft.fftn(values, axes=(0, 1, 2))
     cols = []
-    for i in range(3):
-        ki = ks[i].reshape(ks[i].shape + (1,) * (values.ndim - 3))
-        cols.append(_padded_ifft(1j * ki * spec, grid, real))
+    for k in _wavevectors(grid):
+        k = k.reshape(k.shape + (1,) * (values.ndim - 3))
+        col = np.fft.ifftn(1j * k * spec, axes=(0, 1, 2))
+        cols.append(col.real if np.isrealobj(values) else col)
     return np.stack(cols, axis=-1)
 
 
@@ -330,12 +303,12 @@ def solenoidal_project(u: SymField2) -> SymField2:
     """
     if np.iscomplexobj(u.values):
         raise ValueError("solenoidal_project expects a real field")
-    spec = _padded_fft(u.values, u.grid)
+    spec = np.fft.fftn(u.values, axes=(0, 1, 2))
     spec[_nyquist_mask(u.grid)] = 0.0
     eps = tangential_projector(*_wavevectors(u.grid))
     mat = sym_to_matrix(spec)
     proj = np.einsum("...jp,...pq,...kq->...jk", eps, mat, eps)
-    return SymField2(u.grid, _padded_ifft(matrix_to_sym(proj), u.grid, True))
+    return SymField2(u.grid, np.fft.ifftn(matrix_to_sym(proj), axes=(0, 1, 2)).real)
 
 
 _LEVI = np.zeros((3, 3, 3))
@@ -368,12 +341,12 @@ def inc_potential(a: SymField2, margin=None) -> SymField2:
         edge = support_margin(a.values, grid, margin)
         if edge > 1e-8 * (a.max_abs() or 1.0):
             raise ValueError("potential must vanish within the boundary margin")
-    spec = sym_to_matrix(_padded_fft(a.values, grid))
+    spec = sym_to_matrix(np.fft.fftn(a.values, axes=(0, 1, 2)))
     ks = _wavevectors(grid)
     y = np.stack(np.broadcast_arrays(*ks), axis=-1)
     # R_hat_jk = - eps_jpq eps_krs y_p y_r A_hat_qs
     rhat = -np.einsum("jpq,krs,...p,...r,...qs->...jk", _LEVI, _LEVI, y, y, spec, optimize=True)
-    return SymField2(grid, _padded_ifft(matrix_to_sym(rhat), grid, True))
+    return SymField2(grid, np.fft.ifftn(matrix_to_sym(rhat), axes=(0, 1, 2)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +470,8 @@ def null_space_witness(grid, rng, width=20.0, radius=0.95) -> SymField2:
     c = rng.normal(size=3)
     beta = np.exp(-width * r2) * (1.0 + x @ c) * bump_profile(r2, radius)
     y1, y2, y3 = _wavevectors(grid)
-    alpha = _padded_ifft(
-        -(y1**2 + y2**2 + y3**2) * _padded_fft(beta, grid), grid, True
-    )
+    lap = -(y1**2 + y2**2 + y3**2) * np.fft.fftn(beta, axes=(0, 1, 2))
+    alpha = np.fft.ifftn(lap, axes=(0, 1, 2)).real
     alpha /= np.max(np.abs(alpha))
     vals = np.zeros(grid.dims + (6,))
     vals[..., :3] = alpha[..., None]

@@ -155,11 +155,11 @@ class _ChordFamily:
     def n_nodes(self):
         return int(np.ceil(2.0 * self.radius / self.step)) + 1
 
-    def nodes(self, m, n_nodes=None):
+    def nodes(self, m):
         """Node points (..., n, 3), direction, trapezoid weights (..., n) and
         per-chord step of view m."""
         starts, d, lengths = self.chords(m)
-        pts, w, dt = chord_nodes(starts, d, lengths, n_nodes or self.n_nodes)
+        pts, w, dt = chord_nodes(starts, d, lengths, self.n_nodes)
         return pts, d, w, dt
 
 

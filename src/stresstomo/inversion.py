@@ -22,8 +22,6 @@ from .fields import (
     ScalarField,
     SymField2,
     SYM_MULT,
-    _padded_fft,
-    _padded_ifft,
     _wavevectors,
     divergence,
     identity_sym,
@@ -377,7 +375,7 @@ def _invert_I_once(sinograms, grid: Grid3, floor=1e-6, cond_limit=1e8):
             apply_fill(axis_sel, est6)
             spec6 = assemble(A)
 
-    m = SymField2(grid, _padded_ifft(spec6, grid, True))
+    m = SymField2(grid, np.fft.ifftn(spec6, axes=(0, 1, 2)).real)
     return solenoidal_project(m)
 
 
@@ -391,13 +389,13 @@ def detangle_trace(m: SymField2, a, floor=1e-8) -> SymField2:
         raise NonUniqueError(
             "1 + 2a vanishes: the data are blind to the S(alpha g) family"
         )
-    spec = _padded_fft(m.values, m.grid)
+    spec = np.fft.fftn(m.values, axes=(0, 1, 2))
     eps = tangential_projector(*_wavevectors(m.grid))
     eps6 = matrix_to_sym(eps)
     trm = spec[..., 0] + spec[..., 1] + spec[..., 2]
     trf = trm / (1.0 + 2.0 * a)
     f = spec - a * trf[..., None] * eps6
-    return SymField2(m.grid, _padded_ifft(f, m.grid, True))
+    return SymField2(m.grid, np.fft.ifftn(f, axes=(0, 1, 2)).real)
 
 
 def pwave_pipeline(data, params, grid: Grid3, refine=1):
@@ -670,10 +668,10 @@ def verify_poincare(v: CovectorField, metric=None, D=None, margin=0.03, tol=1e-6
     if D is None:
         D = 2.0 * grid.domain.radius
     dv = inner_derivative(v)
-    spec = _padded_fft(v.values, grid)
+    spec = np.fft.fftn(v.values, axes=(0, 1, 2))
     y1, y2, y3 = _wavevectors(grid)
     div_spec = 1j * (y1 * spec[..., 0] + y2 * spec[..., 1] + y3 * spec[..., 2])
-    dvv = _padded_ifft(div_spec, grid, True)
+    dvv = np.fft.ifftn(div_spec, axes=(0, 1, 2)).real
     vol = grid.cell_volume()
     nv = float(np.sum(v.values**2)) * vol
     ndv = float(np.sum(SYM_MULT * dv.values**2)) * vol

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -229,6 +230,32 @@ def test_corrupt_truth_field_exits_config(tmp_path, capsys, command, damage):
         fh.write(damage(data))
     assert main([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
     assert "truth.stf" in capsys.readouterr().err
+
+
+def _truth_on_larger_grid(tmp_path):
+    """A truth.stf generated under the same config but with grid.n 24."""
+    (tmp_path / "large").mkdir()
+    cfg = write_cfg(tmp_path / "large", grid={"n": 24})
+    out = str(tmp_path / "large" / "run")
+    assert main(["generate", "--config", cfg, "--out", out]) == EXIT_OK
+    return os.path.join(out, "truth.stf")
+
+
+def test_forward_refuses_truth_on_another_grid(tmp_path, capsys):
+    cfg, out = write_cfg(tmp_path), str(tmp_path / "run")
+    os.makedirs(out)
+    shutil.copy(_truth_on_larger_grid(tmp_path), os.path.join(out, "truth.stf"))
+    assert main(["forward", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert "truth.stf is on another grid" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "sinograms.json"))
+
+
+def test_invert_refuses_truth_on_another_grid(tmp_path, capsys):
+    cfg, out, _, _ = _forwarded(tmp_path)
+    shutil.copy(_truth_on_larger_grid(tmp_path), os.path.join(out, "truth.stf"))
+    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert "truth.stf is on another grid" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
 
 
 def test_report_corrupt_input_exits_config(tmp_path, capsys):

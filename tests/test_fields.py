@@ -232,10 +232,10 @@ def test_projection_of_scalar_times_identity(grid, rng):
     u = SymField2(grid, np.zeros(grid.dims + (6,)))
     u.values[..., :3] = phi.values[..., None]
     # hand algebra: P g P = P = eps, so S(phi g)^hat = phi_hat eps
-    from stresstomo.fields import _nyquist_mask, _padded_fft, _wavevectors
+    from stresstomo.fields import _nyquist_mask, _wavevectors
 
-    su_hat = _padded_fft(solenoidal_project(u).values, grid)
-    phi_hat = _padded_fft(phi.values, grid)
+    su_hat = np.fft.fftn(solenoidal_project(u).values, axes=(0, 1, 2))
+    phi_hat = np.fft.fftn(phi.values, axes=(0, 1, 2))
     eps = matrix_to_sym(tangential_projector(*_wavevectors(grid)))
     want = phi_hat[..., None] * eps
     band = ~_nyquist_mask(grid)  # Nyquist planes are outside the projector's band

@@ -47,6 +47,8 @@ from stresstomo.forward import (
 )
 from stresstomo.geometry import (
     PlaneFamily,
+    Ray,
+    _orthobasis,
     build_line_families,
     build_sphere_family,
     line_ray,
@@ -249,26 +251,53 @@ def test_rytov_zero_stress_identity(grid):
     assert np.allclose(U, np.eye(2), atol=1e-14)
 
 
-def test_rytov_constant_generator_matrix_exponential(grid):
-    # constant R over the box -> G constant -> U = exp(-i L G)
-    vals = np.zeros(grid.dims + (6,))
-    const = np.array([0.31, -0.12, 0.05, 0.21, -0.07, 0.14])
-    vals[:] = const
-    R = SymField2(grid, vals)
-    p = params_with((0.0, 0.4, 0.0, 0.5), vs=1.0)
-    ray = line_ray((-1.0, 0, 0), (1.0, 0, 0), 2.0, step=0.02)
-    U = rytov_propagate(R, p, ray)
+def _constant_propagator(const, p, d, frame, length):
+    """exp(-i L G) for the constant generator of a constant stress."""
     sw = swave_weights(p)
-    e1, e2 = ray.frames[0]
-    d = ray.tangents[0]
+    e1, e2 = frame
     G = np.empty((2, 2))
     diag = sym_qform(const, d, d) + sw.a * (const[0] + const[1] + const[2])
     G[0, 0] = sw.scale * (sym_qform(const, e1, e1) + diag)
     G[1, 1] = sw.scale * (sym_qform(const, e2, e2) + diag)
     G[0, 1] = G[1, 0] = sw.scale * sym_qform(const, e1, e2)
     lam, V = np.linalg.eigh(G)
-    want = V @ np.diag(np.exp(-1j * 2.0 * lam)) @ V.conj().T
+    return V @ np.diag(np.exp(-1j * length * lam)) @ V.conj().T
+
+
+_CONST = np.array([0.31, -0.12, 0.05, 0.21, -0.07, 0.14])
+
+
+def test_rytov_constant_generator_matrix_exponential(grid):
+    # constant R over the box -> G constant -> U = exp(-i L G)
+    vals = np.zeros(grid.dims + (6,))
+    vals[:] = _CONST
+    R = SymField2(grid, vals)
+    p = params_with((0.0, 0.4, 0.0, 0.5), vs=1.0)
+    ray = line_ray((-1.0, 0, 0), (1.0, 0, 0), 2.0, step=0.02)
+    U = rytov_propagate(R, p, ray)
+    want = _constant_propagator(_CONST, p, ray.tangents[0], ray.frames[0], 2.0)
     assert np.max(np.abs(U - want)) <= 1e-9
+
+
+def test_rytov_constant_generator_short_last_step(grid):
+    # a traced ray ends on the boundary with a short last interval; each
+    # Magnus step is exact for constant G, whatever its length
+    R = SymField2(grid, np.broadcast_to(_CONST, grid.dims + (6,)).copy())
+    p = params_with((0.1, 0.4, -0.2, 0.5), vs=1.0)
+    length = 1.97
+    tau = np.append(np.arange(0.0, length, 0.05), length)
+    assert 0.0 < tau[-1] - tau[-2] < 0.025
+    d = unit([1.0, 0.3, -0.2])
+    frame = np.stack(_orthobasis(d))
+    ray = Ray(
+        -0.9 * d + tau[:, None] * d,
+        np.broadcast_to(d, (len(tau), 3)).copy(),
+        tau,
+        np.broadcast_to(frame, (len(tau), 2, 3)).copy(),
+    )
+    U = rytov_propagate(R, p, ray, scale=2.0)
+    want = _constant_propagator(2.0 * _CONST, p, d, frame, length)
+    assert np.max(np.abs(U - want)) <= 1e-12
 
 
 def test_rytov_family_unitarity(grid, rng):
@@ -313,6 +342,60 @@ def test_born_direct_vs_frame_quadrature(grid, rng):
     born = born_reduce(rytov_family(R, p, fam, scale=s))
     lin = mixed_transform(R, p, fam, scale=s)
     assert np.max(np.abs(born.values - lin.values)) <= 1e-9
+
+
+def test_rytov_family_unitary_at_large_scale(grid, rng):
+    # the closed-form step is unitary to roundoff however strong the stress
+    R = random_smooth_sym(grid, rng)
+    p = params_with((0.1, 0.4, -0.2, 0.5), vs=1.0)
+    fam = build_sphere_family(grid, directions=6, offsets=16)
+    sino = rytov_family(R, p, fam, scale=30.0)
+    assert sino.drift == unitarity_drift(sino.values)
+    assert sino.drift <= 1e-12
+    assert np.max(np.abs(sino.values - np.eye(2))) > 1.0  # far from the Born regime
+    with pytest.raises(RuntimeError, match="unitarity drift"):
+        rytov_family(R, p, fam, scale=30.0, tol=-1.0)
+
+
+def test_rytov_fourth_order_convergence(grid, rng):
+    # a stress linear in x is reproduced exactly by trilinear sampling, so G
+    # is linear along an x-ray and only the stepper's error remains; the
+    # commutator term is what lifts the order from 2 to 4
+    A, B = rng.normal(size=(2, 6))
+    R = SymField2(grid, A + grid.coords()[..., :1] * B)
+    p = params_with((0.1, 0.4, -0.2, 0.5), vs=1.0)
+
+    def propagate(steps):
+        return rytov_propagate(R, p, line_ray((-1.0, 0, 0), (1.0, 0, 0), 2.0, 2.0 / steps), 3.0)
+
+    ref = propagate(4096)
+    errs = [np.max(np.abs(propagate(n) - ref)) for n in (8, 16, 32, 64)]
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 3.8), orders
+
+
+def test_rytov_propagate_is_the_family_stepper(grid, rng):
+    # one chord of a family, as a Ray, gives the family's record for it
+    R = random_smooth_sym(grid, rng)
+    p = params_with((0.1, 0.4, -0.2, 0.5), vs=1.0)
+    fams = [build_sphere_family(grid, directions=6, offsets=16),
+            build_line_families(grid, angles=8, offsets=24)[1]]
+    for fam in fams:
+        U = rytov_family(R, p, fam, scale=3.0).values
+        m = 3
+        pts, d, w, dt = fam.nodes(m)
+        n = pts.shape[-2]
+        away = np.max(np.abs(U[m] - np.eye(2)), axis=(-2, -1))
+        for flat in np.argsort(away, axis=None)[-3:]:  # the three strongest chords
+            idx = np.unravel_index(flat, away.shape)
+            ray = Ray(
+                pts[idx],
+                np.broadcast_to(d, (n, 3)).copy(),
+                dt[idx] * np.arange(n),
+                np.broadcast_to(fam.frame(m), (n, 2, 3)).copy(),
+            )
+            assert np.max(np.abs(U[m][idx] - np.eye(2))) > 0.1
+            assert np.max(np.abs(rytov_propagate(R, p, ray, scale=3.0) - U[m][idx])) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
