@@ -280,6 +280,7 @@ def cmd_invert(cfg, out):
         )
     report.config["config_hash"] = config_hash(cfg)
     report.config["seed"] = cfg["seed"]
+    report.config["noise"] = cfg["noise"]
     if truth is not None:
         report.errors["relative_l2"] = float(
             np.linalg.norm(R.values - truth.values) / np.linalg.norm(truth.values)

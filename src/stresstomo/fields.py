@@ -157,8 +157,27 @@ def identity_sym(grid, scale=1.0):
     return SymField2(grid, vals)
 
 
+def trig_upsample(values, factor, axis=0):
+    """Trigonometric interpolation of real samples, periodic along one axis,
+    onto a factor-times finer grid whose every factor-th sample is a coarse
+    one.
+
+    The Fourier series is zero-padded.  For an even length the Nyquist
+    coefficient is split evenly between the two ends of the padded band, so
+    the interpolant is real and separable; an odd length has none to split.
+    """
+    n = np.shape(values)[axis]
+    spec = np.moveaxis(np.fft.fft(values, axis=axis), axis, 0)
+    pad = np.zeros((factor * n,) + spec.shape[1:], dtype=complex)
+    pad[np.fft.fftfreq(n, 1.0 / n).astype(int)] = spec  # negative frequencies at the end
+    if n % 2 == 0:
+        pad[n // 2] = pad[-(n // 2)] = 0.5 * spec[n // 2]
+    return np.moveaxis(np.fft.ifft(pad, axis=0).real * factor, 0, axis)
+
+
 def spectral_upsample(field, factor):
-    """Resample a field onto a factor-times finer grid by trig interpolation.
+    """Resample a field onto a factor-times finer grid by trig interpolation
+    along each axis.
 
     Exact for the band-limited representation the grid already carries, so
     downstream trilinear sampling sees a denser, smoother field.  Returns a
@@ -167,23 +186,16 @@ def spectral_upsample(field, factor):
     if factor == 1:
         return field
     grid = field.grid
-    dims = np.asarray(grid.dims)
     fine = Grid3(
-        tuple(int(n) for n in dims * factor),
+        tuple(n * factor for n in grid.dims),
         tuple(h / factor for h in grid.spacing),
         grid.origin,
         grid.domain,
     )
     vals = field.values
-    scalar = vals.ndim == 3
-    comps = vals[..., None] if scalar else vals
-    out = np.empty(fine.dims + comps.shape[3:])
-    pad = [((factor - 1) * n // 2, (factor - 1) * n - (factor - 1) * n // 2) for n in dims]
-    for c in range(comps.shape[-1]):
-        spec = np.fft.fftshift(np.fft.fftn(comps[..., c]))
-        spec = np.pad(spec, pad)
-        out[..., c] = np.fft.ifftn(np.fft.ifftshift(spec)).real * factor**3
-    return type(field)(fine, out[..., 0] if scalar else out)
+    for axis in range(3):
+        vals = trig_upsample(vals, factor, axis)
+    return type(field)(fine, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SYM_MULT, ScalarField, SymField2
-from .geometry import PlaneFamily, Ray, SphereFamily, _stencil, chord_nodes, trilinear
+from .geometry import Ray, _ChordFamily, _stencil, chord_nodes, trilinear
 from .material import ConditionError, check_pwave_conditions, pwave_weights, swave_weights
 
 _EYE2 = np.eye(2)
 _G6 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])  # the metric in symmetric storage
-_FAMILIES = (PlaneFamily, SphereFamily)
 
 
 @dataclass
@@ -292,9 +291,9 @@ def longitudinal_transform(u: SymField2, rays):
     rays may be a family (vectorized), a list of families, or an iterable
     of Ray objects.
     """
-    if isinstance(rays, (list, tuple)) and rays and isinstance(rays[0], _FAMILIES):
+    if isinstance(rays, (list, tuple)) and rays and isinstance(rays[0], _ChordFamily):
         return [longitudinal_transform(u, fam) for fam in rays]
-    if isinstance(rays, _FAMILIES):
+    if isinstance(rays, _ChordFamily):
         return Sinogram(rays, "scalar", _gather(u.values, u.grid, rays, _tangent_dyads)[..., 0])
     out = []
     for ray in rays:

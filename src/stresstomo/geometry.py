@@ -145,15 +145,48 @@ def ball_chord(center, radius, point, direction):
 class _ChordFamily:
     """View geometry shared by the straight-line families.
 
-    A family is a stack of views; `chords(m)` gives the start points, the
-    common direction and the chord lengths of view m.  Every chord carries
-    the same node count, nodes equispaced on [0, L], and composite-trapezoid
-    weights, so empty chords (L = 0) contribute nothing.
+    A family is a table of views: view m has the unit direction _dirs[m],
+    an orthonormal frame _frames[m] = (e1, e2) of the plane orthogonal to
+    it, and one chord of the ball through center + s1 e1 + s2 e2 for every
+    s1 in _off1 and s2 in _off2; records are stored over shape = (views,
+    off1, off2).  Every chord carries the same node count, nodes equispaced
+    on [0, L], and composite-trapezoid weights, so empty chords (L = 0)
+    contribute nothing.
     """
+
+    @property
+    def n_views(self):
+        return len(self._dirs)
+
+    @property
+    def shape(self):
+        return (len(self._dirs), len(self._off1), len(self._off2))
+
+    @property
+    def ray_count(self):
+        return int(np.prod(self.shape))
 
     @property
     def n_nodes(self):
         return int(np.ceil(2.0 * self.radius / self.step)) + 1
+
+    def direction(self, m):
+        return self._dirs[m]
+
+    def frame(self, m):
+        """Orthonormal frame (e1, e2) of the plane orthogonal to view m."""
+        return self._frames[m]
+
+    def chords(self, m):
+        """Start points (off1, off2, 3), the direction and the chord lengths
+        (off1, off2) of view m."""
+        d = self._dirs[m]
+        e1, e2 = self._frames[m]
+        s1 = self._off1[:, None]
+        s2 = self._off2[None, :]
+        hl = np.sqrt(np.maximum(self.radius**2 - s1**2 - s2**2, 0.0))
+        starts = self.center + s1[..., None] * e1 + s2[..., None] * e2 - hl[..., None] * d
+        return starts, d, 2.0 * hl
 
     def nodes(self, m):
         """Node points (..., n, 3), direction, trapezoid weights (..., n) and
@@ -161,6 +194,20 @@ class _ChordFamily:
         starts, d, lengths = self.chords(m)
         pts, w, dt = chord_nodes(starts, d, lengths, self.n_nodes)
         return pts, d, w, dt
+
+    def ray(self, m, i, j):
+        """The chord (i, j) of view m as a Ray carrying the view frame; cut
+        from the ball by ball_chord, independently of chords()."""
+        e1, e2 = self._frames[m]
+        point = self.center + self._off1[i] * e1 + self._off2[j] * e2
+        entry, length = ball_chord(self.center, self.radius, point, self._dirs[m])
+        r = line_ray(entry, self._dirs[m], length, self.step, with_frame=False)
+        r.frames = np.broadcast_to(self._frames[m], (len(r.tau), 2, 3)).copy()
+        return r
+
+    def rays(self):
+        for idx in np.ndindex(self.shape):
+            yield idx, self.ray(*idx)
 
 
 def chord_nodes(starts, d, lengths, n):
@@ -181,7 +228,9 @@ class PlaneFamily(_ChordFamily):
 
     Every ray tangent is orthogonal to e_axis.  Per slice, a 2D parallel
     geometry: angles theta_a = a*pi/A over the in-plane basis (u1, u2),
-    cell-centered offsets along the rotated axis w = (-sin, cos).
+    cell-centered offsets along the rotated axis w = (-sin, cos).  View a
+    has the frame (w, e_axis) and the offset axes (offsets, slices
+    relative to the center).
     """
 
     axis: int
@@ -195,64 +244,13 @@ class PlaneFamily(_ChordFamily):
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        u = np.eye(3)
-        self._u1 = u[(self.axis + 1) % 3]
-        self._u2 = u[(self.axis + 2) % 3]
-        self._ek = u[self.axis]
-
-    @property
-    def n_views(self):
-        return len(self.thetas)
-
-    @property
-    def ray_count(self):
-        return len(self.thetas) * len(self.offsets) * len(self.slices)
-
-    def direction(self, a):
-        t = self.thetas[a]
-        return np.cos(t) * self._u1 + np.sin(t) * self._u2
-
-    def offset_axis(self, a):
-        t = self.thetas[a]
-        return -np.sin(t) * self._u1 + np.cos(t) * self._u2
-
-    def frame(self, a):
-        """Orthonormal frame (offset axis, slice axis) of the plane
-        orthogonal to the rays of angle a."""
-        return np.stack([self.offset_axis(a), self._ek])
-
-    def chords(self, a):
-        """Start points (O, S, 3) and chord lengths (O, S) for one angle."""
-        w = self.offset_axis(a)
-        d = self.direction(a)
-        dz = self.slices - self.center[self.axis]
-        s = self.offsets
-        h2 = self.radius**2 - s[:, None] ** 2 - dz[None, :] ** 2
-        hl = np.sqrt(np.maximum(h2, 0.0))
-        starts = (
-            self.center
-            + s[:, None, None] * w
-            + dz[None, :, None] * self._ek
-            - hl[..., None] * d
-        )
-        return starts, d, 2.0 * hl
-
-    def ray(self, a, o, si):
-        entry, length = ball_chord(
-            self.center,
-            self.radius,
-            self.center
-            + self.offsets[o] * self.offset_axis(a)
-            + (self.slices[si] - self.center[self.axis]) * self._ek,
-            self.direction(a),
-        )
-        return line_ray(entry, self.direction(a), length, self.step)
-
-    def rays(self):
-        for a in range(len(self.thetas)):
-            for o in range(len(self.offsets)):
-                for si in range(len(self.slices)):
-                    yield (a, o, si), self.ray(a, o, si)
+        u1, u2, ek = np.roll(np.eye(3), -self.axis - 1, axis=0)
+        c, s = np.cos(self.thetas)[:, None], np.sin(self.thetas)[:, None]
+        self._dirs = c * u1 + s * u2
+        w = -s * u1 + c * u2
+        self._frames = np.stack([w, np.broadcast_to(ek, w.shape)], axis=1)
+        self._off1 = self.offsets
+        self._off2 = self.slices - self.center[self.axis]
 
 
 @dataclass
@@ -272,48 +270,9 @@ class SphereFamily(_ChordFamily):
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        self.directions = np.asarray(self.directions, dtype=float)
-        frames = [np.stack(_orthobasis(d)) for d in self.directions]
-        self._frames = np.asarray(frames)
-
-    @property
-    def n_views(self):
-        return len(self.directions)
-
-    @property
-    def ray_count(self):
-        return len(self.directions) * len(self.offsets) ** 2
-
-    def frame(self, m):
-        return self._frames[m]
-
-    def chords(self, m):
-        """Start points (O, O, 3) and chord lengths (O, O) for direction m."""
-        d = self.directions[m]
-        e1, e2 = self._frames[m]
-        s1 = self.offsets[:, None]
-        s2 = self.offsets[None, :]
-        h2 = self.radius**2 - s1**2 - s2**2
-        hl = np.sqrt(np.maximum(h2, 0.0))
-        starts = (
-            self.center
-            + s1[..., None] * e1
-            + s2[..., None] * e2
-            - hl[..., None] * d
-        )
-        return starts, d, 2.0 * hl
-
-    def ray(self, m, o1, o2):
-        e1, e2 = self._frames[m]
-        entry, length = ball_chord(
-            self.center,
-            self.radius,
-            self.center + self.offsets[o1] * e1 + self.offsets[o2] * e2,
-            self.directions[m],
-        )
-        r = line_ray(entry, self.directions[m], length, self.step, with_frame=False)
-        r.frames = np.broadcast_to(self._frames[m], (len(r.tau), 2, 3)).copy()
-        return r
+        self.directions = self._dirs = np.asarray(self.directions, dtype=float)
+        self._frames = np.asarray([np.stack(_orthobasis(d)) for d in self.directions])
+        self._off1 = self._off2 = self.offsets
 
 
 def _cell_centered_offsets(radius, count):

@@ -30,6 +30,7 @@ from .fields import (
     sym_to_matrix,
     matrix_to_sym,
     tangential_projector,
+    trig_upsample,
 )
 from .forward import (
     FamilyOperator,
@@ -92,31 +93,22 @@ class ReconReport:
 # longitudinal inversion: Fourier regrid + per-node solve
 
 
-def _family_slice_spectrum(sino, angle_upsample=8):
+_ANGLE_UPSAMPLE = 8
+
+
+def _family_slice_spectrum(sino):
     """Slice-axis Fourier transform of parallel-beam data per angle.
 
-    The angle axis is first refined by trigonometric interpolation: the data
-    are periodic over a full turn once the offset axis is reversed at pi, so
-    zero-padding the angular Fourier series interpolates them spectrally.
-    Returns (spec, zeta): spec[a, j, l] is the transform of the data over
-    the slice coordinate only, so spec[a, :, l] remains a function of the
-    offset; the offset transform is evaluated per query in _sample_polar.
+    The angle axis is first refined _ANGLE_UPSAMPLE times by trigonometric
+    interpolation: the data are periodic over a full turn once the offset
+    axis is reversed at pi.  Returns (spec, zeta): spec[a, j, l] is the
+    transform of the data over the slice coordinate only, so spec[a, :, l]
+    remains a function of the offset; the offset transform is evaluated
+    per query in _sample_polar.
     """
     fam = sino.family
-    vals = sino.values
-    if angle_upsample > 1:
-        full = np.concatenate([vals, vals[:, ::-1, :]], axis=0)
-        na = full.shape[0]
-        ft = np.fft.fft(full, axis=0)
-        padded = np.zeros((na * angle_upsample,) + full.shape[1:], dtype=complex)
-        half = na // 2
-        padded[:half] = ft[:half]
-        padded[-half:] = ft[-half:]
-        # split the Nyquist coefficient symmetrically
-        padded[half] = 0.5 * ft[half]
-        padded[-half] = 0.5 * ft[half]
-        full = np.real(np.fft.ifft(padded, axis=0)) * angle_upsample
-        vals = full[: full.shape[0] // 2]
+    full = np.concatenate([sino.values, sino.values[:, ::-1, :]], axis=0)
+    vals = trig_upsample(full, _ANGLE_UPSAMPLE)[: _ANGLE_UPSAMPLE * fam.n_views]
     z = fam.slices
     dz = z[1] - z[0]
     zeta = 2.0 * np.pi * np.fft.fftfreq(len(z), d=dz)
@@ -325,54 +317,40 @@ def _invert_I_once(sinograms, grid: Grid3, floor=1e-6, cond_limit=1e8):
         )
     u = evec[:, :, 0]
 
-    def apply_fill(sel, est6):
-        # replace only the unmeasured combination at the selected nodes with
-        # the estimate projected onto the local 2-form coordinates
-        nbm = sym_to_matrix(est6)
-        nbA = np.stack(
-            [
-                np.einsum("ni,nij,nj->n", b1[sel], nbm, b1[sel]),
-                np.einsum("ni,nij,nj->n", b2[sel], nbm, b2[sel]),
-                np.einsum("ni,nij,nj->n", b1[sel], nbm, b2[sel]),
-            ],
-            axis=-1,
-        )
-        corr = np.einsum("nc,nc->n", nbA - A[sel], u[sel])
-        A[sel] += corr[:, None] * u[sel]
-
     if np.any(weak & (nzero >= 1)):
         axes_x = [np.asarray(ax) for ax in grid.axes()]
         wfill = [
             _support_fill_weights(axes_x[a], grid.domain.radius) for a in range(3)
         ]
 
-        def line_estimate(sp6, a):
-            # estimates over the y_a = 0 plane via the support constraint
-            return np.tensordot(wfill[a], np.moveaxis(sp6, a, 0), axes=(0, 0))
-
-        # plane nodes first: their fill lines traverse only full-rank nodes
-        for a in range(3):
-            sel = np.flatnonzero(weak & (nzero == 1) & zerocomp[:, a])
+        # plane nodes (one zero frequency coordinate) first: their fill lines
+        # traverse only full-rank nodes; then axis nodes (two), averaging the
+        # lines through both filled planes.  Every estimate of a level reads
+        # spec6 as assembled before that level.
+        for zeros in (1, 2):
+            sel = np.flatnonzero(weak & (nzero == zeros))
             if len(sel) == 0:
                 continue
-            est = line_estimate(spec6, a)
-            rest = [idx[sel, b] for b in range(3) if b != a]
-            apply_fill(sel, est[rest[0], rest[1]])
-        spec6 = assemble(A)
-        # axis nodes next, averaging both transverse lines of filled planes
-        axis_sel = np.flatnonzero(weak & (nzero == 2))
-        if len(axis_sel):
-            est6 = np.zeros((len(axis_sel), 6), dtype=complex)
+            est6 = np.zeros((len(sel), 6), dtype=complex)
             for a in range(3):
-                sub = zerocomp[axis_sel, a]
-                if not np.any(sub):
-                    continue
-                tsel = axis_sel[sub]
-                est = line_estimate(spec6, a)
-                rest = [idx[tsel, b] for b in range(3) if b != a]
-                est6[sub] += est[rest[0], rest[1]]
-            est6 /= 2.0
-            apply_fill(axis_sel, est6)
+                sub = zerocomp[sel, a]
+                if np.any(sub):
+                    # estimates over the y_a = 0 plane via the support constraint
+                    est = np.tensordot(wfill[a], np.moveaxis(spec6, a, 0), axes=(0, 0))
+                    rest = [idx[sel[sub], b] for b in range(3) if b != a]
+                    est6[sub] += est[rest[0], rest[1]]
+            # replace only the unmeasured combination u at the selected nodes
+            # with the estimate projected onto the local 2-form coordinates
+            nbm = sym_to_matrix(est6 / zeros)
+            nbA = np.stack(
+                [
+                    np.einsum("ni,nij,nj->n", b1[sel], nbm, b1[sel]),
+                    np.einsum("ni,nij,nj->n", b2[sel], nbm, b2[sel]),
+                    np.einsum("ni,nij,nj->n", b1[sel], nbm, b2[sel]),
+                ],
+                axis=-1,
+            )
+            A[sel] += np.einsum("nc,nc->n", nbA - A[sel], u[sel])[:, None] * u[sel]
             spec6 = assemble(A)
 
     m = SymField2(grid, np.fft.ifftn(spec6, axes=(0, 1, 2)).real)
@@ -568,17 +546,9 @@ def recover_trace(ldata, Ftilde: SymField2, a, floor=1e-8, eta_tol=1e-6):
     # trig-upsample the filtered projections so the linear interpolation in
     # the backprojection stays below the data discretization error
     up = 4
-    n = q.shape[-1]
-    spec = np.fft.fft(q, axis=-1)
-    pad = np.zeros(q.shape[:-1] + (up * n,), dtype=complex)
-    half = n // 2
-    pad[..., :half] = spec[..., :half]
-    pad[..., -half:] = spec[..., -half:]
-    pad[..., half] = 0.5 * spec[..., half]
-    pad[..., -half] = 0.5 * spec[..., half]
-    q = np.real(np.fft.ifft(pad, axis=-1)) * up
+    q = trig_upsample(q, up, axis=-1)
     do = (fam.offsets[1] - fam.offsets[0]) / up
-    offs = fam.offsets[0] + do * np.arange(up * n)
+    offs = fam.offsets[0] + do * np.arange(q.shape[-1])
     q = np.moveaxis(q, 1, 2)  # back to (angles, offsets, slices)
 
     ax = grid.axes()
@@ -651,7 +621,7 @@ def swave_pipeline(sinograms, params, grid: Grid3, scale, lam=None, maxiter=500,
 # Poincare-type verification
 
 
-def verify_poincare(v: CovectorField, metric=None, D=None, margin=0.03, tol=1e-6):
+def verify_poincare(v: CovectorField, D=None, margin=0.03, tol=1e-6):
     """Ratio |v|^2 / ((D^2/10)(2 |dv|^2 + |delta v|^2)); at most 1.
 
     v must vanish near the domain boundary; D defaults to the Euclidean

@@ -188,7 +188,7 @@ def _unflatten_records(kind, cols):
     raise ValueError(f"unknown sinogram kind {kind!r}")
 
 
-def write_sinogram(path, sino: Sinogram, family_id=None):
+def write_sinogram(path, sino: Sinogram):
     """CSV with one row per ray plus a JSON sidecar manifest.
 
     Rows run over (view, offset, slice) and are keyed (slice, angle,
@@ -197,8 +197,7 @@ def write_sinogram(path, sino: Sinogram, family_id=None):
     the offset and slice columns.
     """
     fam = sino.family
-    if family_id is None:
-        family_id = f"plane{fam.axis}" if fam.kind == "plane" else "sphere"
+    family_id = fam.kind + str(getattr(fam, "axis", ""))
     flat = _flatten_records(sino.kind, sino.values)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -227,8 +226,7 @@ def read_sinogram(path):
     fam = family_from_manifest(man["family"])
     kind = man["kind"]
     ncol = len(_KIND_COLUMNS[kind])
-    last = len(fam.slices) if fam.kind == "plane" else len(fam.offsets)
-    shape = (fam.n_views, len(fam.offsets), last)
+    shape = fam.shape
     count = int(np.prod(shape))
     # rows are keyed (slice, angle, offset); records are stored (angle, offset, slice)
     keys = np.empty((count, 3), dtype=np.intp)

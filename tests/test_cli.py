@@ -153,6 +153,21 @@ def test_export_born_table(tmp_path):
         assert 1.7 < s < 2.3
 
 
+def test_export_noise_table_reports_configured_noise(tmp_path):
+    reports = []
+    for noise in (0.01, 0.0):
+        cfg = write_cfg(tmp_path, noise=noise)
+        out = str(tmp_path / f"run{noise}")
+        for command in ("generate", "forward", "invert"):
+            assert main([command, "--config", cfg, "--out", out]) == EXIT_OK
+        reports.append(os.path.join(out, "report.json"))
+    assert main(["export", *reports, "--table", "noise", "--out", str(tmp_path / "exp")]) == EXIT_OK
+    lines = (tmp_path / "exp" / "error_vs_noise.csv").read_text().strip().splitlines()
+    assert lines[0] == "noise,relative_l2"
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert [r[0] for r in rows] == [0.0, 0.01]
+
+
 @pytest.mark.parametrize(
     "over",
     [

@@ -18,11 +18,13 @@ from stresstomo.fields import (
     random_bump_sym,
     solenoidal_project,
     spectral_gradient,
+    spectral_upsample,
     sym_inner,
     sym_to_matrix,
     synthesize_sym,
     tangential_projector,
     trace,
+    trig_upsample,
 )
 
 
@@ -110,6 +112,49 @@ def test_fourier_hermitian_symmetry(grid, rng):
     keep[n // 2] = False
     band = np.ix_(keep, keep, keep)
     assert np.max(np.abs((spec - flipped)[band])) <= 1e-9 * np.max(np.abs(spec))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_trig_upsample_keeps_samples_and_trig_polynomials(n):
+    # a trigonometric polynomial the n samples resolve, with the cos part of
+    # the Nyquist mode for even n, is reproduced on the fine grid
+    def f(x):
+        top = (n - 1) // 2
+        return 1.0 + np.cos(top * x) + 0.5 * np.sin(top * x) + 0.3 * np.cos(n / 2 * x) * (n % 2 == 0)
+
+    factor = 3
+    x = 2.0 * np.pi * np.arange(n) / n
+    xf = 2.0 * np.pi * np.arange(factor * n) / (factor * n)
+    vals = np.stack([f(x), -2.0 * f(x)], axis=-1)
+    fine = trig_upsample(vals, factor, axis=0)
+    assert fine.shape == (factor * n, 2)
+    assert np.max(np.abs(fine[::factor] - vals)) <= 1e-13
+    assert np.max(np.abs(fine[:, 0] - f(xf))) <= 1e-13
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((3, n))
+    assert np.max(np.abs(trig_upsample(v, 4, axis=-1)[:, ::4] - v)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_spectral_upsample_keeps_coarse_nodes(n, rng):
+    grid = Grid3.cube(n)
+    u = SymField2(grid, rng.standard_normal(grid.dims + (6,)))
+    fine = spectral_upsample(u, 2)
+    assert fine.grid.dims == (2 * n,) * 3
+    assert np.allclose(fine.grid.spacing, np.asarray(grid.spacing) / 2)
+    assert np.max(np.abs(fine.values[::2, ::2, ::2] - u.values)) <= 1e-12
+
+
+def test_spectral_upsample_nyquist_mode_is_separable():
+    # v = (-1)^(i+j) is cos(pi x / h) cos(pi y / h), which vanishes halfway
+    # between the coarse nodes along x or y
+    grid = Grid3.cube(8)
+    i = np.arange(8)
+    v = ScalarField(grid, np.broadcast_to(((-1.0) ** (i[:, None] + i[None, :]))[..., None], grid.dims))
+    fine = spectral_upsample(v, 2).values
+    c = np.cos(np.pi * np.arange(16) / 2)
+    assert np.max(np.abs(fine - c[:, None, None] * c[None, :, None])) <= 1e-12
+    assert abs(fine[1, 1, 0]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_family_tangents_orthogonal_to_axis():
     for k, fam in enumerate(fams):
         for a in range(4):
             assert fam.direction(a)[k] == 0.0
-            assert fam.offset_axis(a)[k] == 0.0
+            assert fam.frame(a)[0][k] == 0.0
 
 
 def test_family_ray_count_and_boundary_endpoints():
@@ -107,14 +107,18 @@ def test_family_ray_count_and_boundary_endpoints():
 
 def test_family_chord_batch_matches_single_rays():
     grid = Grid3.cube(12)
-    fam = build_line_families(grid, angles=5, offsets=12)[1]
-    starts, d, lengths = fam.chords(3)
-    for o in (0, 4, 7):
-        for si in (0, 3, 7):
-            ray = fam.ray(3, o, si)
-            assert ray.length == pytest.approx(lengths[o, si], abs=1e-12)
-            if lengths[o, si] > 0:
-                assert np.allclose(ray.points[0], starts[o, si], atol=1e-12)
+    plane = build_line_families(grid, angles=5, offsets=12)[1]
+    sphere = build_sphere_family(grid, directions=20, offsets=12)
+    for fam in (plane, sphere):
+        starts, d, lengths = fam.chords(3)
+        for o in (0, 4, 7):
+            for si in (0, 3, 7):
+                ray = fam.ray(3, o, si)
+                assert ray.length == pytest.approx(lengths[o, si], abs=1e-12)
+                assert np.array_equal(ray.frames[0], fam.frame(3))
+                if lengths[o, si] > 0:
+                    assert np.allclose(ray.points[0], starts[o, si], atol=1e-12)
+                    assert np.allclose(ray.tangents[0], d, atol=1e-15)
 
 
 def test_sphere_family_geometry():
