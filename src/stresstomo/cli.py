@@ -1,9 +1,10 @@
 """Command-line driver: experiment config, pipelines, verification, export.
 
 Subcommands: generate | forward | invert | verify | report | export.
-Exit codes: 0 success, 1 invalid config or missing artifact, 2 solvability
-condition failure, 3 numerical failure.  Identical config + seed produce
-bit-identical sinogram CSVs and reports (timestamps excluded from hashing).
+Exit codes: 0 success, 1 invalid command line, config or missing artifact,
+2 solvability condition failure, 3 numerical failure.  Identical config +
+seed produce bit-identical sinogram CSVs and reports (timestamps excluded
+from hashing).
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .fields import (
 from .forward import add_noise, pwave_data, rytov_family
 from .geometry import build_line_families, build_sphere_family
 from .inversion import (
+    CG_MAXITER,
+    CG_TOL,
     NonUniqueError,
     ReconReport,
     pwave_pipeline,
@@ -74,7 +77,7 @@ _DEFAULTS = {
     "scale": 1e-3,
     "noise": 0.0,
     "truth_r0": None,
-    "tolerances": {"cg_tol": 1e-3, "cg_maxiter": 300, "floor": 1e-6},
+    "tolerances": {"cg_tol": CG_TOL, "cg_maxiter": CG_MAXITER, "floor": 1e-6},
 }
 
 
@@ -447,8 +450,16 @@ def cmd_export(cfg, out, what, inputs):
 # entry point
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_CONFIG, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    ap = argparse.ArgumentParser(prog="stresstomo", description=__doc__)
+    ap = _ArgumentParser(prog="stresstomo", description=__doc__)
     ap.add_argument("command", choices=["generate", "forward", "invert", "verify", "report", "export"])
     ap.add_argument("inputs", nargs="*", help="input artifacts (report/export)")
     ap.add_argument("--config", help="JSON experiment config")
@@ -457,7 +468,7 @@ def main(argv=None):
     ap.add_argument("--table", default="noise", choices=["noise", "born", "conditions"],
                     help="which table `export` emits")
     ap.add_argument("--dry-run", action="store_true", help="print the resolved config and exit")
-    args = ap.parse_args(argv)
+    args = ap.parse_intermixed_args(argv)
 
     try:
         cfg = load_config(args.config, seed=args.seed)

@@ -6,13 +6,16 @@ polarization propagator (a unitary 2x2 ODE flow in the ray frame) with its
 Born reduction to mixed-ray-transform data; and the discrete adjoints used
 by iterative inversion.
 
-Every family-level transform is one operation with its own dyad table: per
-view, the field is contracted on the grid with k <= 3 dyads fixed by the
-view's direction and frame, and only those k scalars are interpolated at
-the chord nodes and summed with the family's trapezoid weights (_gather).
-The adjoints run over the same chords' merged interpolation weights
-(_backproject).  A FamilyOperator caches those weights for one family, so
-that a solver applies K and K* without rebuilding the geometry.
+Every family-level transform is one operation with its own dyad table,
+evaluated once per call on the family's stacked views: per view, the field
+is contracted on the grid with k <= 3 dyads fixed by the view's direction
+and frame, and only those k scalars are interpolated at the chord nodes and
+summed with the family's trapezoid weights (_gather).  Only chords that
+cross the ball are sampled; an empty chord (L = 0) gets the record of zero
+samples, exactly 0 for the integrals and exactly the identity for the
+propagators.  The adjoints run over the same chords' merged interpolation
+weights (_backproject).  A FamilyOperator caches those weights for one
+family, so that a solver applies K and K* without rebuilding the geometry.
 """
 
 from __future__ import annotations
@@ -108,6 +111,21 @@ def _shear_dyads(params, scale):
     return lambda d, frame: scale * sw.scale * _generator_dyads(d, frame, sw.a)
 
 
+def _pwave_dyads(params):
+    """The compressional table: the tangent dyad plus a times the metric,
+    with the compressional weight."""
+    w = pwave_weights(params)
+    return lambda d, frame: w.scale * (sym_outer(d, d) + w.a * _G6)[..., None, :]
+
+
+_E11 = np.eye(6)[:1]  # e1 e1 in symmetric storage
+
+
+def _e11_dyads(d, frame):
+    """The 11 component, which carries a scalar field."""
+    return np.broadcast_to(_E11, d.shape[:-1] + _E11.shape)
+
+
 def _sym2(g):
     """Entries (..., 3) in the order (11, 22, 12) -> symmetric (..., 2, 2)."""
     return np.stack([g[..., [0, 2]], g[..., [2, 1]]], axis=-2)
@@ -124,20 +142,27 @@ def _trapezoid(samples, w, dt):
 def _gather(values, grid, family, dyads, per_view=_trapezoid):
     """Contract-then-gather over the views of a family.
 
+    The dyad table dyads(directions, frames) (views, k, 6) is evaluated once.
     Per view the grid field (dims + (6,)) is first contracted with the
-    view's dyad table D = dyads(d, frame) (k x 6), so trilinear samples only
-    k scalars.  per_view(samples (..., n, k), weights (..., n), step (...))
-    maps them to the view's records, by default the k trapezoid integrals
-    per ray; the records are stacked over views.
+    view's k dyads, so trilinear samples only k scalars, and only on the
+    chords that cross the ball.  per_view(samples (..., n, k), weights
+    (..., n), step (...)) maps them to the view's records, by default the k
+    trapezoid integrals per ray.  Every empty chord gets per_view's record
+    for zero samples, weights and step.
     """
     flat = values.reshape(-1, 6)
-    out = []
-    for m in range(family.n_views):
-        pts, d, w, dt = family.nodes(m)
-        D = dyads(d, family.frame(m))
-        contracted = (flat @ (SYM_MULT * D).T).reshape(grid.dims + (len(D),))
-        out.append(per_view(trilinear(grid, contracted, pts), w, dt))
-    return np.stack(out)
+    tables = SYM_MULT * dyads(*family.views())
+    n, k = family.n_nodes, tables.shape[-2]
+    empty = per_view(np.zeros((n, k)), np.zeros(n), np.zeros(()))
+    out = np.empty(family.shape + empty.shape, empty.dtype)
+    for m, D in enumerate(tables):
+        starts, d, lengths = family.chords(m)
+        live = lengths > 0.0
+        pts, w, dt = chord_nodes(starts[live], d, lengths[live], n)
+        contracted = (flat @ D.T).reshape(grid.dims + (k,))
+        out[m] = empty
+        out[m][live] = per_view(trilinear(grid, contracted, pts), w, dt)
+    return out
 
 
 _CHUNK = 32  # chords per build step: keeps the build temporaries below 1 MB
@@ -147,15 +172,12 @@ _CHUNK = 32  # chords per build step: keeps the build temporaries below 1 MB
 class _ViewStencil:
     """Merged interpolation weights of one view's chords.
 
-    rays: flat indices (into shape) of the chords that carry entries, in
-    order; counts: entries per such chord; nodes (int32) and weights: the
-    flat grid node and the trapezoid-weighted trilinear weight of every
-    entry, merged per (chord, node) and ordered by chord, then node.
+    rays: flat indices (into the view's offsets) of the chords that carry
+    entries, in order; counts: entries per such chord; nodes (int32) and
+    weights: the flat grid node and the trapezoid-weighted trilinear weight
+    of every entry, merged per (chord, node) and ordered by chord, then node.
     """
 
-    d: np.ndarray
-    frame: np.ndarray
-    shape: tuple
     rays: np.ndarray
     counts: np.ndarray
     nodes: np.ndarray
@@ -187,27 +209,28 @@ def _view_stencils(family, grid):
             parts.append((rays, counts, (keys[first] % size).astype(np.int32),
                           np.add.reduceat(wts, first)))
         rays, counts, nodes, weights = (np.concatenate(p) for p in zip(*parts))
-        yield _ViewStencil(d, family.frame(m), lengths.shape, rays, counts, nodes, weights)
+        yield _ViewStencil(rays, counts, nodes, weights)
 
 
-def _backproject(data, grid, views, dyads):
+def _backproject(data, grid, views, tables):
     """Transpose of the trapezoid integrals over the views' stencils: data
     (views, ..., k) onto a symmetric field.
 
     Per view each of the k data streams is repeated over its chord's
     entries, weighted and summed onto the grid nodes (one bincount per
-    stream), then expanded with the view's dyads.  Dividing by the cell
-    volume makes this the adjoint for the plain sum over rays and the
-    cell-volume weighted L2 field inner product.
+    stream), then expanded with the view's dyads, its rows of the table
+    (views, k, 6).  Dividing by the cell volume makes this the adjoint for
+    the plain sum over rays and the cell-volume weighted L2 field inner
+    product.
     """
     size = int(np.prod(grid.dims))
     out = np.zeros((size, 6))
-    for rec, v in zip(data, views):
+    for rec, v, D in zip(data, views, tables):
         rec = rec.reshape(-1, rec.shape[-1])[v.rays]
         scalars = np.stack(
             [np.bincount(v.nodes, np.repeat(s, v.counts) * v.weights, size) for s in rec.T]
         )
-        out += scalars.T @ dyads(v.d, v.frame)
+        out += scalars.T @ D
     return SymField2(grid, out.reshape(grid.dims + (6,)) / grid.cell_volume())
 
 
@@ -235,19 +258,18 @@ class FamilyOperator:
         """Per view: contract with the k dyads, then per scalar take it at
         the entries, weight it and sum it per chord."""
         flat = values.reshape(-1, 6)
-        out = []
-        for v in self.views:
-            D = dyads(v.d, v.frame)
-            rec = np.zeros((len(D), int(np.prod(v.shape))))
+        tables = SYM_MULT * dyads(*self.family.views())
+        k = tables.shape[-2]
+        out = np.zeros(self.family.shape + (k,))
+        for rec, v, D in zip(out.reshape(len(out), -1, k), self.views, tables):
             if len(v.rays):
                 starts = np.cumsum(v.counts) - v.counts
-                for j, s in enumerate((SYM_MULT * D) @ flat.T):
-                    rec[j, v.rays] = np.add.reduceat(np.take(s, v.nodes) * v.weights, starts)
-            out.append(np.moveaxis(rec, 0, -1).reshape(v.shape + (len(D),)))
-        return np.stack(out)
+                for j, s in enumerate(D @ flat.T):
+                    rec[v.rays, j] = np.add.reduceat(np.take(s, v.nodes) * v.weights, starts)
+        return out
 
     def adjoint(self, data, dyads):
-        return _backproject(data, self.grid, self.views, dyads)
+        return _backproject(data, self.grid, self.views, dyads(*self.family.views()))
 
 
 def _adjoint(family, data, grid, dyads):
@@ -255,7 +277,7 @@ def _adjoint(family, data, grid, dyads):
     stencils built one view at a time."""
     if isinstance(family, FamilyOperator):
         return family.adjoint(data, dyads)
-    return _backproject(data, grid, _view_stencils(family, grid), dyads)
+    return _backproject(data, grid, _view_stencils(family, grid), dyads(*family.views()))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +302,7 @@ def scalar_transform(field: ScalarField, family) -> Sinogram:
     """
     u = np.zeros(field.grid.dims + (6,))
     u[..., 0] = field.values
-    e11 = np.eye(6)[:1]  # e1 e1 in symmetric storage
-    vals = _gather(u, field.grid, family, lambda d, frame: e11)
+    vals = _gather(u, field.grid, family, _e11_dyads)
     return Sinogram(family, "scalar", vals[..., 0])
 
 
@@ -322,13 +343,9 @@ def pwave_data(R: SymField2, params, rays):
     for key in ("weight_sum", "leading_weight"):
         if not rep.passed[key]:
             raise ConditionError(f"material condition {key} fails: {rep.values[key]:.3g}")
-    w = pwave_weights(params)
     if not params.constants_mode:
         raise NotImplementedError("geodesic compressional data needs constant coefficients here")
-
-    def dyads(d, frame):
-        return w.scale * (sym_outer(d, d) + w.a * _G6)[None]
-
+    dyads = _pwave_dyads(params)
     fams = rays if isinstance(rays, (list, tuple)) else [rays]
     out = [Sinogram(f, "scalar", _gather(R.values, R.grid, f, dyads)[..., 0]) for f in fams]
     return out if isinstance(rays, (list, tuple)) else out[0]
@@ -338,9 +355,25 @@ def pwave_data(R: SymField2, params, rays):
 # shear-wave propagator
 
 
-def _flow(G, h):
-    """Propagator of U' = -i G(tau) U over the nodes of G (..., n, 2, 2),
-    real symmetric, with steps h (..., n - 1).
+def _qmul(a, b):
+    """Products a b of unit quaternions stacked as (4, ...) real arrays;
+    (q0, q) stands for the SU(2) matrix q0 - i q . sigma."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return np.stack(
+        [
+            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + b0 * a1 + a2 * b3 - a3 * b2,
+            a0 * b2 + b0 * a2 + a3 * b1 - a1 * b3,
+            a0 * b3 + b0 * a3 + a1 * b2 - a2 * b1,
+        ]
+    )
+
+
+def _flow(g, h):
+    """Propagator of U' = -i G(tau) U over the nodes of g (..., n, 3), the
+    entries (11, 22, 12) of the real symmetric G, with steps h broadcastable
+    to (..., n - 1).
 
     Each step is the commutator-corrected Magnus step exp(Omega), Omega =
     -i h (G_i + G_{i+1})/2 - (h^2/12) [G_{i+1}, G_i] (Blanes, Casas, Oteo &
@@ -349,27 +382,43 @@ def _flow(G, h):
     mixed_transform.  The commutator of real symmetric matrices is the
     sigma_y part, so Omega = -i H with H = h0 + hx sx + hy sy + hz sz
     Hermitian, and exp(-i H) = e^{-i h0} (cos t - i sinc t (hx sx + hy sy
-    + hz sz)), t = |(hx, hy, hz)|, is unitary to roundoff.  The step
-    factors are multiplied in order.
+    + hz sz)), t = |(hx, hy, hz)|, is unitary to roundoff.
+
+    The phases e^{-i h0} commute with every step: their exponents are summed
+    along the chord and applied once at the end.  The rest of each step is
+    the unit quaternion (cos t, sinc t (hx, hy, hz)); the ordered product of
+    these is taken pairwise, later step on the left, in ceil(log2(n - 1))
+    vectorized rounds of real arithmetic, an odd count padded with the
+    identity quaternion.
     """
-    G1, G2 = G[..., :-1, :, :], G[..., 1:, :, :]
-    M = 0.5 * h[..., None, None] * (G1 + G2)
-    comm = (G1[..., 0, 1] * (G2[..., 0, 0] - G2[..., 1, 1])
-            - G2[..., 0, 1] * (G1[..., 0, 0] - G1[..., 1, 1]))  # [G2, G1]_01
-    hx, hy, hz = M[..., 0, 1], h**2 / 12.0 * comm, 0.5 * (M[..., 0, 0] - M[..., 1, 1])
+    diff = g[..., 0] - g[..., 1]
+    off = g[..., 2]
+    comm = off[..., :-1] * diff[..., 1:] - off[..., 1:] * diff[..., :-1]  # [G2, G1]_01
+    hx = 0.5 * h * (off[..., :-1] + off[..., 1:])
+    hy = h**2 / 12.0 * comm
+    hz = 0.25 * h * (diff[..., :-1] + diff[..., 1:])
+    tr = g[..., 0] + g[..., 1]
+    phase = np.sum(0.25 * h * (tr[..., :-1] + tr[..., 1:]), axis=-1)
     t = np.sqrt(hx**2 + hy**2 + hz**2)
-    cos, sinc = np.cos(t), np.sinc(t / np.pi)
-    step = np.stack(
+    sinc = np.sinc(t / np.pi)
+    q = np.stack([np.cos(t), sinc * hx, sinc * hy, sinc * hz])
+    one = np.zeros(q.shape[:-1] + (1,))
+    one[0] = 1.0
+    if not q.shape[-1]:
+        q = one
+    while q.shape[-1] > 1:
+        if q.shape[-1] % 2:
+            q = np.concatenate([q, one], axis=-1)
+        q = _qmul(q[..., 1::2], q[..., ::2])
+    q0, qx, qy, qz = q[..., 0]
+    U = np.stack(
         [
-            np.stack([cos - 1j * sinc * hz, -sinc * (hy + 1j * hx)], axis=-1),
-            np.stack([sinc * (hy - 1j * hx), cos + 1j * sinc * hz], axis=-1),
+            np.stack([q0 - 1j * qz, -qy - 1j * qx], axis=-1),
+            np.stack([qy - 1j * qx, q0 + 1j * qz], axis=-1),
         ],
         axis=-2,
-    ) * np.exp(-0.5j * (M[..., 0, 0] + M[..., 1, 1]))[..., None, None]
-    U = np.broadcast_to(_EYE2, G.shape[:-3] + (2, 2)).astype(complex)
-    for i in range(step.shape[-3]):
-        U = step[..., i, :, :] @ U
-    return U
+    )
+    return U * np.exp(-1j * phase)[..., None, None]
 
 
 def unitarity_drift(U):
@@ -397,19 +446,19 @@ def rytov_propagate(R: SymField2, params, ray: Ray, scale=1.0, tol=1e-8):
         raise ValueError("ray frame not populated")
     d = ray.tangents / np.linalg.norm(ray.tangents, axis=-1, keepdims=True)
     D = SYM_MULT * _shear_dyads(params, scale)(d, ray.frames)
-    G = _sym2(np.einsum("nc,nkc->nk", trilinear(R.grid, R.values, ray.points), D))
-    U = _flow(G, np.diff(ray.tau))
+    U = _flow(np.einsum("nc,nkc->nk", trilinear(R.grid, R.values, ray.points), D), np.diff(ray.tau))
     _checked_drift(U, tol)
     return U
 
 
 def rytov_family(R: SymField2, params, family, scale=1.0, tol=1e-8) -> Sinogram:
     """Propagators for every chord of a family: _flow over each chord's
-    equispaced nodes, vectorized per view.  The unitarity drift of the
-    records is kept as `drift`; above tol it raises RuntimeError."""
+    equispaced nodes, vectorized per view; an empty chord's record is
+    exactly the identity.  The unitarity drift of the records is kept as
+    `drift`; above tol it raises RuntimeError."""
 
     def per_view(g, w, dt):
-        return _flow(_sym2(g), np.broadcast_to(dt[..., None], dt.shape + (g.shape[-2] - 1,)))
+        return _flow(g, dt[..., None])
 
     U = _gather(R.values, R.grid, family, _shear_dyads(params, scale), per_view)
     return Sinogram(family, "propagator", U, drift=_checked_drift(U, tol))

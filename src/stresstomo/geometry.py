@@ -149,9 +149,9 @@ class _ChordFamily:
     an orthonormal frame _frames[m] = (e1, e2) of the plane orthogonal to
     it, and one chord of the ball through center + s1 e1 + s2 e2 for every
     s1 in _off1 and s2 in _off2; records are stored over shape = (views,
-    off1, off2).  Every chord carries the same node count, nodes equispaced
-    on [0, L], and composite-trapezoid weights, so empty chords (L = 0)
-    contribute nothing.
+    off1, off2).  Every chord carries the same node count n_nodes, nodes
+    equispaced on [0, L] and composite-trapezoid weights (chord_nodes), so
+    empty chords (L = 0) contribute nothing.
     """
 
     @property
@@ -177,6 +177,10 @@ class _ChordFamily:
         """Orthonormal frame (e1, e2) of the plane orthogonal to view m."""
         return self._frames[m]
 
+    def views(self):
+        """The view table: directions (views, 3) and frames (views, 2, 3)."""
+        return self._dirs, self._frames
+
     def chords(self, m):
         """Start points (off1, off2, 3), the direction and the chord lengths
         (off1, off2) of view m."""
@@ -187,13 +191,6 @@ class _ChordFamily:
         hl = np.sqrt(np.maximum(self.radius**2 - s1**2 - s2**2, 0.0))
         starts = self.center + s1[..., None] * e1 + s2[..., None] * e2 - hl[..., None] * d
         return starts, d, 2.0 * hl
-
-    def nodes(self, m):
-        """Node points (..., n, 3), direction, trapezoid weights (..., n) and
-        per-chord step of view m."""
-        starts, d, lengths = self.chords(m)
-        pts, w, dt = chord_nodes(starts, d, lengths, self.n_nodes)
-        return pts, d, w, dt
 
     def ray(self, m, i, j):
         """The chord (i, j) of view m as a Ray carrying the view frame; cut

@@ -422,7 +422,13 @@ def _sym_to_coef(v6):
     return np.einsum("...s,cs->...c", v6 * SYM_MULT, _DEV_BASIS)
 
 
-def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=500, tol=1e-8):
+# default CG stopping rule of the trace-free solve (relative normal-equation
+# residual, iteration cap), shared with the CLI's `tolerances`
+CG_TOL = 1e-3
+CG_MAXITER = 300
+
+
+def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=CG_MAXITER, tol=CG_TOL):
     """Solve min |K F - kdata|^2 + lam |F|^2 over trace-free symmetric F.
 
     Conjugate gradient on the normal equations; trace-freeness is enforced
@@ -568,14 +574,15 @@ def recover_trace(ldata, Ftilde: SymField2, a, floor=1e-8, eta_tol=1e-6):
     return ScalarField(grid, out)
 
 
-def swave_pipeline(sinograms, params, grid: Grid3, scale, lam=None, maxiter=500, tol=1e-8):
+def swave_pipeline(sinograms, params, grid: Grid3, scale, lam=None, maxiter=CG_MAXITER, tol=CG_TOL):
     """Shear reconstruction from propagator sinograms.
 
     sinograms: propagator records over one dense-sphere family (feeds the
     trace-free inversion) and three coordinate-plane families (feed the
     scalar trace recovery).  scale is the stress amplitude used when the
     propagators were collected; the result approximates the true R up to
-    the quadratic Born remainder.
+    the quadratic Born remainder.  lam, maxiter and tol go to
+    invert_K_tracefree; the defaults are the CLI's.
     """
     t0 = time.perf_counter()
     sw = swave_weights(params)

@@ -14,7 +14,8 @@ from stresstomo.cli import (
     load_config,
     main,
 )
-from stresstomo.io import read_field, read_report
+from stresstomo.inversion import ReconReport
+from stresstomo.io import read_field, read_report, write_report
 
 
 def write_cfg(tmp_path, **over):
@@ -191,6 +192,25 @@ def test_load_config_rejects_bad_types_and_ranges(tmp_path, over):
 def test_threads_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit):
         main(["verify", "--threads", "2", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--no-such-flag"], ["frobnicate"], ["generate", "--seed", "x"]]
+)
+def test_usage_error_exits_config(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_export_accepts_inputs_after_options(tmp_path):
+    rep = str(tmp_path / "a.json")
+    write_report(rep, ReconReport(errors={"relative_l2": 0.25}, config={"noise": 0.02}))
+    out = tmp_path / "exp"
+    assert main(["export", "--table", "noise", "--out", str(out), rep]) == EXIT_OK
+    lines = (out / "error_vs_noise.csv").read_text().strip().splitlines()
+    assert lines == ["noise,relative_l2", "0.02,0.25"]
 
 
 def _forwarded(tmp_path):

@@ -24,9 +24,14 @@ from stresstomo.fields import (
 from stresstomo.forward import (
     FamilyOperator,
     Sinogram,
+    _e11_dyads,
+    _flow,
     _gather,
     _generator_dyads,
     _kpair_dyads,
+    _pwave_dyads,
+    _shear_dyads,
+    _sym2,
     _tangent_dyads,
     add_noise,
     born_reduce,
@@ -51,6 +56,7 @@ from stresstomo.geometry import (
     _orthobasis,
     build_line_families,
     build_sphere_family,
+    chord_nodes,
     line_ray,
     trilinear,
 )
@@ -66,6 +72,14 @@ def grid():
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def _view_nodes(family, m):
+    """Node points, direction, trapezoid weights and step of every chord of
+    view m, empty chords included."""
+    starts, d, lengths = family.chords(m)
+    pts, w, dt = chord_nodes(starts, d, lengths, family.n_nodes)
+    return pts, d, w, dt
 
 
 def unit(v):
@@ -383,7 +397,7 @@ def test_rytov_propagate_is_the_family_stepper(grid, rng):
     for fam in fams:
         U = rytov_family(R, p, fam, scale=3.0).values
         m = 3
-        pts, d, w, dt = fam.nodes(m)
+        pts, d, w, dt = _view_nodes(fam, m)
         n = pts.shape[-2]
         away = np.max(np.abs(U[m] - np.eye(2)), axis=(-2, -1))
         for flat in np.argsort(away, axis=None)[-3:]:  # the three strongest chords
@@ -396,6 +410,94 @@ def test_rytov_propagate_is_the_family_stepper(grid, rng):
             )
             assert np.max(np.abs(U[m][idx] - np.eye(2))) > 0.1
             assert np.max(np.abs(rytov_propagate(R, p, ray, scale=3.0) - U[m][idx])) <= 1e-13
+
+
+def _sequential_flow(G, h):
+    """Reference stepper: every Magnus step as a complex 2x2 matrix with its
+    phase, multiplied in order."""
+    G1, G2 = G[..., :-1, :, :], G[..., 1:, :, :]
+    M = 0.5 * h[..., None, None] * (G1 + G2)
+    comm = (G1[..., 0, 1] * (G2[..., 0, 0] - G2[..., 1, 1])
+            - G2[..., 0, 1] * (G1[..., 0, 0] - G1[..., 1, 1]))  # [G2, G1]_01
+    hx, hy, hz = M[..., 0, 1], h**2 / 12.0 * comm, 0.5 * (M[..., 0, 0] - M[..., 1, 1])
+    t = np.sqrt(hx**2 + hy**2 + hz**2)
+    cos, sinc = np.cos(t), np.sinc(t / np.pi)
+    step = np.stack(
+        [
+            np.stack([cos - 1j * sinc * hz, -sinc * (hy + 1j * hx)], axis=-1),
+            np.stack([sinc * (hy - 1j * hx), cos + 1j * sinc * hz], axis=-1),
+        ],
+        axis=-2,
+    ) * np.exp(-0.5j * (M[..., 0, 0] + M[..., 1, 1]))[..., None, None]
+    U = np.broadcast_to(np.eye(2), G.shape[:-3] + (2, 2)).astype(complex)
+    for i in range(step.shape[-3]):
+        U = step[..., i, :, :] @ U
+    return U
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 5)])
+@pytest.mark.parametrize("steps", [1, 2, 7, 16])
+def test_flow_matches_sequential_product(batch, steps):
+    # the pairwise quaternion product with the phase factored out is the
+    # ordered product of the steps, for odd and even counts and any batch
+    rng = np.random.default_rng(steps)
+    g = rng.normal(size=batch + (steps + 1, 3))
+    h = rng.uniform(0.02, 0.3, size=batch + (steps,))
+    U = _flow(g, h)
+    assert U.shape == batch + (2, 2)
+    assert np.max(np.abs(U - _sequential_flow(_sym2(g), h))) <= 1e-13
+    assert unitarity_drift(U) <= 1e-14
+    if steps > 1:  # noncommuting steps: the order matters
+        assert np.max(np.abs(U - _sequential_flow(_sym2(g[..., ::-1, :]), h[..., ::-1]))) > 1e-3
+
+
+def test_flow_matches_sequential_product_at_large_scale(grid, rng):
+    # chords of a plane view at stress scale 30, with their equispaced steps
+    R = random_smooth_sym(grid, rng)
+    p = params_with((0.1, 0.4, -0.2, 0.5), vs=1.0)
+    fam = build_line_families(grid, angles=8, offsets=24)[0]
+    pts, d, w, dt = _view_nodes(fam, 5)
+    D = SYM_MULT * _shear_dyads(p, 30.0)(d, fam.frame(5))
+    g = np.einsum("...c,kc->...k", trilinear(grid, R.values, pts), D)
+    h = np.broadcast_to(dt[..., None], dt.shape + (pts.shape[-2] - 1,))
+    U, want = _flow(g, h), _sequential_flow(_sym2(g), h)
+    assert np.max(np.abs(want - np.eye(2))) > 1.0
+    assert np.max(np.abs(U - want)) <= 1e-13
+
+
+def test_empty_chord_records_are_exact(grid, rng):
+    # chords that miss the ball are not sampled: their records are exactly
+    # zero, or exactly the identity propagator
+    R = random_smooth_sym(grid, rng)  # nonzero outside the ball as well
+    p = params_with((0.1, 0.4, -0.2, 0.5), vs=1.0)
+    fams = [build_line_families(grid, angles=6, offsets=24)[2],
+            build_sphere_family(grid, directions=4, offsets=20)]
+    for fam in fams:
+        empty = np.stack([fam.chords(m)[2] == 0.0 for m in range(fam.n_views)])
+        assert 0 < np.count_nonzero(empty) < empty.size
+        for vals in (pwave_data(R, p, fam).values, mixed_transform(R, p, fam).values,
+                     kdata_transform(R, fam).values):
+            assert np.all(vals[empty] == 0.0)
+            assert np.any(vals[~empty] != 0.0)
+        U = rytov_family(R, p, fam, scale=3.0).values
+        assert np.all(U[empty] == np.eye(2))
+
+
+def test_batched_dyad_tables_match_per_view_tables(grid):
+    # every table is evaluated once on the stacked views; each view's rows
+    # are bit for bit the table of that view alone
+    p = params_with((0.1, 0.4, -0.2, 0.5), vs=1.0)
+    tables = [_tangent_dyads, _kpair_dyads, _e11_dyads, _pwave_dyads(p), _shear_dyads(p, 3.0),
+              functools.partial(_generator_dyads, a=0.3), functools.partial(_trace_dyads, a=0.3)]
+    for fam in (build_line_families(grid, angles=6, offsets=24)[1],
+                build_sphere_family(grid, directions=7, offsets=8)):
+        dirs, frames = fam.views()
+        for dyads in tables:
+            batched = dyads(dirs, frames)
+            assert batched.shape[0] == fam.n_views
+            for m in range(fam.n_views):
+                alone = np.asarray(dyads(fam.direction(m), fam.frame(m)))
+                assert batched[m].tobytes() == alone.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +597,7 @@ def _all_components_then_contract(values, family, dyads):
     """Reference: interpolate all six components, contract per node."""
     out = []
     for m in range(family.n_views):
-        pts, d, w, _ = family.nodes(m)
+        pts, d, w, _ = _view_nodes(family, m)
         D = SYM_MULT * dyads(d, family.frame(m))
         out.append(np.einsum("...nc,kc,...n->...k", trilinear(_PAIR_GRID, values, pts), D, w))
     return np.stack(out)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stresstomo.cli import load_config
 from stresstomo.fields import (
     Grid3,
     SymField2,
@@ -23,6 +24,8 @@ from stresstomo.forward import (
 )
 from stresstomo.geometry import build_line_families, build_sphere_family
 from stresstomo.inversion import (
+    CG_MAXITER,
+    CG_TOL,
     NonUniqueError,
     ReconReport,
     detangle_trace,
@@ -273,6 +276,21 @@ def test_recover_trace_inconsistent_split_warns(grid, rng):
     bad = ldata[0].copy_with("lmatrix", vals)
     with pytest.warns(UserWarning, match="polarization split"):
         recover_trace([bad], Ft, swave_weights(params).a)
+
+
+def test_swave_pipeline_quick_start_defaults_converge(grid):
+    # the README's shear quick start passes no CG tolerances; on the swave
+    # benchmark geometry its defaults must stop CG, and they are the CLI's
+    R = inc_potential(random_admissible_potential(grid, np.random.default_rng(11), r0=0.25))
+    params = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
+    fams = [build_sphere_family(grid, 30)] + build_line_families(grid, 24, 16)
+    sinos = [rytov_family(R, params, f, scale=1e-3) for f in fams]
+    rec, report = swave_pipeline(sinos, params, grid, 1e-3)
+    cg = report.stages["cg"]
+    assert 0 < cg["iterations"] <= CG_MAXITER and cg["residual"] <= CG_TOL
+    assert np.linalg.norm(rec.values - R.values) / np.linalg.norm(R.values) <= 0.31
+    tol = load_config()["tolerances"]
+    assert (tol["cg_tol"], tol["cg_maxiter"]) == (CG_TOL, CG_MAXITER)
 
 
 def test_swave_pipeline_family_mix(grid, rng):
