@@ -396,23 +396,31 @@ def bump_profile(r2, radius):
     return out
 
 
-def _bump_modulation(grid, rng, radius, degree=2):
-    x = grid.coords() / radius
-    mod = np.zeros(grid.dims)
+def _bump_modulation(x, rng, degree=2):
+    """Sum of degree + 1 random terms w * monomial + amplitude * sin(2 c . x)
+    at the points x (..., 3).
+
+    Each term draws c, w, the monomial's three exponents and the amplitude,
+    in that order; the monomial is built by repeated multiplication.
+    """
+    mod = np.zeros(x.shape[:-1])
     for _ in range(degree + 1):
         c = rng.normal(size=3)
         w = rng.normal()
-        mod += w * np.prod(x ** rng.integers(0, degree + 1, size=3), axis=-1) + np.sin(
-            x @ c * 2.0
-        ) * rng.normal(scale=0.5)
+        mono = np.ones(x.shape[:-1])
+        for xa, p in zip(np.moveaxis(x, -1, 0), rng.integers(0, degree + 1, size=3)):
+            for _ in range(p):
+                mono *= xa
+        mod += w * mono + np.sin(x @ c * 2.0) * rng.normal(scale=0.5)
     return mod
 
 
 def random_bump_scalar(grid, rng, radius=None, degree=2) -> ScalarField:
     radius = radius or 0.75 * grid.domain.radius
-    r2 = np.sum((grid.coords() - np.asarray(grid.domain.center)) ** 2, axis=-1)
+    x = grid.coords()
+    r2 = np.sum((x - np.asarray(grid.domain.center)) ** 2, axis=-1)
     chi = bump_profile(r2, radius)
-    return ScalarField(grid, chi * _bump_modulation(grid, rng, radius, degree))
+    return ScalarField(grid, chi * _bump_modulation(x / radius, rng, degree))
 
 
 def random_bump_covector(grid, rng, radius=None, degree=2) -> CovectorField:

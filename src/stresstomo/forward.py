@@ -145,23 +145,25 @@ def _gather(values, grid, family, dyads, per_view=_trapezoid):
     The dyad table dyads(directions, frames) (views, k, 6) is evaluated once.
     Per view the grid field (dims + (6,)) is first contracted with the
     view's k dyads, so trilinear samples only k scalars, and only on the
-    chords that cross the ball.  per_view(samples (..., n, k), weights
-    (..., n), step (...)) maps them to the view's records, by default the k
-    trapezoid integrals per ray.  Every empty chord gets per_view's record
-    for zero samples, weights and step.
+    chords that cross the ball; a family whose chords lie in grid planes
+    is sampled bilinearly within them (_stencil).  per_view(samples (...,
+    n, k), weights (..., n), step (...)) maps them to the view's records,
+    by default the k trapezoid integrals per ray.  Every empty chord gets
+    per_view's record for zero samples, weights and step.
     """
     flat = values.reshape(-1, 6)
     tables = SYM_MULT * dyads(*family.views())
     n, k = family.n_nodes, tables.shape[-2]
     empty = per_view(np.zeros((n, k)), np.zeros(n), np.zeros(()))
     out = np.empty(family.shape + empty.shape, empty.dtype)
+    plane = family.grid_plane(grid)
     for m, D in enumerate(tables):
         starts, d, lengths = family.chords(m)
         live = lengths > 0.0
         pts, w, dt = chord_nodes(starts[live], d, lengths[live], n)
         contracted = (flat @ D.T).reshape(grid.dims + (k,))
         out[m] = empty
-        out[m][live] = per_view(trilinear(grid, contracted, pts), w, dt)
+        out[m][live] = per_view(trilinear(grid, contracted, pts, plane=plane), w, dt)
     return out
 
 
@@ -187,6 +189,7 @@ class _ViewStencil:
 def _view_stencils(family, grid):
     """Yield the merged stencil of every view of a family, chunk by chunk."""
     size = int(np.prod(grid.dims))
+    plane = family.grid_plane(grid)
     for m in range(family.n_views):
         starts, d, lengths = family.chords(m)
         flat_starts, flat_lengths = starts.reshape(-1, 3), lengths.ravel()
@@ -195,7 +198,7 @@ def _view_stencils(family, grid):
         for c in range(0, len(live), _CHUNK):
             sel = live[c : c + _CHUNK]
             pts, w, _ = chord_nodes(flat_starts[sel], d, flat_lengths[sel], family.n_nodes)
-            corners = list(_stencil(grid, pts))
+            corners = list(_stencil(grid, pts, plane=plane))
             keys = np.stack([idx for idx, _ in corners], axis=1) + sel[:, None, None] * size
             wts = np.stack([cw * w for _, cw in corners], axis=1)
             keep = wts != 0.0

@@ -10,6 +10,7 @@ plane.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,14 +26,20 @@ class TrappedRayError(RuntimeError):
 # interpolation
 
 
-def _stencil(grid: Grid3, points, mode="zero"):
-    """Yield (flat node index, weight) for the eight trilinear corners.
+def _stencil(grid: Grid3, points, mode="zero", plane=None):
+    """Yield (flat node index, weight) for the trilinear corners.
 
     Each has shape points.shape[:-1]; the index addresses the node array
     flattened over the grid axes.  mode "zero" gives points outside the
     grid box zero weights (the field is extended by zero), mode "clamp"
     clamps them to the nearest node.  Interpolation and its transpose
     (scatter onto the nodes) share this stencil.
+
+    plane is None, or an axis on whose grid planes every point lies (a
+    property of a family's geometry, _ChordFamily.grid_plane).  The
+    stencil then takes each point's nearest plane and yields only the
+    four bilinear corners within it; the other four would carry the
+    weight of the coordinate's roundoff.
     """
     u = (np.asarray(points, dtype=float) - np.asarray(grid.origin)) / np.asarray(grid.spacing)
     top = np.asarray(grid.dims) - 1
@@ -41,32 +48,38 @@ def _stencil(grid: Grid3, points, mode="zero"):
     outside = np.any((u < 0.0) | (u > top), axis=-1)
     u = np.clip(u, 0.0, top)
     i0 = np.minimum(u.astype(int), top - 1)
-    fx, fy, fz = np.moveaxis(u - i0, -1, 0)
-    gx = np.stack([1.0 - fx, fx])
-    if mode == "zero":
-        gx[:, outside] = 0.0  # every corner weight carries an x factor
+    if plane is not None:
+        i0[..., plane] = np.rint(u[..., plane])
     _, ny, nz = grid.dims
     base = (i0[..., 0] * ny + i0[..., 1]) * nz + i0[..., 2]
-    for dx in (0, 1):
-        for dy in (0, 1):
-            wxy = gx[dx] * (fy if dy else 1.0 - fy)
-            for dz in (0, 1):
-                yield base + (dx * ny + dy) * nz + dz, wxy * (fz if dz else 1.0 - fz)
+    axes = [a for a in range(3) if a != plane]
+    strides = [(ny * nz, nz, 1)[a] for a in axes]
+    f = u - i0
+    g = [np.stack([1.0 - f[..., a], f[..., a]]) for a in axes]
+    if mode == "zero":
+        g[0][:, outside] = 0.0  # every corner weight carries this factor
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        w = g[0][corner[0]]
+        for ga, c in zip(g[1:], corner[1:]):
+            w = w * ga[c]
+        yield base + sum(c * s for c, s in zip(corner, strides)), w
 
 
-def trilinear(grid: Grid3, values, points, mode="zero"):
+def trilinear(grid: Grid3, values, points, mode="zero", plane=None):
     """Trilinear interpolation of a node-sampled array at arbitrary points.
 
     values has shape dims or dims + (m,); points has shape (..., 3).
     mode "zero" treats the field as extended by zero outside the grid box,
     mode "clamp" clamps to the nearest node (for strictly positive metric
-    coefficients that must not vanish outside).
+    coefficients that must not vanish outside).  With plane, points on
+    grid planes of that axis are interpolated bilinearly within them
+    (_stencil).
     """
     values = np.asarray(values)
     comp_shape = values.shape[3:]
     flat = values.reshape((-1,) + comp_shape)
     out = np.zeros(np.shape(points)[:-1] + comp_shape, dtype=values.dtype)
-    for idx, w in _stencil(grid, points, mode):
+    for idx, w in _stencil(grid, points, mode, plane):
         out += w.reshape(w.shape + (1,) * len(comp_shape)) * np.take(flat, idx, axis=0)
     return out
 
@@ -173,6 +186,10 @@ class _ChordFamily:
     def direction(self, m):
         return self._dirs[m]
 
+    def grid_plane(self, grid):
+        """The axis on whose grid planes every chord lies, or None."""
+        return None
+
     def frame(self, m):
         """Orthonormal frame (e1, e2) of the plane orthogonal to view m."""
         return self._frames[m]
@@ -205,6 +222,9 @@ class _ChordFamily:
     def rays(self):
         for idx in np.ndindex(self.shape):
             yield idx, self.ray(*idx)
+
+
+_ON_PLANE = 1e-12  # cells: dropping the far plane changes a sample by this share of a step
 
 
 def chord_nodes(starts, d, lengths, n):
@@ -248,6 +268,18 @@ class PlaneFamily(_ChordFamily):
         self._frames = np.stack([w, np.broadcast_to(ek, w.shape)], axis=1)
         self._off1 = self.offsets
         self._off2 = self.slices - self.center[self.axis]
+
+    def grid_plane(self, grid):
+        """The family's axis when every slice is a grid plane of it, to
+        within _ON_PLANE of a cell, else None.
+
+        Directions and frames have an exactly zero axis component, so every
+        chord node's axis coordinate is the slice's, center + (slice -
+        center), as chords() computes it.
+        """
+        k = self.axis
+        u = (self.center[k] + self._off2 - grid.origin[k]) / grid.spacing[k]
+        return k if np.all(np.abs(u - np.rint(u)) <= _ON_PLANE) else None
 
 
 @dataclass

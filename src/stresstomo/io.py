@@ -10,8 +10,10 @@ parameters are plain JSON.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import struct
+import warnings
 
 import numpy as np
 
@@ -194,19 +196,26 @@ def write_sinogram(path, sino: Sinogram):
     Rows run over (view, offset, slice) and are keyed (slice, angle,
     offset): plane families put the angle in the angle column; sphere
     families put the direction there and the two transverse offsets in
-    the offset and slice columns.
+    the offset and slice columns.  The bytes are those of the csv module's
+    default writer: CRLF rows, numbers unquoted, every value its float
+    repr.  Rows are assembled and written one view at a time.
     """
     fam = sino.family
     family_id = fam.kind + str(getattr(fam, "axis", ""))
-    flat = _flatten_records(sino.kind, sino.values)
+    kind = sino.kind
+    flat = np.asarray(_flatten_records(kind, sino.values), dtype=float)
+    views, offsets, slices, ncol = flat.shape
+    heads = [(f"{family_id},{s},", f",{o},{kind},") for o in range(offsets) for s in range(slices)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_HEADER + _KIND_COLUMNS[sino.kind])
-        for v, o, s in np.ndindex(flat.shape[:3]):
-            w.writerow([family_id, s, v, o, sino.kind] + [repr(float(x)) for x in flat[v, o, s]])
+        fh.write(",".join(_HEADER + _KIND_COLUMNS[kind]) + "\r\n")
+        for v in range(views):
+            vals = map(repr, flat[v].ravel().tolist())
+            if ncol > 1:
+                vals = map(",".join, zip(*[vals] * ncol))
+            fh.write("".join([a + str(v) + b + x + "\r\n" for (a, b), x in zip(heads, vals)]))
     with open(str(path) + ".manifest.json", "w") as fh:
         json.dump(
-            {"family_id": family_id, "kind": sino.kind, "family": family_manifest(fam)},
+            {"family_id": family_id, "kind": kind, "family": family_manifest(fam)},
             fh,
             indent=2,
             sort_keys=True,
@@ -214,21 +223,11 @@ def write_sinogram(path, sino: Sinogram):
         fh.write("\n")
 
 
-def read_sinogram(path):
-    """Read a sinogram CSV and its manifest.
-
-    Every ray index of the family must appear exactly once; malformed
-    records raise ValueError and non-finite values FloatingPointError, both
-    naming the file.
-    """
-    with open(str(path) + ".manifest.json") as fh:
-        man = json.load(fh)
-    fam = family_from_manifest(man["family"])
-    kind = man["kind"]
+def _parse_rows(path, family_id, kind, count):
+    """Row by row: ray keys (count, 3) in (angle, offset, slice) order and
+    values (count, columns) of a sinogram CSV, or ValueError at the first
+    bad record, naming the file and the line."""
     ncol = len(_KIND_COLUMNS[kind])
-    shape = fam.shape
-    count = int(np.prod(shape))
-    # rows are keyed (slice, angle, offset); records are stored (angle, offset, slice)
     keys = np.empty((count, 3), dtype=np.intp)
     cols = np.empty((count, ncol))
     with open(path, newline="") as fh:
@@ -239,6 +238,10 @@ def read_sinogram(path):
         for n, r in enumerate(rd, start=1):
             if n > count or len(r) != 5 + ncol or r[4] != kind:
                 raise ValueError(f"{path}:{n + 1}: unexpected or malformed {kind} record")
+            if r[0] != family_id:
+                raise ValueError(
+                    f"{path}:{n + 1}: family {r[0]!r} where the manifest has {family_id!r}"
+                )
             try:
                 keys[n - 1] = int(r[2]), int(r[3]), int(r[1])
                 cols[n - 1] = [float(v) for v in r[5:]]
@@ -246,6 +249,75 @@ def read_sinogram(path):
                 raise ValueError(f"{path}:{n + 1}: {e}") from None
     if n != count:
         raise ValueError(f"{path}: expected {count} rows, got {n}")
+    return keys, cols
+
+
+_BULK_ROWS = 1024  # rows per np.loadtxt call: each call's arrays stay below 100 kB
+
+
+def _parse_bulk(path, family_id, kind, count):
+    """_parse_rows' result for a well-formed file from np.loadtxt calls on
+    blocks of rows, or None when the file may not be well formed and the
+    row loop must decide.
+
+    The file must be ASCII, start with the header and hold exactly count
+    rows: loadtxt would skip a blank row that the row loop rejects.
+    loadtxt raises ValueError on a quoted or otherwise unparsable number
+    and on a wrong column count.  Quotes, '#' or spaces in the family or
+    kind column fail the comparison with the manifest instead; those
+    columns are read one character wider than expected, so that a longer
+    string cannot be truncated into a match.
+    """
+    columns = _KIND_COLUMNS[kind]
+    dtype = [("family", f"U{len(family_id) + 1}"), ("slice", np.intp), ("angle", np.intp),
+             ("offset", np.intp), ("kind", f"U{len(kind) + 1}")] + [(c, float) for c in columns]
+    keys = np.empty((count, 3), dtype=np.intp)
+    cols = np.empty((count, len(columns)))
+    header = ",".join(_HEADER + columns)
+    with open(path, encoding="ascii", newline="\n") as fh:
+        if fh.readline() not in (header + "\n", header + "\r\n"):
+            return None
+        for start in range(0, count, _BULK_ROWS):
+            lines = list(itertools.islice(fh, _BULK_ROWS))
+            if len(lines) != min(_BULK_ROWS, count - start):
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy < 2 parses "3.0" as 3 with a warning
+                rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            if (len(rows) != len(lines) or np.any(rows["family"] != family_id)
+                    or np.any(rows["kind"] != kind)):
+                return None
+            block = slice(start, start + len(rows))
+            keys[block] = np.stack([rows["angle"], rows["offset"], rows["slice"]], axis=-1)
+            cols[block] = np.stack([rows[c] for c in columns], axis=-1)
+        if fh.read(1):
+            return None
+    return keys, cols
+
+
+def read_sinogram(path):
+    """Read a sinogram CSV and its manifest.
+
+    Every ray index of the family must appear exactly once, and every row
+    must name the manifest's family and kind; malformed records raise
+    ValueError and non-finite values FloatingPointError, both naming the
+    file.  A well-formed file is parsed in bulk; any other goes through
+    the row loop, which finds the first bad line.
+    """
+    with open(str(path) + ".manifest.json") as fh:
+        man = json.load(fh)
+    fam = family_from_manifest(man["family"])
+    kind = man["kind"]
+    ncol = len(_KIND_COLUMNS[kind])
+    shape = fam.shape
+    count = int(np.prod(shape))
+    args = (path, man["family_id"], kind, count)
+    try:
+        parsed = _parse_bulk(*args)
+    except (ValueError, Warning):  # not ASCII, or not what loadtxt reads
+        parsed = None
+    # rows are keyed (slice, angle, offset); records are stored (angle, offset, slice)
+    keys, cols = parsed or _parse_rows(*args)
     if np.any(keys < 0) or np.any(keys >= shape):
         raise ValueError(f"{path}: ray index out of range")
     flat_keys = np.ravel_multi_index(keys.T, shape)

@@ -240,6 +240,15 @@ def test_invert_non_finite_sinogram_exits_numerical(tmp_path, capsys):
     assert "pwave_plane1.csv" in capsys.readouterr().err
 
 
+def test_invert_rejects_another_familys_sinogram(tmp_path, capsys):
+    # plane0's CSV copied over plane1's, plane1's manifest kept
+    cfg, out, path, _ = _forwarded(tmp_path)
+    shutil.copy(os.path.join(out, "pwave_plane0.csv"), path)
+    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "pwave_plane1.csv:2: family 'plane0'" in err
+
+
 def test_invert_broken_sinogram_manifest_exits_config(tmp_path):
     cfg, out, _, _ = _forwarded(tmp_path)
     with open(os.path.join(out, "sinograms.json"), "w") as fh:

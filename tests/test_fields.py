@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from stresstomo import fields
+from stresstomo.cli import EXIT_OK, cmd_verify, load_config
 from stresstomo.fields import (
     CovectorField,
     Grid3,
@@ -26,6 +28,7 @@ from stresstomo.fields import (
     trace,
     trig_upsample,
 )
+from stresstomo.io import read_report
 
 
 @pytest.fixture(scope="module")
@@ -352,3 +355,43 @@ def test_inc_moment_identity(grid, rng):
     r = inc_potential(a)
     total = np.sum(r.values, axis=(0, 1, 2)) * grid.cell_volume()
     assert np.max(np.abs(total)) <= 1e-8 * r.max_abs()
+
+
+# ---------------------------------------------------------------------------
+# random test fields
+
+
+def _power_bump_scalar(grid, rng, radius=None, degree=2):
+    """Reference: the bump modulation with the monomials taken as x ** exponents."""
+    radius = radius or 0.75 * grid.domain.radius
+    r2 = np.sum((grid.coords() - np.asarray(grid.domain.center)) ** 2, axis=-1)
+    x = grid.coords() / radius
+    mod = np.zeros(grid.dims)
+    for _ in range(degree + 1):
+        c = rng.normal(size=3)
+        w = rng.normal()
+        mod += w * np.prod(x ** rng.integers(0, degree + 1, size=3), axis=-1) + np.sin(
+            x @ c * 2.0
+        ) * rng.normal(scale=0.5)
+    return ScalarField(grid, bump_profile(r2, radius) * mod)
+
+
+@pytest.mark.parametrize("degree", [0, 2, 4])
+def test_random_bump_scalar_matches_power_formula(degree):
+    grid = Grid3.cube(20)
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(5):
+        got = random_bump_scalar(grid, a, radius=0.8, degree=degree).values
+        want = _power_bump_scalar(grid, b, radius=0.8, degree=degree).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert a.bit_generator.state == b.bit_generator.state  # the same draws
+
+
+def test_verify_matches_power_formula_fields(tmp_path, monkeypatch):
+    cfg = load_config(None)
+    assert cmd_verify(cfg, str(tmp_path / "a")) == EXIT_OK
+    got = read_report(str(tmp_path / "a" / "verify.json")).stages["poincare_max_ratio"]
+    monkeypatch.setattr(fields, "random_bump_scalar", _power_bump_scalar)
+    assert cmd_verify(cfg, str(tmp_path / "b")) == EXIT_OK
+    want = read_report(str(tmp_path / "b" / "verify.json")).stages["poincare_max_ratio"]
+    assert abs(got - want) <= 1e-12

@@ -662,3 +662,49 @@ def test_family_operator_property(family, a, which, seed):
     assert again.entries == op.entries
     assert again.apply(F.values, dyads).tobytes() == got.tobytes()
     assert again.adjoint(y, dyads).values.tobytes() == back.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# plane families: bilinear stencils within the grid planes
+
+
+def _transforms(grid, R, family):
+    p = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
+    lt = longitudinal_transform(R, family).values
+    return {
+        "pwave_data": pwave_data(R, p, family).values,
+        "mixed_transform": mixed_transform(R, p, family, scale=2.0).values,
+        "rytov_family": rytov_family(R, p, family, scale=2.0).values,
+        "longitudinal_adjoint": longitudinal_adjoint(family, lt, grid).values,
+    }
+
+
+def test_plane_families_sample_bilinearly_within_trilinear_roundoff(grid, rng, monkeypatch):
+    R = random_smooth_sym(grid, rng)
+    fams = build_line_families(grid, angles=12, offsets=24)
+    assert [f.grid_plane(grid) for f in fams] == [0, 1, 2]
+    got = [_transforms(grid, R, f) for f in fams]
+    monkeypatch.setattr(PlaneFamily, "grid_plane", lambda self, grid: None)
+    for fam, four in zip(fams, got):
+        eight = _transforms(grid, R, fam)
+        for name, want in eight.items():
+            err = np.max(np.abs(four[name] - want)) / np.max(np.abs(want))
+            assert err <= 1e-13, (fam.axis, name, err)
+
+
+def test_off_grid_plane_family_keeps_trilinear_stencil(grid, rng):
+    # slices a third of a cell off the grid planes: no plane holds the chords
+    R = random_smooth_sym(grid, rng)
+    on = build_line_families(grid, angles=6, offsets=24)[2]
+    slices = on.slices[::3] + grid.spacing[2] / 3.0
+    fam = PlaneFamily(2, on.thetas, on.offsets, slices, on.center, on.radius, on.step)
+    assert fam.grid_plane(grid) is None
+    p = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
+    dyads = _pwave_dyads(p)
+    want = []
+    for m in range(fam.n_views):
+        pts, d, w, _ = _view_nodes(fam, m)
+        D = SYM_MULT * dyads(d, fam.frame(m))
+        contracted = (R.values.reshape(-1, 6) @ D.T).reshape(grid.dims + (1,))
+        want.append(np.sum(trilinear(grid, contracted, pts) * w[..., None], axis=-2))
+    assert np.array_equal(pwave_data(R, p, fam).values, np.stack(want)[..., 0])

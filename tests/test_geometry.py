@@ -4,6 +4,7 @@ import pytest
 from stresstomo.fields import Grid3, ScalarField
 from stresstomo.geometry import (
     ConformalMetric,
+    _stencil,
     ball_chord,
     build_line_families,
     build_sphere_family,
@@ -284,3 +285,27 @@ def test_metric_validation_and_diagnostics():
         ConformalMetric(ScalarField(grid, np.zeros(grid.dims)))
     m = variable_metric(12)
     assert 0.0 < m.speed_variation() < 1.0
+
+
+def test_bilinear_stencil_on_grid_planes():
+    # points on grid planes of one axis: four corners, the trilinear value
+    grid = Grid3.cube(16)
+    x = grid.coords()
+    vals = np.sin(x[..., 0]) * np.cos(2.0 * x[..., 1]) + x[..., 2] ** 2
+    rng = np.random.default_rng(1)
+    for axis in range(3):
+        pts = rng.uniform(-1.0, 1.0, size=(50, 3))
+        pts[:, axis] = grid.axes()[axis][rng.integers(0, 16, size=50)]
+        corners = list(_stencil(grid, pts, plane=axis))
+        assert len(corners) == 4
+        assert np.allclose(sum(w for _, w in corners), 1.0, rtol=0, atol=1e-15)
+        got = trilinear(grid, vals, pts, plane=axis)
+        assert np.max(np.abs(got - trilinear(grid, vals, pts))) <= 1e-14
+
+
+def test_plane_family_grid_plane_needs_every_slice_on_the_grid():
+    grid = Grid3.cube(16)
+    fams = build_line_families(grid, 6, 16)
+    assert [f.grid_plane(grid) for f in fams] == [0, 1, 2]
+    assert fams[0].grid_plane(Grid3.cube(15)) is None  # odd planes fall between
+    assert build_sphere_family(grid, 5).grid_plane(grid) is None

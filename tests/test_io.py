@@ -1,6 +1,10 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
+import stresstomo.io as sio
 from stresstomo.fields import (
     CovectorField,
     Grid3,
@@ -11,6 +15,7 @@ from stresstomo.fields import (
     random_bump_sym,
 )
 from stresstomo.forward import (
+    Sinogram,
     kdata_transform,
     longitudinal_transform,
     mixed_transform,
@@ -20,6 +25,10 @@ from stresstomo.forward import (
 from stresstomo.geometry import build_line_families, build_sphere_family
 from stresstomo.inversion import ReconReport
 from stresstomo.io import (
+    _HEADER,
+    _KIND_COLUMNS,
+    _flatten_records,
+    _unflatten_records,
     family_from_manifest,
     family_manifest,
     read_field,
@@ -170,3 +179,186 @@ def test_report_round_trip(tmp_path):
     rep = ReconReport(stages={"R_norm": 1.0}, config={"pipeline": "pwave"})
     write_report(p, rep)
     assert read_report(p).to_dict() == rep.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# CSV parity with the csv-module writer and the row-by-row reader
+
+
+def _reference_write(path, sino):
+    """The sinogram CSV as the csv module's writer gives it, row by row."""
+    fam = sino.family
+    family_id = fam.kind + str(getattr(fam, "axis", ""))
+    flat = _flatten_records(sino.kind, sino.values)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(_HEADER + _KIND_COLUMNS[sino.kind])
+        for v, o, s in np.ndindex(flat.shape[:3]):
+            w.writerow([family_id, s, v, o, sino.kind] + [repr(float(x)) for x in flat[v, o, s]])
+
+
+def _reference_read(path):
+    """Row-by-row reading with csv, int() and float(): the values, or the
+    exception it raises.  It does not look at the family column."""
+    with open(str(path) + ".manifest.json") as fh:
+        man = json.load(fh)
+    fam = family_from_manifest(man["family"])
+    kind = man["kind"]
+    ncol = len(_KIND_COLUMNS[kind])
+    shape = fam.shape
+    count = int(np.prod(shape))
+    keys = np.empty((count, 3), dtype=np.intp)
+    cols = np.empty((count, ncol))
+    with open(path, newline="") as fh:
+        rd = csv.reader(fh)
+        if next(rd, None) != _HEADER + _KIND_COLUMNS[kind]:
+            raise ValueError(f"{path}: bad sinogram header")
+        n = 0
+        for n, r in enumerate(rd, start=1):
+            if n > count or len(r) != 5 + ncol or r[4] != kind:
+                raise ValueError(f"{path}:{n + 1}: unexpected or malformed {kind} record")
+            try:
+                keys[n - 1] = int(r[2]), int(r[3]), int(r[1])
+                cols[n - 1] = [float(v) for v in r[5:]]
+            except (OverflowError, ValueError) as e:
+                raise ValueError(f"{path}:{n + 1}: {e}") from None
+    if n != count:
+        raise ValueError(f"{path}: expected {count} rows, got {n}")
+    if np.any(keys < 0) or np.any(keys >= shape):
+        raise ValueError(f"{path}: ray index out of range")
+    flat_keys = np.ravel_multi_index(keys.T, shape)
+    if len(np.unique(flat_keys)) != count:
+        raise ValueError(f"{path}: duplicated ray index")
+    if not np.all(np.isfinite(cols)):
+        raise FloatingPointError(f"{path}: non-finite sinogram value")
+    flat = np.empty((count, ncol))
+    flat[flat_keys] = cols
+    return _unflatten_records(kind, flat.reshape(shape + (ncol,)))
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-05, 1.5e16, 2.5e-7, 1 / 3, 123456.789]
+
+
+def _special_sinograms(grid, rng):
+    """One sinogram per kind whose values mix the special floats with random ones."""
+    # 1536 and 1024 rows: the reader parses blocks of 1024
+    plane, whole = build_line_families(grid, 6, 16)[2], build_line_families(grid, 4, 16)[1]
+    sphere = build_sphere_family(grid, 3)
+
+    def vals(shape):
+        out = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+        pick = rng.random(shape) < 0.5
+        out[pick] = rng.choice(_SPECIAL, size=int(pick.sum()))
+        return out
+
+    return [
+        Sinogram(plane, "scalar", vals(plane.shape)),
+        Sinogram(sphere, "propagator", vals(sphere.shape + (2, 2)) + 1j * vals(sphere.shape + (2, 2))),
+        Sinogram(whole, "lmatrix", vals(whole.shape + (2, 2))),
+        Sinogram(sphere, "kpair", vals(sphere.shape + (2,))),
+    ]
+
+
+def test_write_sinogram_matches_csv_writer_bytes(grid, rng, tmp_path):
+    for i, s in enumerate(_special_sinograms(grid, rng)):
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        write_sinogram(got, s)
+        _reference_write(want, s)
+        text = got.read_bytes()
+        assert text == want.read_bytes(), s.kind
+        fields = set(text.replace(b"\r\n", b",").split(b","))
+        assert {b"-0.0", b"5e-324", b"1e+300", b"1e-05", b"1.5e+16"} <= fields
+        assert np.array_equal(read_sinogram(got).values, s.values)
+
+
+def test_read_sinogram_parses_written_files_in_bulk(grid, rng, tmp_path, monkeypatch):
+    def no_row_loop(*args):
+        raise AssertionError("row loop used on a well-formed file")
+
+    monkeypatch.setattr(sio, "_parse_rows", no_row_loop)
+    for i, s in enumerate(_special_sinograms(grid, rng)):
+        p = tmp_path / f"s{i}.csv"
+        write_sinogram(p, s)
+        assert np.array_equal(read_sinogram(p).values, s.values)
+        p.write_bytes(p.read_bytes().replace(b"\r\n", b"\n"))
+        assert np.array_equal(read_sinogram(p).values, s.values)
+
+
+def _field(row, c, f):
+    parts = row.split(",")
+    parts[c] = f(parts[c])
+    return ",".join(parts)
+
+
+# each edit maps the CRLF-split lines (header first, then "" after the last
+# row) to new file bytes; rows are edited away from the family column
+_EDITS = {
+    "blank line inside": lambda ls: "\r\n".join(ls[:4] + [""] + ls[4:]),
+    "blank line for a row": lambda ls: "\r\n".join(ls[:4] + [""] + ls[5:]),
+    "trailing blank line": lambda ls: "\r\n".join(ls) + "\r\n",
+    "LF line endings": lambda ls: "\n".join(ls),
+    "no final line end": lambda ls: "\r\n".join(ls[:-1]),
+    "CR line endings": lambda ls: "\r".join(ls),
+    "quoted family": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 0, '"{}"'.format)] + ls[4:]),
+    "quoted number": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 5, '"{}"'.format)] + ls[4:]),
+    "quoted comma": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 5, '"{},"'.format)] + ls[4:]),
+    "renamed header column": lambda ls: "\r\n".join([ls[0].replace("angle", "theta")] + ls[1:]),
+    "quoted header": lambda ls: "\r\n".join([_field(ls[0], 1, '"{}"'.format)] + ls[1:]),
+    "hash in number": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 5, "{}#".format)] + ls[4:]),
+    "hash in kind": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 4, "#{}".format)] + ls[4:]),
+    "spaces around number": lambda ls: "\r\n".join(
+        ls[:3] + [_field(_field(ls[3], 5, " {} ".format), 2, " {}".format)] + ls[4:]),
+    "space in kind": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 4, "{} ".format)] + ls[4:]),
+    "tab after number": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 5, "{}\t".format)] + ls[4:]),
+    "underscore in number": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 5, lambda _: "1_0")] + ls[4:]),
+    "underscore in index": lambda ls: "\r\n".join(
+        ls[:1] + [_field(r, 1, lambda v: "1_0" if v == "10" else v) for r in ls[1:-1]] + [""]),
+    "float index": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 3, "{}.0".format)] + ls[4:]),
+    "huge index": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 3, lambda _: "9" * 30)] + ls[4:]),
+    "upper-case exponent": lambda ls: "\r\n".join(
+        ls[:3] + [_field(ls[3], 5, lambda v: v.upper() if "e" in v else v + "E0")] + ls[4:]),
+    "non-ascii digit": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 5, lambda _: "١.5")] + ls[4:]),
+    "nul byte": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 5, "{}\0".format)] + ls[4:]),
+    "extra column": lambda ls: "\r\n".join(ls[:3] + [ls[3] + ",1.0"] + ls[4:]),
+    "missing column": lambda ls: "\r\n".join(ls[:3] + [ls[3].rsplit(",", 1)[0]] + ls[4:]),
+    "wrong kind": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 4, lambda _: "kpair")] + ls[4:]),
+    "longer kind": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 4, "{}x".format)] + ls[4:]),
+    "one row too many": lambda ls: "\r\n".join(ls[:-1] + [ls[-2], ""]),
+    "one row too few": lambda ls: "\r\n".join(ls[:-2] + [""]),
+    "header only": lambda ls: ls[0] + "\r\n",
+    "empty file": lambda ls: "",
+    "nan value": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 5, lambda _: "NaN")] + ls[4:]),
+    "negative index": lambda ls: "\r\n".join(ls[:3] + [_field(ls[3], 1, lambda _: "-1")] + ls[4:]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDITS))
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_read_sinogram_agrees_with_row_reader(grid, rng, tmp_path, name, which):
+    s = _special_sinograms(grid, rng)[which]
+    p = tmp_path / "s.csv"
+    write_sinogram(p, s)
+    lines = p.read_bytes().decode("ascii").split("\r\n")
+    p.write_bytes(_EDITS[name](lines).encode("utf-8"))
+    try:
+        want = _reference_read(p)
+    except Exception as e:  # noqa: BLE001 - every outcome is compared
+        with pytest.raises(type(e)) as err:
+            read_sinogram(p)
+        assert type(err.value) is type(e)
+        assert str(err.value) == str(e)
+    else:
+        assert np.array_equal(read_sinogram(p).values, want)
+
+
+def test_read_sinogram_rejects_another_familys_rows(grid, rng, tmp_path):
+    # plane0's CSV copied over plane1's, plane1's manifest kept: same shape
+    R = random_bump_sym(grid, rng, radius=0.6)
+    fams = build_line_families(grid, 6, 16)
+    paths = [tmp_path / f"plane{k}.csv" for k in range(2)]
+    for p, fam in zip(paths, fams):
+        write_sinogram(p, longitudinal_transform(R, fam))
+    paths[1].write_bytes(paths[0].read_bytes())
+    with pytest.raises(ValueError, match="family 'plane0' where the manifest has 'plane1'") as err:
+        read_sinogram(paths[1])
+    assert f"{paths[1]}:2:" in str(err.value)
