@@ -40,29 +40,40 @@ def _stencil(grid: Grid3, points, mode="zero", plane=None):
     stencil then takes each point's nearest plane and yields only the
     four bilinear corners within it; the other four would carry the
     weight of the coordinate's roundoff.
+
+    The stencil is built axis by axis.  Chord nodes lie in the ball, which
+    Grid3 keeps inside the box, so one min/max per axis usually shows that
+    no coordinate leaves [0, top]; the out-of-box mask and the clip are
+    computed only for an axis where one does.  Points stored axis-major, as
+    chord_nodes returns them, are read one contiguous axis at a time.
     """
-    u = (np.asarray(points, dtype=float) - np.asarray(grid.origin)) / np.asarray(grid.spacing)
-    top = np.asarray(grid.dims) - 1
     if mode not in ("zero", "clamp"):
         raise ValueError(f"unknown interpolation mode {mode!r}")
-    outside = np.any((u < 0.0) | (u > top), axis=-1)
-    u = np.clip(u, 0.0, top)
-    i0 = np.minimum(u.astype(int), top - 1)
-    if plane is not None:
-        i0[..., plane] = np.rint(u[..., plane])
+    p = np.asarray(points, dtype=float)
+    outside, index, weights = False, 0, []
+    for a, (n, h, o) in enumerate(zip(grid.dims, grid.spacing, grid.origin)):
+        u, top = (p[..., a] - o) / h, n - 1
+        lo, hi = (u.min(), u.max()) if u.size else (0.0, 0.0)
+        if lo < 0.0 or hi > top:
+            outside = outside | (u < 0.0) | (u > top)
+            u = np.clip(u, 0.0, top)
+        if a == plane:
+            i = np.rint(u).astype(int)
+        else:
+            i = u.astype(int) if hi < top else np.minimum(u.astype(int), top - 1)
+            f = u - i
+            weights.append((1.0 - f, f))
+        index = index * n + i
+    if mode == "zero" and np.any(outside):
+        # every corner weight carries the first axis's factor
+        weights[0] = tuple(np.where(outside, 0.0, g) for g in weights[0])
     _, ny, nz = grid.dims
-    base = (i0[..., 0] * ny + i0[..., 1]) * nz + i0[..., 2]
-    axes = [a for a in range(3) if a != plane]
-    strides = [(ny * nz, nz, 1)[a] for a in axes]
-    f = u - i0
-    g = [np.stack([1.0 - f[..., a], f[..., a]]) for a in axes]
-    if mode == "zero":
-        g[0][:, outside] = 0.0  # every corner weight carries this factor
-    for corner in itertools.product((0, 1), repeat=len(axes)):
-        w = g[0][corner[0]]
-        for ga, c in zip(g[1:], corner[1:]):
-            w = w * ga[c]
-        yield base + sum(c * s for c, s in zip(corner, strides)), w
+    strides = [s for a, s in enumerate((ny * nz, nz, 1)) if a != plane]
+    for corner in itertools.product((0, 1), repeat=len(weights)):
+        w = weights[0][corner[0]]
+        for g, c in zip(weights[1:], corner[1:]):
+            w = w * g[c]
+        yield index + sum(c * s for c, s in zip(corner, strides)), w
 
 
 def trilinear(grid: Grid3, values, points, mode="zero", plane=None):
@@ -71,9 +82,9 @@ def trilinear(grid: Grid3, values, points, mode="zero", plane=None):
     values has shape dims or dims + (m,); points has shape (..., 3).
     mode "zero" treats the field as extended by zero outside the grid box,
     mode "clamp" clamps to the nearest node (for strictly positive metric
-    coefficients that must not vanish outside).  With plane, points on
-    grid planes of that axis are interpolated bilinearly within them
-    (_stencil).
+    coefficients that must not vanish outside); the mask or the clamp is
+    applied only when a point leaves the box.  With plane, points on grid
+    planes of that axis are interpolated bilinearly within them (_stencil).
     """
     values = np.asarray(values)
     comp_shape = values.shape[3:]
@@ -229,9 +240,16 @@ _ON_PLANE = 1e-12  # cells: dropping the far plane changes a sample by this shar
 
 def chord_nodes(starts, d, lengths, n):
     """Node points (..., n, 3), trapezoid weights (..., n) and step (...) of
-    n equispaced nodes on the chords starts + [0, lengths] d."""
+    n equispaced nodes on the chords starts + [0, lengths] d.
+
+    The points are stored axis-major (a view of a (3, ..., n) array), so
+    that _stencil reads each axis contiguously."""
     t = np.linspace(0.0, 1.0, n)
-    pts = starts[..., None, :] + (lengths[..., None] * t)[..., None] * d
+    s = lengths[..., None] * t
+    pts = np.empty((3,) + s.shape)
+    for a in range(3):
+        np.add(starts[..., None, a], s * d[a], out=pts[a])
+    pts = np.moveaxis(pts, 0, -1)
     dt = lengths / (n - 1)
     w = np.repeat(dt[..., None], n, axis=-1)
     w[..., 0] *= 0.5

@@ -131,17 +131,20 @@ def _sample_polar(spec, offsets, theta_count, angle_idx, angle_frac, radius, zet
 
     The offset axis is transformed by direct quadrature at each query
     frequency, so only the angle is interpolated (cubic), wrapping at pi
-    with radius negation: a half turn reverses the offset axis.
+    with radius negation: a half turn reverses the offset axis.  The phases
+    are computed once per query; a wrapped tap takes their conjugate, the
+    phases of the negated radius.
     """
     do = offsets[1] - offsets[0]
+    phases = np.exp(-1j * radius[:, None] * offsets[None, :])
     out = np.zeros(radius.shape, dtype=complex)
     for da, wa in zip((-1, 0, 1, 2), _cubic_weights(angle_frac)):
         a = angle_idx + da
-        r = np.where((a >= theta_count) | (a < 0), -radius, radius)
-        a = np.mod(a, theta_count)
-        rows = spec[a, :, zeta_idx]
-        phases = np.exp(-1j * r[:, None] * offsets[None, :])
-        out += wa * np.sum(rows * phases, axis=-1) * do
+        wrap = (a >= theta_count) | (a < 0)
+        rows = spec[np.mod(a, theta_count), :, zeta_idx]
+        sums = np.sum(rows * phases, axis=-1)
+        sums[wrap] = np.sum(rows[wrap] * np.conj(phases[wrap]), axis=-1)
+        out += wa * sums * do
     return out
 
 

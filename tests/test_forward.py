@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from stresstomo.forward import (
     _e11_dyads,
     _flow,
     _gather,
+    _trapezoid,
     _generator_dyads,
     _kpair_dyads,
     _pwave_dyads,
@@ -53,6 +55,7 @@ from stresstomo.forward import (
 from stresstomo.geometry import (
     PlaneFamily,
     Ray,
+    SphereFamily,
     _orthobasis,
     build_line_families,
     build_sphere_family,
@@ -708,3 +711,118 @@ def test_off_grid_plane_family_keeps_trilinear_stencil(grid, rng):
         contracted = (R.values.reshape(-1, 6) @ D.T).reshape(grid.dims + (1,))
         want.append(np.sum(trilinear(grid, contracted, pts) * w[..., None], axis=-2))
     assert np.array_equal(pwave_data(R, p, fam).values, np.stack(want)[..., 0])
+
+
+# ---------------------------------------------------------------------------
+# the gather and the operator build against their first implementation
+
+
+def _reference_stencil(grid, u, plane):
+    """The mode-"zero" corner stencil as first written, at grid coordinates
+    u (..., 3): clip, mask and floor all three axes of every node."""
+    top = np.asarray(grid.dims) - 1
+    outside = np.any((u < 0.0) | (u > top), axis=-1)
+    u = np.clip(u, 0.0, top)
+    i0 = np.minimum(u.astype(int), top - 1)
+    if plane is not None:
+        i0[..., plane] = np.rint(u[..., plane])
+    _, ny, nz = grid.dims
+    base = (i0[..., 0] * ny + i0[..., 1]) * nz + i0[..., 2]
+    axes = [a for a in range(3) if a != plane]
+    strides = [(ny * nz, nz, 1)[a] for a in axes]
+    f = u - i0
+    g = [np.stack([1.0 - f[..., a], f[..., a]]) for a in axes]
+    g[0][:, outside] = 0.0
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        w = g[0][corner[0]]
+        for ga, c in zip(g[1:], corner[1:]):
+            w = w * ga[c]
+        yield base + sum(c * s for c, s in zip(corner, strides)), w
+
+
+def _reference_nodes(grid, family, m, live):
+    """Grid coordinates (chords, n, 3) of view m's live chords, from the
+    point array built row-major, and their trapezoid weights and steps."""
+    starts, d, lengths = family.chords(m)
+    starts, lengths = starts.reshape(-1, 3)[live], lengths.ravel()[live]
+    n = family.n_nodes
+    pts = starts[..., None, :] + (lengths[..., None] * np.linspace(0.0, 1.0, n))[..., None] * d
+    dt = lengths / (n - 1)
+    w = np.repeat(dt[..., None], n, axis=-1)
+    w[..., 0] *= 0.5
+    w[..., -1] *= 0.5
+    return (pts - np.asarray(grid.origin)) / np.asarray(grid.spacing), w, dt
+
+
+def _reference_gather(values, grid, family, dyads, per_view=_trapezoid):
+    flat = values.reshape(-1, 6)
+    tables = SYM_MULT * dyads(*family.views())
+    n, k = family.n_nodes, tables.shape[-2]
+    empty = per_view(np.zeros((n, k)), np.zeros(n), np.zeros(()))
+    out = np.empty(family.shape + empty.shape, empty.dtype)
+    plane = family.grid_plane(grid)
+    for m, D in enumerate(tables):
+        live = np.flatnonzero(family.chords(m)[2].ravel() > 0.0)
+        u, w, dt = _reference_nodes(grid, family, m, live)
+        contracted = (flat @ D.T).reshape(-1, k)
+        samples = np.zeros(u.shape[:-1] + (k,))
+        for idx, cw in _reference_stencil(grid, u, plane):
+            samples += cw[..., None] * np.take(contracted, idx, axis=0)
+        out[m] = empty
+        out[m].reshape((-1,) + empty.shape)[live] = per_view(samples, w, dt)
+    return out
+
+
+def _reference_view_stencils(family, grid):
+    size = int(np.prod(grid.dims))
+    plane = family.grid_plane(grid)
+    for m in range(family.n_views):
+        live = np.flatnonzero(family.chords(m)[2].ravel() > 0.0)
+        u, w, _ = _reference_nodes(grid, family, m, live)
+        corners = list(_reference_stencil(grid, u, plane))
+        keys = np.stack([idx for idx, _ in corners], axis=1) + live[:, None, None] * size
+        wts = np.stack([cw * w for _, cw in corners], axis=1)
+        keep = wts != 0.0
+        keys, wts = keys[keep], wts[keep]
+        order = np.argsort(keys, kind="stable")
+        keys, wts = keys[order], wts[order]
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        rays, counts = np.unique(keys[first] // size, return_counts=True)
+        yield rays, counts, (keys[first] % size).astype(np.int32), np.add.reduceat(wts, first)
+
+
+def test_gather_and_operator_match_reference_bytes():
+    # an on-grid and an off-grid plane family, a sphere family, and families
+    # reaching past the grid box, whose outside nodes read the zero extension
+    grid = Grid3.cube(16)
+    R = random_smooth_sym(grid, np.random.default_rng(3))
+    on = build_line_families(grid, angles=5, offsets=16)
+    off = PlaneFamily(2, on[2].thetas, on[2].offsets, on[2].slices[::3] + grid.spacing[2] / 3.0,
+                      on[2].center, on[2].radius, on[2].step)
+    sphere = build_sphere_family(grid, directions=5)
+    wide_plane = PlaneFamily(1, on[1].thetas, np.linspace(-1.4, 1.4, 9), on[1].slices,
+                             on[1].center, 1.6, on[1].step)
+    wide_sphere = SphereFamily(sphere.directions, np.linspace(-1.4, 1.4, 9), sphere.center,
+                               1.6, sphere.step)
+    fams = on + [off, sphere, wide_plane, wide_sphere]
+    assert [f.grid_plane(grid) for f in fams] == [0, 1, 2, None, None, 1, None]
+    lo, hi = grid.box()
+    for wide in fams[-2:]:
+        starts, d, lengths = wide.chords(0)
+        far = starts + lengths[..., None] * d
+        assert np.any((far < lo) | (far > hi))
+    p = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
+
+    def rytov(g, w, dt):
+        return _flow(g, dt[..., None])
+
+    for fam in fams:
+        for dyads, per_view in [(_pwave_dyads(p), _trapezoid), (_kpair_dyads, _trapezoid),
+                                (_shear_dyads(p, 2.0), rytov)]:
+            got = _gather(R.values, grid, fam, dyads, per_view)
+            want = _reference_gather(R.values, grid, fam, dyads, per_view)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        op = FamilyOperator(fam, grid)
+        for v, want in zip(op.views, _reference_view_stencils(fam, grid), strict=True):
+            for got, ref in zip((v.rays, v.counts, v.nodes, v.weights), want):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()

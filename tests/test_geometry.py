@@ -1,13 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stresstomo.fields import Grid3, ScalarField
 from stresstomo.geometry import (
     ConformalMetric,
+    SphereFamily,
     _stencil,
     ball_chord,
     build_line_families,
     build_sphere_family,
+    chord_nodes,
     coverage_directions,
     diameter,
     fibonacci_sphere,
@@ -309,3 +315,127 @@ def test_plane_family_grid_plane_needs_every_slice_on_the_grid():
     assert [f.grid_plane(grid) for f in fams] == [0, 1, 2]
     assert fams[0].grid_plane(Grid3.cube(15)) is None  # odd planes fall between
     assert build_sphere_family(grid, 5).grid_plane(grid) is None
+
+
+def _reference_stencil(grid, points, mode="zero", plane=None):
+    """The corner stencil as first written, clipping, masking and flooring
+    all three axes of every point; _stencil must give its bytes."""
+    u = (np.asarray(points, dtype=float) - np.asarray(grid.origin)) / np.asarray(grid.spacing)
+    top = np.asarray(grid.dims) - 1
+    outside = np.any((u < 0.0) | (u > top), axis=-1)
+    u = np.clip(u, 0.0, top)
+    i0 = np.minimum(u.astype(int), top - 1)
+    if plane is not None:
+        i0[..., plane] = np.rint(u[..., plane])
+    _, ny, nz = grid.dims
+    base = (i0[..., 0] * ny + i0[..., 1]) * nz + i0[..., 2]
+    axes = [a for a in range(3) if a != plane]
+    strides = [(ny * nz, nz, 1)[a] for a in axes]
+    f = u - i0
+    g = [np.stack([1.0 - f[..., a], f[..., a]]) for a in axes]
+    if mode == "zero":
+        g[0][:, outside] = 0.0
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        w = g[0][corner[0]]
+        for ga, c in zip(g[1:], corner[1:]):
+            w = w * ga[c]
+        yield base + sum(c * s for c, s in zip(corner, strides)), w
+
+
+def _reference_trilinear(grid, values, points, mode, plane):
+    comp_shape = values.shape[3:]
+    flat = values.reshape((-1,) + comp_shape)
+    out = np.zeros(np.shape(points)[:-1] + comp_shape)
+    for idx, w in _reference_stencil(grid, points, mode, plane):
+        out += w.reshape(w.shape + (1,) * len(comp_shape)) * np.take(flat, idx, axis=0)
+    return out
+
+
+def _assert_stencil_bytes(grid, points, mode, plane):
+    got = list(_stencil(grid, points, mode, plane))
+    want = list(_reference_stencil(grid, points, mode, plane))
+    assert len(got) == len(want)
+    for (gi, gw), (wi, ww) in zip(got, want):
+        gi, gw = np.asarray(gi), np.asarray(gw)
+        assert gi.dtype == wi.dtype and gi.tobytes() == wi.tobytes()
+        assert gw.dtype == ww.dtype and gw.tobytes() == ww.tobytes()
+    rng = np.random.default_rng(len(np.shape(points)))
+    for comps in ((), (2,)):
+        values = rng.normal(size=grid.dims + comps)
+        got = np.asarray(trilinear(grid, values, points, mode, plane))
+        want = _reference_trilinear(grid, values, points, mode, plane)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# dyadic origin and spacing: the box faces are exact grid coordinates 0 and top
+_STENCIL_GRIDS = [Grid3((8, 9, 10), (0.25, 0.5, 0.125), (-1.0, -2.0, -0.5)), Grid3.cube(12)]
+_WHERE = ["inside", "low face", "high face", "ulp below", "ulp above", "far below", "far above"]
+
+
+def _coordinate(o, h, top, where, u):
+    """A coordinate along one axis: o + u h inside, on a face of the box
+    (grid coordinate 0 or top), the first float beyond a face, or far out."""
+    if where == "inside":
+        return o + u * h
+    if where.startswith("far"):
+        return o + (-2.0 if where == "far below" else top + 3.0) * h
+    below = where in ("low face", "ulp below")
+    x = o + (0.0 if below else top) * h
+    if where.startswith("ulp"):
+        while 0.0 <= (x - o) / h <= top:
+            x = np.nextafter(x, -np.inf if below else np.inf)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=st.integers(0, 1),
+    mode=st.sampled_from(["zero", "clamp"]),
+    plane=st.sampled_from([None, 0, 1, 2]),
+    inside_only=st.booleans(),
+    where=st.lists(st.tuples(*[st.sampled_from(_WHERE)] * 3), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stencil_matches_reference_bytes(g, mode, plane, inside_only, where, seed):
+    # points strictly inside, outside, on the faces of the box and one ulp
+    # beyond; on the plane axis, inside points lie on grid planes
+    grid = _STENCIL_GRIDS[g]
+    rng = np.random.default_rng(seed)
+    pts = np.empty((len(where), 3))
+    for p, axes in enumerate(where):
+        for a, w in enumerate(axes):
+            o, h, top = grid.origin[a], grid.spacing[a], grid.dims[a] - 1
+            u = rng.integers(1, top) if a == plane else rng.uniform(1e-6, 1.0 - 1e-6) * top
+            pts[p, a] = _coordinate(o, h, top, "inside" if inside_only else w, u)
+    _assert_stencil_bytes(grid, pts, mode, plane)
+    _assert_stencil_bytes(grid, pts[0], mode, plane)
+    _assert_stencil_bytes(grid, pts[:0], mode, plane)
+
+
+def test_stencil_faces_are_exact_on_the_dyadic_grid():
+    grid = _STENCIL_GRIDS[0]
+    for a in range(3):
+        o, h, top = grid.origin[a], grid.spacing[a], grid.dims[a] - 1
+        u = [(_coordinate(o, h, top, w, 0.5) - o) / h for w in _WHERE[1:5]]
+        assert u[:2] == [0.0, top] and u[2] < 0.0 and u[3] > top
+
+
+def test_stencil_matches_reference_bytes_on_chord_nodes():
+    # axis-major chord nodes of a family reaching past the box and of plane
+    # families lying in grid planes
+    grid = Grid3.cube(12)
+    wide = SphereFamily(build_sphere_family(grid, 7).directions, np.linspace(-1.3, 1.3, 9),
+                        np.zeros(3), 1.9, 0.08)
+    cases = [(wide, None)] + [(f, f.grid_plane(grid)) for f in build_line_families(grid, 5, 12)]
+    for fam, plane in cases:
+        for m in range(fam.n_views):
+            starts, d, lengths = fam.chords(m)
+            pts, _, _ = chord_nodes(starts, d, lengths, fam.n_nodes)
+            t = np.linspace(0.0, 1.0, fam.n_nodes)
+            row_major = starts[..., None, :] + (lengths[..., None] * t)[..., None] * d
+            assert pts.shape == row_major.shape
+            assert np.ascontiguousarray(pts).tobytes() == row_major.tobytes()
+            for mode in ("zero", "clamp"):
+                _assert_stencil_bytes(grid, pts, mode, plane)
+    lo, hi = grid.box()
+    assert np.any(chord_nodes(*wide.chords(0), wide.n_nodes)[0] > hi)

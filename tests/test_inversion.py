@@ -28,6 +28,8 @@ from stresstomo.inversion import (
     CG_TOL,
     NonUniqueError,
     ReconReport,
+    _cubic_weights,
+    _sample_polar,
     detangle_trace,
     invert_I_solenoidal,
     invert_K_tracefree,
@@ -145,6 +147,31 @@ def test_invert_I_round_trip_24():
     sinos = [longitudinal_transform(R, f) for f in fams]
     m = invert_I_solenoidal(sinos, grid)
     assert rel(m.values, R.values) < 0.10
+
+
+def _reference_sample_polar(spec, offsets, theta_count, angle_idx, angle_frac, radius, zeta_idx):
+    """_sample_polar as first written: one phase array per cubic tap, with
+    the radius negated on wrapped taps."""
+    do = offsets[1] - offsets[0]
+    out = np.zeros(radius.shape, dtype=complex)
+    for da, wa in zip((-1, 0, 1, 2), _cubic_weights(angle_frac)):
+        a = angle_idx + da
+        r = np.where((a >= theta_count) | (a < 0), -radius, radius)
+        rows = spec[np.mod(a, theta_count), :, zeta_idx]
+        phases = np.exp(-1j * r[:, None] * offsets[None, :])
+        out += wa * np.sum(rows * phases, axis=-1) * do
+    return out
+
+
+def test_sample_polar_matches_reference_bytes(rng):
+    # the first and last two angles wrap at pi on some taps
+    ntheta, noff, nz, q = 12, 20, 8, 500
+    spec = rng.normal(size=(ntheta, noff, nz)) + 1j * rng.normal(size=(ntheta, noff, nz))
+    offsets = np.linspace(-1.0, 1.0, noff)
+    args = (spec, offsets, ntheta, rng.integers(0, ntheta, q), rng.uniform(0.0, 1.0, q),
+            rng.uniform(-40.0, 40.0, q), rng.integers(0, nz, q))
+    assert np.any(args[3] == 0) and np.any(args[3] == ntheta - 1)
+    assert _sample_polar(*args).tobytes() == _reference_sample_polar(*args).tobytes()
 
 
 def test_invert_I_condition_limit(grid, rng):
