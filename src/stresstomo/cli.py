@@ -42,8 +42,8 @@ from .inversion import (
     verify_poincare,
 )
 from .io import (
+    family_manifest,
     read_field,
-    read_params,
     read_report,
     read_sinogram,
     write_field,
@@ -129,7 +129,7 @@ def load_config(path=None, seed=None):
     cfg = _merge(_DEFAULTS, user)
     if seed is not None:
         cfg["seed"] = int(seed)
-    if cfg["pipeline"] not in ("pwave", "swave", "verify"):
+    if cfg["pipeline"] not in ("pwave", "swave"):
         raise ConfigError(f"unknown pipeline {cfg['pipeline']!r}")
     nu = cfg["material"]["nu"]
     if not isinstance(nu, list) or len(nu) != 4:
@@ -200,6 +200,16 @@ def _read_truth(path, grid):
     return R
 
 
+def _families(cfg, grid):
+    """The sinogram file names and the ray families of the config's pipeline."""
+    fam = cfg["families"]
+    planes = build_line_families(grid, fam["angles"], fam["offsets"])
+    if cfg["pipeline"] == "pwave":
+        return [f"pwave_plane{k}.csv" for k in range(3)], planes
+    sphere = build_sphere_family(grid, fam["sphere_directions"])
+    return ["swave_sphere.csv"] + [f"swave_plane{k}.csv" for k in range(3)], [sphere] + planes
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -223,16 +233,11 @@ def cmd_forward(cfg, out):
     grid = _grid_from(cfg)
     params = _params_from(cfg)
     R = _read_truth(os.path.join(out, "truth.stf"), grid)
-    fam = cfg["families"]
-    planes = build_line_families(grid, fam["angles"], fam["offsets"])
+    names, families = _families(cfg, grid)
     if cfg["pipeline"] == "pwave":
-        sinos = [pwave_data(R, params, p) for p in planes]
-        names = [f"pwave_plane{k}.csv" for k in range(3)]
+        sinos = [pwave_data(R, params, f) for f in families]
     else:
-        sphere = build_sphere_family(grid, fam["sphere_directions"])
-        sinos = [rytov_family(R, params, sphere, scale=cfg["scale"])]
-        sinos += [rytov_family(R, params, p, scale=cfg["scale"]) for p in planes]
-        names = ["swave_sphere.csv"] + [f"swave_plane{k}.csv" for k in range(3)]
+        sinos = [rytov_family(R, params, f, scale=cfg["scale"]) for f in families]
     if cfg["noise"] > 0:
         nrng = np.random.default_rng(cfg["seed"] + 1)
         sinos = [add_noise(s, cfg["noise"], nrng) for s in sinos]
@@ -254,12 +259,16 @@ def cmd_invert(cfg, out):
     grid = _grid_from(cfg)
     params = _params_from(cfg)
     man_path = _require(os.path.join(out, "sinograms.json"), "sinogram manifest")
+    names, families = _families(cfg, grid)
     try:
         with open(man_path) as fh:
             man = json.load(fh)
         if man["config_hash"] != config_hash(cfg):
             raise ConfigError("sinograms were produced under a different config")
-        sinos = [read_sinogram(os.path.join(out, n)) for n in man["files"]]
+        sinos = [read_sinogram(os.path.join(out, n)) for n in names]
+        for name, sino, expected in zip(names, sinos, families):
+            if family_manifest(sino.family) != family_manifest(expected):
+                raise ConfigError(f"{name}: the manifest's ray family is not the config's")
     except (OSError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"unreadable sinograms: {e}")
     truth_path = os.path.join(out, "truth.stf")

@@ -1,15 +1,15 @@
 """Uniform-grid tensor fields and spectral tensor calculus.
 
 Symmetric rank-2 fields are stored with 6 components per node in the
-order (11, 22, 33, 23, 13, 12).  All differential operators work either
-spectrally (the default) or with centered differences.
+order (11, 22, 33, 23, 13, 12).  All differential operators are spectral,
+on one periodic Fourier space.
 Fields that represent objects extended by zero outside the domain are
 expected to vanish on nodes outside it; generators below guarantee that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,14 +118,6 @@ class SymField2:
 
     def max_abs(self):
         return float(np.max(np.abs(self.values)))
-
-
-@dataclass
-class FourierSymField2:
-    """Fourier transform of a SymField2 on the unpadded frequency grid."""
-
-    grid: Grid3
-    values: np.ndarray  # complex (n1,n2,n3,6)
 
 
 def sym_to_matrix(values):
@@ -237,14 +229,11 @@ def _nyquist_mask(grid):
 
 
 def spectral_gradient(f: ScalarField) -> CovectorField:
-    return CovectorField(f.grid, _gradient_nd(f.values, f.grid, "spectral"))
+    return CovectorField(f.grid, _gradient_nd(f.values, f.grid))
 
 
-def _gradient_nd(values, grid, backend):
+def _gradient_nd(values, grid):
     """Per-component partials: (...,C) -> (...,C,3)."""
-    if backend == "centered":
-        parts = [np.gradient(values, grid.spacing[i], axis=i) for i in range(3)]
-        return np.stack(parts, axis=-1)
     spec = np.fft.fftn(values, axes=(0, 1, 2))
     cols = []
     for k in _wavevectors(grid):
@@ -254,43 +243,27 @@ def _gradient_nd(values, grid, backend):
     return np.stack(cols, axis=-1)
 
 
-def inner_derivative(v: CovectorField, backend="spectral") -> SymField2:
+def inner_derivative(v: CovectorField) -> SymField2:
     """Symmetrized derivative (dv)_jk = (d_j v_k + d_k v_j) / 2."""
-    dv = _gradient_nd(v.values, v.grid, backend)  # (...,k,j) = d_j v_k
+    dv = _gradient_nd(v.values, v.grid)  # (...,k,j) = d_j v_k
     out = np.empty(v.grid.dims + (6,), dtype=dv.dtype)
     for s, (j, k) in enumerate(SYM_PAIRS):
         out[..., s] = 0.5 * (dv[..., k, j] + dv[..., j, k])
     return SymField2(v.grid, out)
 
 
-def divergence(u: SymField2, speed=None, backend="spectral") -> CovectorField:
-    """Divergence (delta u)_j = d_k u_jk; covariant w.r.t. h = speed^-2 g if given."""
-    du = _gradient_nd(u.values, u.grid, backend)  # (...,s,i) = d_i u_s
+def divergence(u: SymField2) -> CovectorField:
+    """Divergence (delta u)_j = d_k u_jk."""
+    du = _gradient_nd(u.values, u.grid)  # (...,s,i) = d_i u_s
     out = np.empty(u.grid.dims + (3,), dtype=du.dtype)
     for j in range(3):
         out[..., j] = sum(du[..., SYM_SLOT[(j, k)], k] for k in range(3))
-    if speed is None:
-        return CovectorField(u.grid, out)
-    if speed.values.shape != u.grid.dims:
-        raise ValueError("conformal factor must live on the same grid")
-    # (delta_h u)_j = v^2 [ (delta_E u)_j + (d_j ln v) tr_E u - (u . grad ln v)_j ]
-    logv = ScalarField(u.grid, np.log(speed.values))
-    glv = spectral_gradient(logv).values if backend == "spectral" else _gradient_nd(
-        logv.values, u.grid, "centered"
-    )
-    tr = trace(u).values
-    um = sym_to_matrix(u.values)
-    out = out + glv * tr[..., None] - np.einsum("...jk,...k->...j", um, glv)
-    return CovectorField(u.grid, speed.values[..., None] ** 2 * out)
+    return CovectorField(u.grid, out)
 
 
-def trace(u: SymField2, speed=None) -> ScalarField:
-    """Euclidean trace, or the h-trace v^2 tr_E u for the conformal metric."""
-    tr = u.values[..., 0] + u.values[..., 1] + u.values[..., 2]
-    if speed is not None:
-        v = speed.values if isinstance(speed, ScalarField) else speed
-        tr = tr * np.asarray(v) ** 2
-    return ScalarField(u.grid, tr)
+def trace(u: SymField2) -> ScalarField:
+    """Euclidean trace tr u = u_11 + u_22 + u_33."""
+    return ScalarField(u.grid, u.values[..., 0] + u.values[..., 1] + u.values[..., 2])
 
 
 def tangential_projector(y1, y2, y3):
@@ -359,28 +332,6 @@ def inc_potential(a: SymField2, margin=None) -> SymField2:
     # R_hat_jk = - eps_jpq eps_krs y_p y_r A_hat_qs
     rhat = -np.einsum("jpq,krs,...p,...r,...qs->...jk", _LEVI, _LEVI, y, y, spec, optimize=True)
     return SymField2(grid, np.fft.ifftn(matrix_to_sym(rhat), axes=(0, 1, 2)).real)
-
-
-# ---------------------------------------------------------------------------
-# unpadded Fourier transform with absolute-position phases (used by inversion)
-
-
-def analyze_sym(u: SymField2) -> FourierSymField2:
-    """Continuous-convention transform uhat(y) = sum u(x) e^{-i y.x} dV on the grid frequencies."""
-    grid = u.grid
-    spec = np.fft.fftn(u.values, axes=(0, 1, 2)).astype(complex)
-    ks = np.meshgrid(*grid.freqs(), indexing="ij")
-    phase = np.exp(-1j * sum(k * x0 for k, x0 in zip(ks, grid.origin)))
-    return FourierSymField2(grid, spec * phase[..., None] * grid.cell_volume())
-
-
-def synthesize_sym(f: FourierSymField2, real_output=True) -> SymField2:
-    grid = f.grid
-    ks = np.meshgrid(*grid.freqs(), indexing="ij")
-    phase = np.exp(1j * sum(k * x0 for k, x0 in zip(ks, grid.origin)))
-    spec = f.values * phase[..., None] / grid.cell_volume()
-    out = np.fft.ifftn(spec, axes=(0, 1, 2))
-    return SymField2(grid, np.real(out) if real_output else out)
 
 
 # ---------------------------------------------------------------------------

@@ -118,14 +118,6 @@ def _pwave_dyads(params):
     return lambda d, frame: w.scale * (sym_outer(d, d) + w.a * _G6)[..., None, :]
 
 
-_E11 = np.eye(6)[:1]  # e1 e1 in symmetric storage
-
-
-def _e11_dyads(d, frame):
-    """The 11 component, which carries a scalar field."""
-    return np.broadcast_to(_E11, d.shape[:-1] + _E11.shape)
-
-
 def _sym2(g):
     """Entries (..., 3) in the order (11, 22, 12) -> symmetric (..., 2, 2)."""
     return np.stack([g[..., [0, 2]], g[..., [2, 1]]], axis=-2)
@@ -297,26 +289,12 @@ def ray_integral_scalar(field: ScalarField, ray: Ray):
     return float(np.trapezoid(vals, ray.tau))
 
 
-def scalar_transform(field: ScalarField, family) -> Sinogram:
-    """Per-ray integrals of a scalar over a whole family.
-
-    The scalar is stored as the 11 component of a symmetric field and read
-    back through that component's dyad.
-    """
-    u = np.zeros(field.grid.dims + (6,))
-    u[..., 0] = field.values
-    vals = _gather(u, field.grid, family, _e11_dyads)
-    return Sinogram(family, "scalar", vals[..., 0])
-
-
 def longitudinal_transform(u: SymField2, rays):
     """I(u): per ray the integral of u_jk tangent^j tangent^k.
 
-    rays may be a family (vectorized), a list of families, or an iterable
-    of Ray objects.
+    rays is a family (gathered per view) or an iterable of Ray objects
+    (the per-ray reference).
     """
-    if isinstance(rays, (list, tuple)) and rays and isinstance(rays[0], _ChordFamily):
-        return [longitudinal_transform(u, fam) for fam in rays]
     if isinstance(rays, _ChordFamily):
         return Sinogram(rays, "scalar", _gather(u.values, u.grid, rays, _tangent_dyads)[..., 0])
     out = []
@@ -336,8 +314,8 @@ def transverse_transform(F: SymField2, ray: Ray, eta):
     return float(np.trapezoid(sym_qform(vals, eta, eta), ray.tau))
 
 
-def pwave_data(R: SymField2, params, rays):
-    """Compressional phase data D per ray of a family or a list of families.
+def pwave_data(R: SymField2, params, family):
+    """Compressional phase data D per ray of one family.
 
     D = integral of scale * (R_tt + a * tr R) with the constant-coefficient
     weights; equals I(f + a (tr f) g) for f = scale * R.
@@ -348,10 +326,8 @@ def pwave_data(R: SymField2, params, rays):
             raise ConditionError(f"material condition {key} fails: {rep.values[key]:.3g}")
     if not params.constants_mode:
         raise NotImplementedError("geodesic compressional data needs constant coefficients here")
-    dyads = _pwave_dyads(params)
-    fams = rays if isinstance(rays, (list, tuple)) else [rays]
-    out = [Sinogram(f, "scalar", _gather(R.values, R.grid, f, dyads)[..., 0]) for f in fams]
-    return out if isinstance(rays, (list, tuple)) else out[0]
+    vals = _gather(R.values, R.grid, family, _pwave_dyads(params))
+    return Sinogram(family, "scalar", vals[..., 0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, spectral_gradient, trace
+from .fields import ScalarField, spectral_gradient
 
 _DELTA = np.eye(3)
 

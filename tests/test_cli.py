@@ -249,6 +249,30 @@ def test_invert_rejects_another_familys_sinogram(tmp_path, capsys):
     assert "pwave_plane1.csv:2: family 'plane0'" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("step", 0), ("step", "x"), ("axis", 1), ("radius", -1), ("center", [0.0, 0.0])],
+    ids=["step-zero", "step-string", "axis", "radius", "center"],
+)
+def test_invert_rejects_edited_family_manifest(tmp_path, key, value):
+    # the sidecar of one sinogram describes another family than the config's
+    cfg, out, _, _ = _forwarded(tmp_path)
+    path = os.path.join(out, "pwave_plane0.csv.manifest.json")
+    with open(path) as fh:
+        man = json.load(fh)
+    man["family"][key] = value
+    with open(path, "w") as fh:
+        json.dump(man, fh)
+    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONFIG
+
+
+def test_verify_pipeline_value_is_rejected(tmp_path):
+    cfg = write_cfg(tmp_path, pipeline="verify")
+    out = tmp_path / "run"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_invert_broken_sinogram_manifest_exits_config(tmp_path):
     cfg, out, _, _ = _forwarded(tmp_path)
     with open(os.path.join(out, "sinograms.json"), "w") as fh:

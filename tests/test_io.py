@@ -8,7 +8,6 @@ import stresstomo.io as sio
 from stresstomo.fields import (
     CovectorField,
     Grid3,
-    ScalarField,
     SymField2,
     random_bump_covector,
     random_bump_scalar,
@@ -20,7 +19,6 @@ from stresstomo.forward import (
     longitudinal_transform,
     mixed_transform,
     rytov_family,
-    scalar_transform,
 )
 from stresstomo.geometry import build_line_families, build_sphere_family
 from stresstomo.inversion import ReconReport
@@ -99,7 +97,6 @@ def test_sinogram_round_trip_each_kind(grid, rng, tmp_path):
     plane = build_line_families(grid, 6, 16)[0]
     sphere = build_sphere_family(grid, 9)
     sinos = [
-        scalar_transform(ScalarField(grid, R.values[..., 0]), plane),
         longitudinal_transform(R, plane),
         rytov_family(R, params, plane, scale=1e-3),
         mixed_transform(R, params, plane),
