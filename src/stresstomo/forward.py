@@ -13,9 +13,11 @@ and frame, and only those k scalars are interpolated at the chord nodes and
 summed with the family's trapezoid weights (_gather).  Only chords that
 cross the ball are sampled; an empty chord (L = 0) gets the record of zero
 samples, exactly 0 for the integrals and exactly the identity for the
-propagators.  The adjoints run over the same chords' merged interpolation
-weights (_backproject).  A FamilyOperator caches those weights for one
-family, so that a solver applies K and K* without rebuilding the geometry.
+propagators.  The one-shot adjoints scatter over the same chords' nodes
+and stencils, one view at a time (_scatter).  A FamilyOperator merges the
+interpolation weights of one family's chords once, so that a solver applies
+K and K*, or K*K in one pass per view (FamilyOperator.normal), without
+rebuilding the geometry.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def _gather(values, grid, family, dyads, per_view=_trapezoid):
     return out
 
 
-_CHUNK = 32  # chords per build step: keeps the build temporaries below 1 MB
+_STEP_ENTRIES = 16384  # chords x nodes x corners per build step: below 1 MB of temporaries
 
 
 @dataclass
@@ -167,13 +169,15 @@ class _ViewStencil:
     """Merged interpolation weights of one view's chords.
 
     rays: flat indices (into the view's offsets) of the chords that carry
-    entries, in order; counts: entries per such chord; nodes (int32) and
-    weights: the flat grid node and the trapezoid-weighted trilinear weight
-    of every entry, merged per (chord, node) and ordered by chord, then node.
+    entries, in order; counts: entries per such chord, and starts: the
+    index of each such chord's first entry; nodes (int32) and weights: the
+    flat grid node and the trapezoid-weighted trilinear weight of every
+    entry, merged per (chord, node) and ordered by chord, then node.
     """
 
     rays: np.ndarray
     counts: np.ndarray
+    starts: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -182,17 +186,22 @@ def _view_stencils(family, grid):
     """Yield the merged stencil of every view of a family, chunk by chunk."""
     size = int(np.prod(grid.dims))
     plane = family.grid_plane(grid)
+    corners = 8 if plane is None else 4
+    chunk = max(1, _STEP_ENTRIES // (family.n_nodes * corners))
     for m in range(family.n_views):
         starts, d, lengths = family.chords(m)
         flat_starts, flat_lengths = starts.reshape(-1, 3), lengths.ravel()
         live = np.flatnonzero(flat_lengths > 0.0)
         parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0))]
-        for c in range(0, len(live), _CHUNK):
-            sel = live[c : c + _CHUNK]
+        for c in range(0, len(live), chunk):
+            sel = live[c : c + chunk]
             pts, w, _ = chord_nodes(flat_starts[sel], d, flat_lengths[sel], family.n_nodes)
-            corners = list(_stencil(grid, pts, plane=plane))
-            keys = np.stack([idx for idx, _ in corners], axis=1) + sel[:, None, None] * size
-            wts = np.stack([cw * w for _, cw in corners], axis=1)
+            keys = np.empty((len(sel), corners, family.n_nodes), np.int64)
+            wts = np.empty(keys.shape)
+            for j, (idx, cw) in enumerate(_stencil(grid, pts, plane=plane)):
+                keys[:, j] = idx
+                np.multiply(cw, w, out=wts[:, j])
+            keys += sel[:, None, None] * size
             keep = wts != 0.0
             if not np.any(keep):
                 continue
@@ -204,27 +213,35 @@ def _view_stencils(family, grid):
             parts.append((rays, counts, (keys[first] % size).astype(np.int32),
                           np.add.reduceat(wts, first)))
         rays, counts, nodes, weights = (np.concatenate(p) for p in zip(*parts))
-        yield _ViewStencil(rays, counts, nodes, weights)
+        yield _ViewStencil(rays, counts, np.cumsum(counts) - counts, nodes, weights)
 
 
-def _backproject(data, grid, views, tables):
-    """Transpose of the trapezoid integrals over the views' stencils: data
-    (views, ..., k) onto a symmetric field.
+def _scatter(data, grid, family, dyads):
+    """Transpose of _gather's trapezoid integrals: data (views, ..., k) onto
+    a symmetric field, one view at a time.
 
-    Per view each of the k data streams is repeated over its chord's
-    entries, weighted and summed onto the grid nodes (one bincount per
+    Per view the live chords' nodes and stencil are built as _gather builds
+    them, and each of the k data streams, times the trapezoid and corner
+    weights, is summed onto the grid nodes (one bincount per corner and
     stream), then expanded with the view's dyads, its rows of the table
     (views, k, 6).  Dividing by the cell volume makes this the adjoint for
     the plain sum over rays and the cell-volume weighted L2 field inner
     product.
     """
     size = int(np.prod(grid.dims))
+    tables = dyads(*family.views())
+    plane = family.grid_plane(grid)
     out = np.zeros((size, 6))
-    for rec, v, D in zip(data, views, tables):
-        rec = rec.reshape(-1, rec.shape[-1])[v.rays]
-        scalars = np.stack(
-            [np.bincount(v.nodes, np.repeat(s, v.counts) * v.weights, size) for s in rec.T]
-        )
+    for m, (rec, D) in enumerate(zip(data, tables)):
+        starts, d, lengths = family.chords(m)
+        live = lengths > 0.0
+        pts, w, _ = chord_nodes(starts[live], d, lengths[live], family.n_nodes)
+        streams = rec[live].T[:, :, None] * w  # (k, chords, n)
+        scalars = np.zeros((len(D), size))
+        for idx, cw in _stencil(grid, pts, plane=plane):
+            idx = idx.ravel()
+            for acc, s in zip(scalars, streams):
+                acc += np.bincount(idx, (s * cw).ravel(), size)
         out += scalars.T @ D
     return SymField2(grid, out.reshape(grid.dims + (6,)) / grid.cell_volume())
 
@@ -234,14 +251,16 @@ class FamilyOperator:
     transforms (the CG solve of invert_K_tracefree).
 
     apply(values, dyads) gives _gather's trapezoid integrals, up to the
-    summation order; adjoint(data, dyads) is its exact transpose.  An entry
-    is an int32 node and a float64 weight, 12 bytes.  One-shot transforms
-    use _gather instead: building costs more than one gather.
+    summation order; adjoint(data, dyads) is its exact transpose, and
+    normal(x, rows) the two in one pass.  An entry is an int32 node and a
+    float64 weight, 12 bytes.  One-shot transforms use _gather and _scatter
+    instead: building costs more than one gather.
     """
 
     def __init__(self, family, grid):
         t0 = time.perf_counter()
         self.family, self.grid = family, grid
+        self.size = int(np.prod(grid.dims))
         self.views = list(_view_stencils(family, grid))
         self.build_s = time.perf_counter() - t0
 
@@ -250,29 +269,66 @@ class FamilyOperator:
         return sum(len(v.nodes) for v in self.views)
 
     def apply(self, values, dyads):
-        """Per view: contract with the k dyads, then per scalar take it at
-        the entries, weight it and sum it per chord."""
+        """Per view: contract with the k dyads, then take the k scalars at
+        the entries, weight them and sum them per chord."""
         flat = values.reshape(-1, 6)
         tables = SYM_MULT * dyads(*self.family.views())
         k = tables.shape[-2]
         out = np.zeros(self.family.shape + (k,))
         for rec, v, D in zip(out.reshape(len(out), -1, k), self.views, tables):
             if len(v.rays):
-                starts = np.cumsum(v.counts) - v.counts
-                for j, s in enumerate(D @ flat.T):
-                    rec[v.rays, j] = np.add.reduceat(np.take(s, v.nodes) * v.weights, starts)
+                rec[v.rays] = self._sums(D @ flat.T, v).T
         return out
 
     def adjoint(self, data, dyads):
-        return _backproject(data, self.grid, self.views, dyads(*self.family.views()))
+        """Per view each of the k data streams is repeated over its chord's
+        entries, weighted and summed onto the grid nodes (one bincount per
+        stream), then expanded with the view's dyads; divided by the cell
+        volume, as _scatter."""
+        out = np.zeros((self.size, 6))
+        for rec, v, D in zip(data, self.views, dyads(*self.family.views())):
+            rec = rec.reshape(-1, rec.shape[-1])[v.rays]
+            out += self._spread(rec.T, v).T @ D
+        return SymField2(self.grid, out.reshape(self.grid.dims + (6,)) / self.grid.cell_volume())
+
+    def normal(self, x, rows):
+        """adjoint(apply(.)) on coefficients x (dims + (c,)), in one pass per
+        view: rows (views, k, c) maps a node's coefficients to the view's k
+        dyad contractions (the dyads times SYM_MULT, in the coefficient
+        basis) and, transposed, the k scalars back, so the pass is the
+        normal map A* A of the transform A = apply through rows: the chord
+        sums of the k scalars (_sums) are spread back over the same entries
+        (_spread) and expanded."""
+        c = x.shape[-1]
+        flat = np.ascontiguousarray(x.reshape(-1, c).T)
+        out = np.zeros((c, self.size))
+        for v, A in zip(self.views, rows):
+            if len(v.rays):
+                out += A.T @ self._spread(self._sums(A @ flat, v), v)
+        out /= self.grid.cell_volume()
+        return out.T.reshape(x.shape)
+
+    def _sums(self, scalars, v):
+        """Grid scalars (k, size) taken at view stencil v's entries in one
+        (k, entries) block, weighted and summed per chord: (k, chords)."""
+        block = np.take(scalars, v.nodes, axis=1)
+        block *= v.weights
+        return np.add.reduceat(block, v.starts, axis=1)
+
+    def _spread(self, sums, v):
+        """Chord values (k, chords) of view stencil v, repeated over each
+        chord's entries, weighted and summed onto the nodes: (k, size)."""
+        back = np.repeat(sums, v.counts, axis=-1)
+        back *= v.weights
+        return np.stack([np.bincount(v.nodes, b, self.size) for b in back])
 
 
 def _adjoint(family, data, grid, dyads):
     """Adjoint over an operator's cached stencils, or over a plain family's
-    stencils built one view at a time."""
+    chords built one view at a time."""
     if isinstance(family, FamilyOperator):
         return family.adjoint(data, dyads)
-    return _backproject(data, grid, _view_stencils(family, grid), dyads(*family.views()))
+    return _scatter(data, grid, family, dyads)
 
 
 # ---------------------------------------------------------------------------

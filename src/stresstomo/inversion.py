@@ -37,9 +37,9 @@ from .forward import (
     Sinogram,
     _gather,
     _generator_dyads,
+    _kpair_dyads,
     born_reduce,
     kdata_adjoint,
-    kdata_transform,
     longitudinal_transform,
     truncated_reduce,
     unitarity_drift,
@@ -436,38 +436,40 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=CG_MAXITE
 
     Conjugate gradient on the normal equations; trace-freeness is enforced
     by working in a 5-component deviatoric basis per node.  K and K* run
-    on one FamilyOperator, built here and dropped on return.  Returns
-    (F, info): info holds the iteration count, lam, the final relative
-    residual, the relative residual after every iteration, and the
-    operator's entry count and build time.
+    on one FamilyOperator, built here and dropped on return: the right-hand
+    side is one kdata_adjoint, and every iteration one normal pass
+    (FamilyOperator.normal) with the K dyads in the deviatoric basis.
+    Returns (F, info): info holds the iteration count, lam, the final
+    relative residual, the relative residual after every iteration, the
+    operator's entry count and build time, and normal_s, the time spent in
+    the normal passes.
     """
     if kdata.kind != "kpair":
         raise ValueError("invert_K_tracefree expects kpair records")
     op = FamilyOperator(kdata.family, grid)
     info = {"operator_entries": op.entries, "operator_build_s": op.build_s}
-
-    def K(x):
-        return kdata_transform(SymField2(grid, _coef_to_sym(x)), op).values
-
-    def Kt(yv):
-        return _sym_to_coef(kdata_adjoint(op, yv, grid).values)
-
-    b = Kt(kdata.values)
+    b = _sym_to_coef(kdata_adjoint(op, kdata.values, grid).values)
     if not np.any(b):
         F = SymField2(grid, np.zeros(grid.dims + (6,)))
-        return F, dict(info, iterations=0, lam=0.0, residual=0.0, residuals=[])
+        return F, dict(info, iterations=0, lam=0.0, residual=0.0, residuals=[], normal_s=0.0)
+    rows = (SYM_MULT * _kpair_dyads(*op.family.views())) @ _DEV_BASIS.T
     data_norm = float(np.linalg.norm(kdata.values))
     if lam is None:
         lam = 1e-6 * float(np.linalg.norm(b)) / max(data_norm, 1e-300)
+    # x0 = 0, so r = b exactly
     x = np.zeros(grid.dims + (5,))
-    r = b - (Kt(K(x)) + lam * x)
+    r = b.copy()
     p = r.copy()
     rs = float(np.sum(r * r))
     b0 = float(np.sum(b * b))
     history = []
     iters = 0
+    normal_s = 0.0
     for iters in range(1, maxiter + 1):
-        Ap = Kt(K(p)) + lam * p
+        t0 = time.perf_counter()
+        Ap = op.normal(p, rows)
+        normal_s += time.perf_counter() - t0
+        Ap += lam * p
         alpha = rs / float(np.sum(p * Ap))
         x += alpha * p
         r -= alpha * Ap
@@ -484,7 +486,8 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=CG_MAXITE
             f"(residual {np.sqrt(rs / b0):.3e})"
         )
     F = SymField2(grid, _coef_to_sym(x))
-    return F, dict(info, iterations=iters, lam=lam, residual=history[-1], residuals=history)
+    return F, dict(info, iterations=iters, lam=lam, residual=history[-1], residuals=history,
+                   normal_s=normal_s)
 
 
 # ---------------------------------------------------------------------------

@@ -121,29 +121,55 @@ def family_manifest(family):
     return base
 
 
+def _count(man, key):
+    v = man.get(key)
+    if type(v) is not int or v < 1:
+        raise ValueError(f"family manifest: {key} must be a positive integer, got {v!r}")
+    return v
+
+
+def _length(man, key):
+    v = man.get(key)
+    if type(v) not in (int, float) or not 0.0 < v < np.inf:
+        raise ValueError(f"family manifest: {key} must be a positive finite number, got {v!r}")
+    return float(v)
+
+
+def _floats(man, key, shape):
+    """A finite float array of man[key]; shape may hold -1 for any
+    positive length."""
+    try:
+        v = np.asarray(man.get(key), dtype=float)
+    except (TypeError, ValueError):
+        v = None
+    if (v is None or v.ndim != len(shape) or not v.size or not np.all(np.isfinite(v))
+            or any(n not in (-1, m) for n, m in zip(shape, v.shape))):
+        raise ValueError(f"family manifest: {key} must be finite floats of shape {shape}")
+    return v
+
+
 def family_from_manifest(man):
-    offs = _cell_centered_offsets(man["radius"], man["offset_count"])
-    if man["kind"] == "plane":
-        n = man["angle_count"]
+    """The family a manifest describes; a ValueError naming the field when
+    one is missing, of the wrong type or out of range."""
+    if not isinstance(man, dict):
+        raise ValueError(f"family manifest must be an object, got {man!r}")
+    radius, step = _length(man, "radius"), _length(man, "step")
+    offs = _cell_centered_offsets(radius, _count(man, "offset_count"))
+    center = _floats(man, "center", (3,))
+    if man.get("kind") == "plane":
+        axis = man.get("axis")
+        if type(axis) is not int or axis not in (0, 1, 2):
+            raise ValueError(f"family manifest: axis must be 0, 1 or 2, got {axis!r}")
+        n = _count(man, "angle_count")
         thetas = np.arange(n) * np.pi / n
-        return PlaneFamily(
-            man["axis"],
-            thetas,
-            offs,
-            np.asarray(man["slices"], dtype=float),
-            np.asarray(man["center"], dtype=float),
-            man["radius"],
-            man["step"],
-        )
-    if man["kind"] == "sphere":
+        return PlaneFamily(axis, thetas, offs, _floats(man, "slices", (-1,)), center, radius, step)
+    if man.get("kind") == "sphere":
         if "directions" in man:
-            dirs = np.asarray(man["directions"], dtype=float)
+            dirs = _floats(man, "directions", (-1, 3))
         else:
-            dirs = fibonacci_sphere(man["direction_count"])
-        return SphereFamily(
-            dirs, offs, np.asarray(man["center"], dtype=float), man["radius"], man["step"]
-        )
-    raise ValueError(f"unknown family kind {man['kind']!r}")
+            dirs = fibonacci_sphere(_count(man, "direction_count"))
+        return SphereFamily(dirs, offs, center, radius, step)
+    raise ValueError(f"unknown family kind {man.get('kind')!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +324,19 @@ def _parse_bulk(path, family_id, kind, count):
 def read_sinogram(path):
     """Read a sinogram CSV and its manifest.
 
-    Every ray index of the family must appear exactly once, and every row
-    must name the manifest's family and kind; malformed records raise
+    The manifest's family is checked by family_from_manifest.  Every ray
+    index of the family must appear exactly once, and every row must name
+    the manifest's family and kind; malformed records raise
     ValueError and non-finite values FloatingPointError, both naming the
     file.  A well-formed file is parsed in bulk; any other goes through
     the row loop, which finds the first bad line.
     """
     with open(str(path) + ".manifest.json") as fh:
         man = json.load(fh)
-    fam = family_from_manifest(man["family"])
+    try:
+        fam = family_from_manifest(man["family"])
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     kind = man["kind"]
     ncol = len(_KIND_COLUMNS[kind])
     shape = fam.shape

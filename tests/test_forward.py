@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -27,6 +28,7 @@ from stresstomo.forward import (
     Sinogram,
     _flow,
     _gather,
+    _scatter,
     _trapezoid,
     _generator_dyads,
     _kpair_dyads,
@@ -61,7 +63,7 @@ from stresstomo.geometry import (
     line_ray,
     trilinear,
 )
-from stresstomo.inversion import _trace_dyads
+from stresstomo.inversion import _DEV_BASIS, _coef_to_sym, _sym_to_coef, _trace_dyads
 from stresstomo.material import ConditionError, MaterialParams, swave_weights
 
 
@@ -648,10 +650,50 @@ def test_family_operator_property(family, a, which, seed):
     assert abs(lhs - sym_inner(F, back)) <= 1e-10 * max(
         np.linalg.norm(got) * np.linalg.norm(y), 1e-300
     )
+    # the one-shot scatter over the unmerged stencils is the same transpose
+    scattered = _scatter(y, _PAIR_GRID, family, dyads).values
+    assert np.max(np.abs(scattered - back.values)) <= 1e-12 * np.max(
+        np.abs(back.values), initial=1e-300
+    )
     again = FamilyOperator(family, _PAIR_GRID)
     assert again.entries == op.entries
     assert again.apply(F.values, dyads).tobytes() == got.tobytes()
     assert again.adjoint(y, dyads).values.tobytes() == back.values.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=random_families(reach=1.4),
+    a=st.floats(-2.0, 2.0),
+    which=st.sampled_from(["I", "K", "generator", "trace"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_family_operator_normal_pass_property(family, a, which, seed):
+    # the fused pass is adjoint(apply(.)) on deviatoric coefficients, also
+    # where chords miss the ball or leave the box; symmetric and repeatable
+    dyads = _pair_dyads(which, a)
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(2,) + _PAIR_GRID.dims + (5,))
+    op = FamilyOperator(family, _PAIR_GRID)
+    rows = (SYM_MULT * dyads(*family.views())) @ _DEV_BASIS.T
+    got = op.normal(x, rows)
+    want = _sym_to_coef(op.adjoint(op.apply(_coef_to_sym(x), dyads), dyads).values)
+    assert got.shape == want.shape == x.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=1e-300)
+    ny = op.normal(y, rows)
+    lhs, rhs = float(np.sum(y * got)), float(np.sum(x * ny))
+    assert abs(lhs - rhs) <= 1e-12 * max(np.linalg.norm(x) * np.linalg.norm(ny), 1e-300)
+    assert op.normal(x, rows).tobytes() == got.tobytes()
+
+
+def test_family_operator_stores_twelve_bytes_per_entry(grid):
+    # int32 nodes and float64 weights per entry, and per live chord its
+    # index, entry count and first entry
+    for fam in [build_sphere_family(grid, 6, 16)] + build_line_families(grid, 6, 24):
+        op = FamilyOperator(fam, grid)
+        chords = sum(len(v.rays) for v in op.views)
+        total = sum(getattr(v, f.name).nbytes for v in op.views for f in dataclasses.fields(v))
+        assert 0 < op.entries and total <= 12 * op.entries + 24 * chords
 
 
 # ---------------------------------------------------------------------------

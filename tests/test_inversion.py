@@ -15,7 +15,9 @@ from stresstomo.fields import (
     random_smooth_sym,
     solenoidal_project,
 )
+import stresstomo.inversion as inversion
 from stresstomo.forward import (
+    FamilyOperator,
     Sinogram,
     kdata_transform,
     longitudinal_transform,
@@ -203,7 +205,7 @@ def test_invert_K_zero_data(grid):
     kd = kdata_transform(zero, fam)
     F, info = invert_K_tracefree(kd, grid)
     assert np.max(np.abs(F.values)) == 0.0
-    assert info["iterations"] == 0 and info["residuals"] == []
+    assert info["iterations"] == 0 and info["residuals"] == [] and info["normal_s"] == 0.0
 
 
 def test_invert_K_output_trace_free(grid, rng):
@@ -226,6 +228,27 @@ def test_kdata_blind_to_pure_trace(grid, rng):
     kd = kdata_transform(iso, fam)
     scale = np.max(np.abs(kdata_transform(random_smooth_sym(grid, rng), fam).values))
     assert np.max(np.abs(kd.values)) < 1e-10 * scale
+
+
+def test_invert_K_runs_one_normal_pass_per_iteration(grid, rng, monkeypatch):
+    # the right-hand side is the one backprojection; every iteration is one
+    # fused K*K pass, and the x0 = 0 start costs none
+    calls = {"normal": 0, "kdata_adjoint": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(FamilyOperator, "normal", counted("normal", FamilyOperator.normal))
+    monkeypatch.setattr(inversion, "kdata_adjoint", counted("kdata_adjoint", inversion.kdata_adjoint))
+    fam = build_sphere_family(grid, 12)
+    kd = kdata_transform(random_smooth_sym(grid, rng), fam)
+    _, info = invert_K_tracefree(kd, grid, tol=1e-2, maxiter=50)
+    assert calls == {"normal": info["iterations"], "kdata_adjoint": 1}
+    assert info["iterations"] > 0 and 0.0 < info["normal_s"]
 
 
 def test_invert_K_nonconvergence_raises(grid, rng):
@@ -315,6 +338,7 @@ def test_swave_pipeline_quick_start_defaults_converge(grid):
     rec, report = swave_pipeline(sinos, params, grid, 1e-3)
     cg = report.stages["cg"]
     assert 0 < cg["iterations"] <= CG_MAXITER and cg["residual"] <= CG_TOL
+    assert 0.0 < cg["normal_s"] <= report.timing["invert_K"]
     assert np.linalg.norm(rec.values - R.values) / np.linalg.norm(R.values) <= 0.31
     tol = load_config()["tolerances"]
     assert (tol["cg_tol"], tol["cg_maxiter"]) == (CG_TOL, CG_MAXITER)

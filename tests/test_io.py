@@ -150,6 +150,58 @@ def test_sinogram_rejects_non_finite_values(grid, rng, tmp_path, bad):
     assert str(p) in str(err.value)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        # the five edits of the CLI's manifest test (axis 1 is another valid
+        # family there; out of range here), then the rest of each field's range
+        ("plane", "step", 0),
+        ("plane", "step", "x"),
+        ("plane", "axis", 3),
+        ("plane", "radius", -1),
+        ("plane", "center", [0.0, 0.0]),
+        ("plane", "axis", True),
+        ("plane", "axis", 1.0),
+        ("plane", "step", _INF),
+        ("plane", "radius", _NAN),
+        ("plane", "radius", None),
+        ("plane", "center", [0.0, _NAN, 0.0]),
+        ("plane", "center", "abc"),
+        ("plane", "offset_count", 0),
+        ("plane", "angle_count", 2.5),
+        ("plane", "slices", [0.0, _INF]),
+        ("plane", "slices", []),
+        ("sphere", "direction_count", -1),
+        ("sphere", "directions", [[_NAN, 0.0, 1.0]]),
+        ("sphere", "directions", [0.0, 0.0, 1.0]),
+        ("sphere", "step", -0.1),
+    ],
+)
+def test_read_sinogram_rejects_edited_family_manifest(grid, rng, tmp_path, kind, key, value):
+    R = random_bump_sym(grid, rng, radius=0.6)
+    fam = build_line_families(grid, 6, 16)[0] if kind == "plane" else build_sphere_family(grid, 5)
+    p = tmp_path / "s.csv"
+    write_sinogram(p, longitudinal_transform(R, fam))
+    side = tmp_path / "s.csv.manifest.json"
+    man = json.loads(side.read_text())
+    man["family"][key] = value
+    side.write_text(json.dumps(man))
+    with pytest.raises(ValueError, match=key) as err:
+        read_sinogram(p)
+    assert str(p) in str(err.value)
+
+
+def test_family_manifest_axis_edit_is_another_valid_family(grid):
+    # plane0's manifest edited to axis 1 reads as a plane family on axis 1:
+    # only a comparison with the expected family (the CLI's) rejects it
+    man = family_manifest(build_line_families(grid, 6, 16)[0])
+    fam = family_from_manifest(dict(man, axis=1))
+    assert fam.axis == 1 and family_manifest(fam) == dict(man, axis=1)
+
+
 def test_sinogram_write_is_deterministic(grid, rng, tmp_path):
     R = random_bump_sym(grid, rng, radius=0.6)
     plane = build_line_families(grid, 6, 16)[1]
