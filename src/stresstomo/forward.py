@@ -13,11 +13,10 @@ and frame, and only those k scalars are interpolated at the chord nodes and
 summed with the family's trapezoid weights (_gather).  Only chords that
 cross the ball are sampled; an empty chord (L = 0) gets the record of zero
 samples, exactly 0 for the integrals and exactly the identity for the
-propagators.  The one-shot adjoints scatter over the same chords' nodes
-and stencils, one view at a time (_scatter).  A FamilyOperator merges the
-interpolation weights of one family's chords once, so that a solver applies
-K and K*, or K*K in one pass per view (FamilyOperator.normal), without
-rebuilding the geometry.
+propagators.  The adjoints run over the same chords' merged interpolation
+weights, held by a FamilyOperator.  Built once for one family, it lets a
+solver apply K* and K*K, the latter in one pass per view
+(FamilyOperator.normal), without rebuilding the geometry.
 """
 
 from __future__ import annotations
@@ -216,45 +215,15 @@ def _view_stencils(family, grid):
         yield _ViewStencil(rays, counts, np.cumsum(counts) - counts, nodes, weights)
 
 
-def _scatter(data, grid, family, dyads):
-    """Transpose of _gather's trapezoid integrals: data (views, ..., k) onto
-    a symmetric field, one view at a time.
-
-    Per view the live chords' nodes and stencil are built as _gather builds
-    them, and each of the k data streams, times the trapezoid and corner
-    weights, is summed onto the grid nodes (one bincount per corner and
-    stream), then expanded with the view's dyads, its rows of the table
-    (views, k, 6).  Dividing by the cell volume makes this the adjoint for
-    the plain sum over rays and the cell-volume weighted L2 field inner
-    product.
-    """
-    size = int(np.prod(grid.dims))
-    tables = dyads(*family.views())
-    plane = family.grid_plane(grid)
-    out = np.zeros((size, 6))
-    for m, (rec, D) in enumerate(zip(data, tables)):
-        starts, d, lengths = family.chords(m)
-        live = lengths > 0.0
-        pts, w, _ = chord_nodes(starts[live], d, lengths[live], family.n_nodes)
-        streams = rec[live].T[:, :, None] * w  # (k, chords, n)
-        scalars = np.zeros((len(D), size))
-        for idx, cw in _stencil(grid, pts, plane=plane):
-            idx = idx.ravel()
-            for acc, s in zip(scalars, streams):
-                acc += np.bincount(idx, (s * cw).ravel(), size)
-        out += scalars.T @ D
-    return SymField2(grid, out.reshape(grid.dims + (6,)) / grid.cell_volume())
-
-
 class FamilyOperator:
     """One family's chord stencils on one grid, built once for repeated
     transforms (the CG solve of invert_K_tracefree).
 
-    apply(values, dyads) gives _gather's trapezoid integrals, up to the
-    summation order; adjoint(data, dyads) is its exact transpose, and
-    normal(x, rows) the two in one pass.  An entry is an int32 node and a
-    float64 weight, 12 bytes.  One-shot transforms use _gather and _scatter
-    instead: building costs more than one gather.
+    adjoint(data, dyads) is the exact transpose of the merged stencils'
+    trapezoid integrals, which are _gather's up to the summation order, and
+    normal(x, rows) the integrals and their transpose in one pass.  An entry
+    is an int32 node and a float64 weight, 12 bytes.  Forward transforms use
+    _gather: building costs more than one gather.
     """
 
     def __init__(self, family, grid):
@@ -268,23 +237,12 @@ class FamilyOperator:
     def entries(self):
         return sum(len(v.nodes) for v in self.views)
 
-    def apply(self, values, dyads):
-        """Per view: contract with the k dyads, then take the k scalars at
-        the entries, weight them and sum them per chord."""
-        flat = values.reshape(-1, 6)
-        tables = SYM_MULT * dyads(*self.family.views())
-        k = tables.shape[-2]
-        out = np.zeros(self.family.shape + (k,))
-        for rec, v, D in zip(out.reshape(len(out), -1, k), self.views, tables):
-            if len(v.rays):
-                rec[v.rays] = self._sums(D @ flat.T, v).T
-        return out
-
     def adjoint(self, data, dyads):
         """Per view each of the k data streams is repeated over its chord's
         entries, weighted and summed onto the grid nodes (one bincount per
-        stream), then expanded with the view's dyads; divided by the cell
-        volume, as _scatter."""
+        stream), then expanded with the view's dyads.  Dividing by the cell
+        volume makes this the adjoint for the plain sum over rays and the
+        cell-volume weighted L2 field inner product."""
         out = np.zeros((self.size, 6))
         for rec, v, D in zip(data, self.views, dyads(*self.family.views())):
             rec = rec.reshape(-1, rec.shape[-1])[v.rays]
@@ -292,28 +250,23 @@ class FamilyOperator:
         return SymField2(self.grid, out.reshape(self.grid.dims + (6,)) / self.grid.cell_volume())
 
     def normal(self, x, rows):
-        """adjoint(apply(.)) on coefficients x (dims + (c,)), in one pass per
-        view: rows (views, k, c) maps a node's coefficients to the view's k
-        dyad contractions (the dyads times SYM_MULT, in the coefficient
-        basis) and, transposed, the k scalars back, so the pass is the
-        normal map A* A of the transform A = apply through rows: the chord
-        sums of the k scalars (_sums) are spread back over the same entries
-        (_spread) and expanded."""
+        """A* A on coefficients x (dims + (c,)), in one pass per view, for
+        the transform A whose view rows (views, k, c) map a node's
+        coefficients to the view's k dyad contractions (the dyads times
+        SYM_MULT, in the coefficient basis): the k scalars are taken at the
+        view's entries in one (k, entries) block, weighted and summed per
+        chord, spread back over the same entries (_spread) and expanded
+        with the rows transposed."""
         c = x.shape[-1]
         flat = np.ascontiguousarray(x.reshape(-1, c).T)
         out = np.zeros((c, self.size))
         for v, A in zip(self.views, rows):
             if len(v.rays):
-                out += A.T @ self._spread(self._sums(A @ flat, v), v)
+                block = np.take(A @ flat, v.nodes, axis=1)
+                block *= v.weights
+                out += A.T @ self._spread(np.add.reduceat(block, v.starts, axis=1), v)
         out /= self.grid.cell_volume()
         return out.T.reshape(x.shape)
-
-    def _sums(self, scalars, v):
-        """Grid scalars (k, size) taken at view stencil v's entries in one
-        (k, entries) block, weighted and summed per chord: (k, chords)."""
-        block = np.take(scalars, v.nodes, axis=1)
-        block *= v.weights
-        return np.add.reduceat(block, v.starts, axis=1)
 
     def _spread(self, sums, v):
         """Chord values (k, chords) of view stencil v, repeated over each
@@ -324,11 +277,10 @@ class FamilyOperator:
 
 
 def _adjoint(family, data, grid, dyads):
-    """Adjoint over an operator's cached stencils, or over a plain family's
-    chords built one view at a time."""
-    if isinstance(family, FamilyOperator):
-        return family.adjoint(data, dyads)
-    return _scatter(data, grid, family, dyads)
+    """Adjoint over an operator's stencils, built here for a plain family."""
+    if not isinstance(family, FamilyOperator):
+        family = FamilyOperator(family, grid)
+    return family.adjoint(data, dyads)
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +495,8 @@ def kdata_transform(F: SymField2, family) -> Sinogram:
     """K(F): the truncated transverse transform straight from a field.
 
     Per ray, d = integral of F : (e1 e1 - e2 e2)/2 and o = integral of
-    F : sym(e1 x e2).  family may be a FamilyOperator, whose cached
-    stencils are then used.
+    F : sym(e1 x e2).
     """
-    if isinstance(family, FamilyOperator):
-        return Sinogram(family.family, "kpair", family.apply(F.values, _kpair_dyads))
     return Sinogram(family, "kpair", _gather(F.values, F.grid, family, _kpair_dyads))
 
 

@@ -135,12 +135,20 @@ def _length(man, key):
     return float(v)
 
 
+def _numbers(v, depth):
+    """v is a number (not a bool) at depth 0, else a list of such."""
+    if depth == 0:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, (list, tuple)) and all(_numbers(e, depth - 1) for e in v)
+
+
 def _floats(man, key, shape):
-    """A finite float array of man[key]; shape may hold -1 for any
-    positive length."""
+    """A finite float array of man[key], nested lists of numbers; shape
+    may hold -1 for any positive length."""
+    v = man.get(key)
     try:
-        v = np.asarray(man.get(key), dtype=float)
-    except (TypeError, ValueError):
+        v = np.asarray(v, dtype=float) if _numbers(v, len(shape)) else None
+    except ValueError:  # ragged
         v = None
     if (v is None or v.ndim != len(shape) or not v.size or not np.all(np.isfinite(v))
             or any(n not in (-1, m) for n, m in zip(shape, v.shape))):
@@ -166,6 +174,8 @@ def family_from_manifest(man):
     if man.get("kind") == "sphere":
         if "directions" in man:
             dirs = _floats(man, "directions", (-1, 3))
+            if np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) > 1e-12:
+                raise ValueError("family manifest: directions must be unit vectors")
         else:
             dirs = fibonacci_sphere(_count(man, "direction_count"))
         return SphereFamily(dirs, offs, center, radius, step)

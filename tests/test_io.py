@@ -20,7 +20,7 @@ from stresstomo.forward import (
     mixed_transform,
     rytov_family,
 )
-from stresstomo.geometry import build_line_families, build_sphere_family
+from stresstomo.geometry import SphereFamily, build_line_families, build_sphere_family
 from stresstomo.inversion import ReconReport
 from stresstomo.io import (
     _HEADER,
@@ -84,11 +84,15 @@ def test_plane_family_manifest_regenerates_exactly(grid):
 
 
 def test_sphere_family_manifest_regenerates_exactly(grid):
-    fam = build_sphere_family(grid, 17)
-    back = family_from_manifest(family_manifest(fam))
-    assert np.array_equal(back.directions, fam.directions)
-    assert np.array_equal(back.offsets, fam.offsets)
-    assert back.step == fam.step
+    fib = build_sphere_family(grid, 17)
+    # directions other than the Fibonacci set are written out and pass the
+    # unit-norm check on reading
+    turned = SphereFamily(fib.directions[::-1], fib.offsets, fib.center, fib.radius, fib.step)
+    for fam in (fib, turned):
+        back = family_from_manifest(json.loads(json.dumps(family_manifest(fam))))
+        assert np.array_equal(back.directions, fam.directions)
+        assert np.array_equal(back.offsets, fam.offsets)
+        assert back.step == fam.step
 
 
 def test_sinogram_round_trip_each_kind(grid, rng, tmp_path):
@@ -177,6 +181,14 @@ _NAN, _INF = float("nan"), float("inf")
         ("sphere", "direction_count", -1),
         ("sphere", "directions", [[_NAN, 0.0, 1.0]]),
         ("sphere", "directions", [0.0, 0.0, 1.0]),
+        ("plane", "center", ["0", "0", "0"]),
+        ("plane", "center", [0.0, False, 0.0]),
+        ("plane", "slices", [True]),
+        ("plane", "slices", ["0.1"]),
+        ("sphere", "directions", [[0.0, 0.0, 1.0], [0.0, "1", 0.0]]),
+        ("sphere", "directions", [[0.0, 0.0, 1.0], [0.0, 1.0]]),
+        ("sphere", "directions", [[0.0, 0.0, 0.0]]),
+        ("sphere", "directions", [[0.0, 0.0, 2.0]]),
         ("sphere", "step", -0.1),
     ],
 )
