@@ -262,9 +262,10 @@ class FamilyOperator:
         out = np.zeros((c, self.size))
         for v, A in zip(self.views, rows):
             if len(v.rays):
-                block = np.take(A @ flat, v.nodes, axis=1)
-                block *= v.weights
-                out += A.T @ self._spread(np.add.reduceat(block, v.starts, axis=1), v)
+                s = np.take(A @ flat, v.nodes, axis=1)
+                s *= v.weights
+                s = np.add.reduceat(s, v.starts, axis=1)  # frees the (k, entries) block
+                out += A.T @ self._spread(s, v)
         out /= self.grid.cell_volume()
         return out.T.reshape(x.shape)
 

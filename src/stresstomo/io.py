@@ -128,18 +128,18 @@ def _count(man, key):
     return v
 
 
-def _length(man, key):
-    v = man.get(key)
-    if type(v) not in (int, float) or not 0.0 < v < np.inf:
-        raise ValueError(f"family manifest: {key} must be a positive finite number, got {v!r}")
-    return float(v)
-
-
 def _numbers(v, depth):
     """v is a number (not a bool) at depth 0, else a list of such."""
     if depth == 0:
         return isinstance(v, (int, float)) and not isinstance(v, bool)
     return isinstance(v, (list, tuple)) and all(_numbers(e, depth - 1) for e in v)
+
+
+def _length(man, key):
+    v = man.get(key)
+    if not _numbers(v, 0) or not 0.0 < v < np.inf:
+        raise ValueError(f"family manifest: {key} must be a positive finite number, got {v!r}")
+    return float(v)
 
 
 def _floats(man, key, shape):
