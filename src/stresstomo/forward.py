@@ -16,7 +16,10 @@ samples, exactly 0 for the integrals and exactly the identity for the
 propagators.  The adjoints run over the same chords' merged interpolation
 weights, held by a FamilyOperator.  Built once for one family, it lets a
 solver apply K* and K*K, the latter in one pass per view
-(FamilyOperator.normal), without rebuilding the geometry.
+(FamilyOperator.normal), without rebuilding the geometry.  An operator may
+be restricted to a support, a node mask such as the ball's: it then keeps
+only the entries on the support's nodes, numbered over the support, so a
+solver's unknowns are the support's nodes alone.
 """
 
 from __future__ import annotations
@@ -181,9 +184,17 @@ class _ViewStencil:
     weights: np.ndarray
 
 
-def _view_stencils(family, grid):
-    """Yield the merged stencil of every view of a family, chunk by chunk."""
+def _view_stencils(family, grid, support=None):
+    """Yield the merged stencil of every view of a family, chunk by chunk.
+
+    With a support (a boolean node mask of grid.dims) the entries on nodes
+    outside it are dropped before merging, so the merged weights of the
+    kept nodes are those of the whole grid, and nodes are numbered over
+    the support in flat order.
+    """
     size = int(np.prod(grid.dims))
+    inside = None if support is None else support.ravel()
+    number = None if support is None else (np.cumsum(inside) - 1).astype(np.int32)
     plane = family.grid_plane(grid)
     corners = 8 if plane is None else 4
     chunk = max(1, _STEP_ENTRIES // (family.n_nodes * corners))
@@ -200,17 +211,20 @@ def _view_stencils(family, grid):
             for j, (idx, cw) in enumerate(_stencil(grid, pts, plane=plane)):
                 keys[:, j] = idx
                 np.multiply(cw, w, out=wts[:, j])
-            keys += sel[:, None, None] * size
             keep = wts != 0.0
+            if inside is not None:
+                keep &= inside[keys]
             if not np.any(keep):
                 continue
+            keys += sel[:, None, None] * size
             keys, wts = keys[keep], wts[keep]
             order = np.argsort(keys, kind="stable")
             keys, wts = keys[order], wts[order]
             first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
             rays, counts = np.unique(keys[first] // size, return_counts=True)
-            parts.append((rays, counts, (keys[first] % size).astype(np.int32),
-                          np.add.reduceat(wts, first)))
+            nodes = keys[first] % size
+            nodes = nodes.astype(np.int32) if number is None else number[nodes]
+            parts.append((rays, counts, nodes, np.add.reduceat(wts, first)))
         rays, counts, nodes, weights = (np.concatenate(p) for p in zip(*parts))
         yield _ViewStencil(rays, counts, np.cumsum(counts) - counts, nodes, weights)
 
@@ -224,13 +238,19 @@ class FamilyOperator:
     normal(x, rows) the integrals and their transpose in one pass.  An entry
     is an int32 node and a float64 weight, 12 bytes.  Forward transforms use
     _gather: building costs more than one gather.
+
+    support, a boolean node mask of grid.dims (None: the whole grid),
+    restricts the operator to fields that vanish off it: only the entries
+    on its nodes are kept, and size is its node count.  normal then maps
+    (size, c) coefficients of the support's nodes in flat order, and
+    adjoint still returns a whole-grid field, zero off the support.
     """
 
-    def __init__(self, family, grid):
+    def __init__(self, family, grid, support=None):
         t0 = time.perf_counter()
-        self.family, self.grid = family, grid
-        self.size = int(np.prod(grid.dims))
-        self.views = list(_view_stencils(family, grid))
+        self.family, self.grid, self.support = family, grid, support
+        self.size = int(np.prod(grid.dims) if support is None else np.count_nonzero(support))
+        self.views = list(_view_stencils(family, grid, support))
         self.build_s = time.perf_counter() - t0
 
     @property
@@ -247,16 +267,21 @@ class FamilyOperator:
         for rec, v, D in zip(data, self.views, dyads(*self.family.views())):
             rec = rec.reshape(-1, rec.shape[-1])[v.rays]
             out += self._spread(rec.T, v).T @ D
-        return SymField2(self.grid, out.reshape(self.grid.dims + (6,)) / self.grid.cell_volume())
+        out /= self.grid.cell_volume()
+        if self.support is not None:
+            full = np.zeros(self.grid.dims + (6,))
+            full[self.support] = out
+            out = full
+        return SymField2(self.grid, out.reshape(self.grid.dims + (6,)))
 
     def normal(self, x, rows):
-        """A* A on coefficients x (dims + (c,)), in one pass per view, for
-        the transform A whose view rows (views, k, c) map a node's
-        coefficients to the view's k dyad contractions (the dyads times
-        SYM_MULT, in the coefficient basis): the k scalars are taken at the
-        view's entries in one (k, entries) block, weighted and summed per
-        chord, spread back over the same entries (_spread) and expanded
-        with the rows transposed."""
+        """A* A on coefficients x, (size, c) or, on the whole grid, dims +
+        (c,), in one pass per view, for the transform A whose view rows
+        (views, k, c) map a node's coefficients to the view's k dyad
+        contractions (the dyads times SYM_MULT, in the coefficient basis):
+        the k scalars are taken at the view's entries in one (k, entries)
+        block, weighted and summed per chord, spread back over the same
+        entries (_spread) and expanded with the rows transposed."""
         c = x.shape[-1]
         flat = np.ascontiguousarray(x.reshape(-1, c).T)
         out = np.zeros((c, self.size))

@@ -3,9 +3,9 @@
 The compressional route inverts the longitudinal ray transform over three
 coordinate-plane line families by Fourier regridding (central-slice), then
 splits the trace contamination in the Fourier domain.  The shear route
-solves a regularized normal equation for the trace-free part and recovers
-the trace by scalar filtered backprojection of the eta-averaged diagonal
-data.
+solves a regularized normal equation for the trace-free part on the ball's
+nodes and recovers the trace by scalar filtered backprojection of the
+eta-averaged diagonal data.
 """
 
 import functools
@@ -432,23 +432,29 @@ CG_MAXITER = 300
 
 
 def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=CG_MAXITER, tol=CG_TOL):
-    """Solve min |K F - kdata|^2 + lam |F|^2 over trace-free symmetric F.
+    """Solve min |K F - kdata|^2 + lam |F|^2 over trace-free symmetric F
+    supported in the ball grid.domain.
 
     Conjugate gradient on the normal equations; trace-freeness is enforced
-    by working in a 5-component deviatoric basis per node.  K and K* run
-    on one FamilyOperator, built here and dropped on return: the right-hand
-    side is one kdata_adjoint, and every iteration one normal pass
-    (FamilyOperator.normal) with the K dyads in the deviatoric basis.
-    Returns (F, info): info holds the iteration count, lam, the final
-    relative residual, the relative residual after every iteration, the
-    operator's entry count and build time, and normal_s, the time spent in
-    the normal passes.
+    by working in a 5-component deviatoric basis per node, and the
+    unknowns are the coefficients of the ball's nodes only (the stress
+    vanishes outside the body): F is exactly zero off them.  K and K* run
+    on one FamilyOperator restricted to the ball, built here and dropped
+    on return: the right-hand side is one kdata_adjoint, and every
+    iteration one normal pass (FamilyOperator.normal) with the K dyads in
+    the deviatoric basis, on (support nodes, 5) vectors.  Returns (F,
+    info): info holds the iteration count, lam, the final relative
+    residual, the relative residual after every iteration, the support's
+    node count (support_nodes), the operator's entry count on the support
+    and its build time, and normal_s, the time spent in the normal passes.
     """
     if kdata.kind != "kpair":
         raise ValueError("invert_K_tracefree expects kpair records")
-    op = FamilyOperator(kdata.family, grid)
-    info = {"operator_entries": op.entries, "operator_build_s": op.build_s}
-    b = _sym_to_coef(kdata_adjoint(op, kdata.values, grid).values)
+    support = grid.domain_mask()
+    op = FamilyOperator(kdata.family, grid, support)
+    info = {"support_nodes": op.size, "operator_entries": op.entries,
+            "operator_build_s": op.build_s}
+    b = _sym_to_coef(kdata_adjoint(op, kdata.values, grid).values[support])
     if not np.any(b):
         F = SymField2(grid, np.zeros(grid.dims + (6,)))
         return F, dict(info, iterations=0, lam=0.0, residual=0.0, residuals=[], normal_s=0.0)
@@ -457,7 +463,7 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=CG_MAXITE
     if lam is None:
         lam = 1e-6 * float(np.linalg.norm(b)) / max(data_norm, 1e-300)
     # x0 = 0, so r = b exactly
-    x = np.zeros(grid.dims + (5,))
+    x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
     rs = float(np.sum(r * r))
@@ -485,7 +491,9 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=CG_MAXITE
             f"normal-equation CG did not converge in {maxiter} iterations "
             f"(residual {np.sqrt(rs / b0):.3e})"
         )
-    F = SymField2(grid, _coef_to_sym(x))
+    coef = np.zeros(grid.dims + (5,))
+    coef[support] = x
+    F = SymField2(grid, _coef_to_sym(coef))
     return F, dict(info, iterations=iters, lam=lam, residual=history[-1], residuals=history,
                    normal_s=normal_s)
 
@@ -524,9 +532,10 @@ def recover_trace(ldata, Ftilde: SymField2, a, floor=1e-8, eta_tol=1e-6):
     Per ray the two diagonal entries each equal (their F-tilde prediction)
     plus (a + 2/3) times the ray integral of tr F; the average over the two
     polarizations is used, and their disagreement is reported as a data
-    consistency warning.  The scalar transform is inverted slice by slice
-    with Ram-Lak filtered backprojection on the family orthogonal to the
-    third axis; the remaining families serve as consistency checks.
+    consistency warning.  Only the family orthogonal to the third axis is
+    read, for both the trace and the warning: its scalar transform is
+    inverted slice by slice with Ram-Lak filtered backprojection.  Any
+    other family in ldata is ignored.
     """
     if abs(a + 2.0 / 3.0) < floor:
         raise NonUniqueError("a + 2/3 vanishes: the trace cannot be recovered")
@@ -584,10 +593,12 @@ def swave_pipeline(sinograms, params, grid: Grid3, scale, lam=None, maxiter=CG_M
     """Shear reconstruction from propagator sinograms.
 
     sinograms: propagator records over one dense-sphere family (feeds the
-    trace-free inversion) and three coordinate-plane families (feed the
-    scalar trace recovery).  scale is the stress amplitude used when the
-    propagators were collected; the result approximates the true R up to
-    the quadratic Born remainder.  lam, maxiter and tol go to
+    trace-free inversion, solved on the ball's nodes) and three
+    coordinate-plane families, of which only the one orthogonal to the
+    third axis feeds the scalar trace recovery and its split warning; the
+    other two are required but not used.  scale is the stress amplitude
+    used when the propagators were collected; the result approximates the
+    true R up to the quadratic Born remainder.  lam, maxiter and tol go to
     invert_K_tracefree; the defaults are the CLI's.
     """
     t0 = time.perf_counter()

@@ -334,9 +334,10 @@ def _parse_bulk(path, family_id, kind, count):
 def read_sinogram(path):
     """Read a sinogram CSV and its manifest.
 
-    The manifest's family is checked by family_from_manifest.  Every ray
-    index of the family must appear exactly once, and every row must name
-    the manifest's family and kind; malformed records raise
+    The manifest must be an object with a string family_id, a known kind
+    and a family, which family_from_manifest checks.  Every ray index of
+    the family must appear exactly once, and every row must name the
+    manifest's family and kind; a malformed manifest or record raises
     ValueError and non-finite values FloatingPointError, both naming the
     file.  A well-formed file is parsed in bulk; any other goes through
     the row loop, which finds the first bad line.
@@ -344,14 +345,23 @@ def read_sinogram(path):
     with open(str(path) + ".manifest.json") as fh:
         man = json.load(fh)
     try:
+        if not isinstance(man, dict):
+            raise ValueError(f"manifest must be an object, got {type(man).__name__}")
+        for key in ("family_id", "kind", "family"):
+            if key not in man:
+                raise ValueError(f"manifest has no {key}")
+        family_id, kind = man["family_id"], man["kind"]
+        if type(family_id) is not str:
+            raise ValueError(f"manifest: family_id must be a string, got {family_id!r}")
+        if type(kind) is not str or kind not in _KIND_COLUMNS:
+            raise ValueError(f"manifest: kind must be one of {sorted(_KIND_COLUMNS)}, got {kind!r}")
         fam = family_from_manifest(man["family"])
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    kind = man["kind"]
     ncol = len(_KIND_COLUMNS[kind])
     shape = fam.shape
     count = int(np.prod(shape))
-    args = (path, man["family_id"], kind, count)
+    args = (path, family_id, kind, count)
     try:
         parsed = _parse_bulk(*args)
     except (ValueError, Warning):  # not ASCII, or not what loadtxt reads

@@ -292,7 +292,7 @@ def test_criterion_07_swave_end_to_end():
     planes = build_line_families(grid, 96, 96)
     sinos = [rytov_family(R, params, sphere, scale=scale)]
     sinos += [rytov_family(R, params, fam, scale=scale) for fam in planes]
-    rec, _ = swave_pipeline(sinos, params, grid, scale, tol=1e-3, maxiter=300)
+    rec, rep = swave_pipeline(sinos, params, grid, scale, tol=1e-3, maxiter=300)
     err_full = rel(rec.values, R.values)
     trR = R.values[..., :3].sum(-1)
     dev = R.values - (trR[..., None] / 3.0) * identity_sym(grid).values
@@ -318,7 +318,8 @@ def test_criterion_07_swave_end_to_end():
         "S-wave end-to-end",
         ok,
         f"full {err_full:.4f} (<=0.15), trace-free {err_dev:.4f} (<=0.10), "
-        f"trace {err_tr:.4f} (<=0.05), {el:.0f}s",
+        f"trace {err_tr:.4f} (<=0.05), CG {rep.stages['cg']['iterations']} iterations "
+        f"in {rep.timing['invert_K']:.1f}s, {el:.0f}s",
     )
     assert err_full <= 0.15
     assert err_dev <= 0.10

@@ -266,6 +266,19 @@ def test_invert_rejects_edited_family_manifest(tmp_path, key, value):
     assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("key, value", [("kind", "tensor"), ("family_id", None)])
+def test_invert_rejects_edited_sinogram_manifest(tmp_path, capsys, key, value):
+    cfg, out, _, _ = _forwarded(tmp_path)
+    path = os.path.join(out, "pwave_plane0.csv.manifest.json")
+    with open(path) as fh:
+        man = json.load(fh)
+    man[key] = value
+    with open(path, "w") as fh:
+        json.dump(man, fh)
+    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert f"pwave_plane0.csv: manifest: {key}" in capsys.readouterr().err
+
+
 def test_verify_pipeline_value_is_rejected(tmp_path):
     cfg = write_cfg(tmp_path, pipeline="verify")
     out = tmp_path / "run"

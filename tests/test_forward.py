@@ -660,20 +660,35 @@ def test_family_operator_property(family, a, which, seed):
     family=random_families(reach=1.4),
     a=st.floats(-2.0, 2.0),
     which=st.sampled_from(["I", "K", "generator", "trace"]),
+    support=st.sampled_from([None, "ball"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_family_operator_normal_pass_property(family, a, which, seed):
+def test_family_operator_normal_pass_property(family, a, which, support, seed):
     # the fused pass is the adjoint of the gather on deviatoric coefficients,
-    # also where chords miss the ball or leave the box; symmetric and
-    # repeatable
+    # also where chords miss the ball or leave the box; on the ball's nodes
+    # it is the whole grid's pass on the zero extension, restricted to them;
+    # symmetric and repeatable
     dyads = _pair_dyads(which, a)
     rng = np.random.default_rng(seed)
-    x, y = rng.normal(size=(2,) + _PAIR_GRID.dims + (5,))
-    op = FamilyOperator(family, _PAIR_GRID)
+    whole = FamilyOperator(family, _PAIR_GRID)
     rows = (SYM_MULT * dyads(*family.views())) @ _DEV_BASIS.T
+    if support is None:
+        op = whole
+        x, y = rng.normal(size=(2,) + _PAIR_GRID.dims + (5,))
+        want = _sym_to_coef(op.adjoint(_gather(_coef_to_sym(x), _PAIR_GRID, family, dyads),
+                                        dyads).values)
+    else:
+        mask = _PAIR_GRID.domain_mask()
+        op = FamilyOperator(family, _PAIR_GRID, mask)
+        x, y = rng.normal(size=(2, op.size, 5))
+        ext = np.zeros(_PAIR_GRID.dims + (5,))
+        ext[mask] = x
+        want = whole.normal(ext, rows)[mask]
+        data = rng.normal(size=family.shape + rows.shape[-2:-1])
+        back, full = op.adjoint(data, dyads).values, whole.adjoint(data, dyads).values
+        assert np.max(np.abs(back - full * mask[..., None])) <= 1e-12 * np.max(
+            np.abs(full), initial=1e-300)
     got = op.normal(x, rows)
-    want = _sym_to_coef(op.adjoint(_gather(_coef_to_sym(x), _PAIR_GRID, family, dyads),
-                                    dyads).values)
     assert got.shape == want.shape == x.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=1e-300)
     ny = op.normal(y, rows)
@@ -685,8 +700,9 @@ def test_family_operator_normal_pass_property(family, a, which, seed):
 def test_family_operator_stores_twelve_bytes_per_entry(grid):
     # int32 nodes and float64 weights per entry, and per live chord its
     # index, entry count and first entry
-    for fam in [build_sphere_family(grid, 6, 16)] + build_line_families(grid, 6, 24):
-        op = FamilyOperator(fam, grid)
+    fams = [build_sphere_family(grid, 6, 16)] + build_line_families(grid, 6, 24)
+    for fam, support in itertools.product(fams, [None, grid.domain_mask()]):
+        op = FamilyOperator(fam, grid, support)
         chords = sum(len(v.rays) for v in op.views)
         total = sum(getattr(v, f.name).nbytes for v in op.views for f in dataclasses.fields(v))
         assert 0 < op.entries and total <= 12 * op.entries + 24 * chords
@@ -837,6 +853,7 @@ def test_gather_and_operator_match_reference_bytes():
         far = starts + lengths[..., None] * d
         assert np.any((far < lo) | (far > hi))
     p = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
+    inside = grid.domain_mask()
 
     def rytov(g, w, dt):
         return _flow(g, dt[..., None])
@@ -851,3 +868,12 @@ def test_gather_and_operator_match_reference_bytes():
         for v, want in zip(op.views, _reference_view_stencils(fam, grid), strict=True):
             for got, ref in zip((v.rays, v.counts, v.nodes, v.weights), want):
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        # on the ball's nodes: the whole grid's entries there, weights to the
+        # byte, nodes numbered over the ball
+        ball = FamilyOperator(fam, grid, inside)
+        for v, w in zip(ball.views, op.views, strict=True):
+            keep = inside.ravel()[w.nodes]
+            assert v.weights.tobytes() == w.weights[keep].tobytes()
+            assert v.nodes.dtype == np.int32
+            assert np.array_equal(v.nodes, np.cumsum(inside)[w.nodes[keep]] - 1)
+            assert np.array_equal(v.rays, np.unique(np.repeat(w.rays, w.counts)[keep]))

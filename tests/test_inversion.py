@@ -209,6 +209,8 @@ def test_invert_K_zero_data(grid):
 
 
 def test_invert_K_output_trace_free(grid, rng):
+    # the unknowns are the ball's nodes: the record counts them and the
+    # operator's entries on them, and F is exactly zero off them
     fam = build_sphere_family(grid, 12)
     F0 = random_smooth_sym(grid, rng)
     kd = kdata_transform(F0, fam)
@@ -217,7 +219,11 @@ def test_invert_K_output_trace_free(grid, rng):
     assert np.max(np.abs(tr)) < 1e-12 * max(F.max_abs(), 1e-300)
     assert len(info["residuals"]) == info["iterations"] > 0
     assert info["residual"] == info["residuals"][-1] <= 1e-2
-    assert info["operator_entries"] > 0
+    mask = grid.domain_mask()
+    assert info["support_nodes"] == mask.sum() < mask.size
+    assert info["operator_entries"] == FamilyOperator(fam, grid, mask).entries
+    assert 0 < info["operator_entries"] < FamilyOperator(fam, grid).entries
+    assert not np.any(F.values[~mask]) and np.any(F.values[mask])
 
 
 def test_kdata_blind_to_pure_trace(grid, rng):

@@ -206,6 +206,27 @@ def test_read_sinogram_rejects_edited_family_manifest(grid, rng, tmp_path, kind,
     assert str(p) in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda man: dict(man, kind="tensor"), "kind"),
+        (lambda man: dict(man, kind=["scalar"]), "kind"),
+        (lambda man: {k: v for k, v in man.items() if k != "kind"}, "kind"),
+        (lambda man: {k: v for k, v in man.items() if k != "family_id"}, "family_id"),
+        (lambda man: dict(man, family_id=0), "family_id"),
+        (lambda man: {k: v for k, v in man.items() if k != "family"}, "family"),
+        (lambda man: [man], "object"),
+    ],
+)
+def test_read_sinogram_rejects_malformed_manifest(grid, rng, tmp_path, edit, field):
+    p, _ = _small_sinogram(grid, rng, tmp_path)
+    side = tmp_path / "s.csv.manifest.json"
+    side.write_text(json.dumps(edit(json.loads(side.read_text()))))
+    with pytest.raises(ValueError, match=field) as err:
+        read_sinogram(p)
+    assert str(p) in str(err.value)
+
+
 def test_family_manifest_axis_edit_is_another_valid_family(grid):
     # plane0's manifest edited to axis 1 reads as a plane family on axis 1:
     # only a comparison with the expected family (the CLI's) rejects it
