@@ -347,15 +347,12 @@ def read_sinogram(path):
     try:
         if not isinstance(man, dict):
             raise ValueError(f"manifest must be an object, got {type(man).__name__}")
-        for key in ("family_id", "kind", "family"):
-            if key not in man:
-                raise ValueError(f"manifest has no {key}")
-        family_id, kind = man["family_id"], man["kind"]
+        family_id, kind = man.get("family_id"), man.get("kind")
         if type(family_id) is not str:
             raise ValueError(f"manifest: family_id must be a string, got {family_id!r}")
         if type(kind) is not str or kind not in _KIND_COLUMNS:
             raise ValueError(f"manifest: kind must be one of {sorted(_KIND_COLUMNS)}, got {kind!r}")
-        fam = family_from_manifest(man["family"])
+        fam = family_from_manifest(man.get("family"))
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     ncol = len(_KIND_COLUMNS[kind])
