@@ -154,17 +154,16 @@ def trig_upsample(values, factor, axis=0):
     onto a factor-times finer grid whose every factor-th sample is a coarse
     one.
 
-    The Fourier series is zero-padded.  For an even length the Nyquist
-    coefficient is split evenly between the two ends of the padded band, so
-    the interpolant is real and separable; an odd length has none to split.
+    The half spectrum (rfft) is zero-padded and inverted with irfft.  For
+    an even length the Nyquist coefficient is halved, so it is split evenly
+    between the two ends of the padded band and the interpolant is real and
+    separable; an odd length has none to split.  factor must be at least 2.
     """
     n = np.shape(values)[axis]
-    spec = np.moveaxis(np.fft.fft(values, axis=axis), axis, 0)
-    pad = np.zeros((factor * n,) + spec.shape[1:], dtype=complex)
-    pad[np.fft.fftfreq(n, 1.0 / n).astype(int)] = spec  # negative frequencies at the end
+    spec = np.fft.rfft(values, axis=axis)
     if n % 2 == 0:
-        pad[n // 2] = pad[-(n // 2)] = 0.5 * spec[n // 2]
-    return np.moveaxis(np.fft.ifft(pad, axis=0).real * factor, 0, axis)
+        np.moveaxis(spec, axis, 0)[n // 2] *= 0.5
+    return np.fft.irfft(spec, n=factor * n, axis=axis) * factor
 
 
 def spectral_upsample(field, factor):
@@ -280,20 +279,39 @@ def tangential_projector(y1, y2, y3):
     return eps
 
 
+def _project_spectrum(spec, grid):
+    """P spec P in place on a (n1,n2,n3,6) spectrum, P = I - n n^T.
+
+    With n = y/|y| and v = spec n, P spec P = spec - n v^T - v n^T + (n.v) n n^T,
+    evaluated in symmetric storage.  The y = 0 node and the Nyquist planes
+    (see _wavevectors) are set to zero.  Returns spec.
+    """
+    y = np.stack(_wavevectors(grid), axis=-1)
+    ynorm = np.linalg.norm(y, axis=-1)
+    n = y / np.where(ynorm == 0.0, 1.0, ynorm)[..., None]
+    v = np.stack(
+        [sum(spec[..., SYM_SLOT[(j, k)]] * n[..., k] for k in range(3)) for j in range(3)],
+        axis=-1,
+    )
+    nv = np.sum(n * v, axis=-1)
+    j, k = np.array(SYM_PAIRS).T
+    spec -= n[..., j] * v[..., k] + v[..., j] * n[..., k] - nv[..., None] * (n[..., j] * n[..., k])
+    spec[(ynorm == 0.0) | _nyquist_mask(grid)] = 0.0
+    return spec
+
+
 def solenoidal_project(u: SymField2) -> SymField2:
-    """Solenoidal part S(u): Fourier-domain projection P uhat P, P = I - y y^T/|y|^2.
+    """Solenoidal part S(u): Fourier-domain projection P uhat P, P = I - y y^T/|y|^2,
+    in the closed form of _project_spectrum.
 
     The y = 0 node is set to zero: compactly supported solenoidal fields
-    have vanishing componentwise integral, so no information is lost.
+    have vanishing componentwise integral, so no information is lost.  The
+    Nyquist planes are set to zero too.
     """
     if np.iscomplexobj(u.values):
         raise ValueError("solenoidal_project expects a real field")
-    spec = np.fft.fftn(u.values, axes=(0, 1, 2))
-    spec[_nyquist_mask(u.grid)] = 0.0
-    eps = tangential_projector(*_wavevectors(u.grid))
-    mat = sym_to_matrix(spec)
-    proj = np.einsum("...jp,...pq,...kq->...jk", eps, mat, eps)
-    return SymField2(u.grid, np.fft.ifftn(matrix_to_sym(proj), axes=(0, 1, 2)).real)
+    spec = _project_spectrum(np.fft.fftn(u.values, axes=(0, 1, 2)), u.grid)
+    return SymField2(u.grid, np.fft.ifftn(spec, axes=(0, 1, 2)).real)
 
 
 _LEVI = np.zeros((3, 3, 3))

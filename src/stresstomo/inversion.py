@@ -22,12 +22,11 @@ from .fields import (
     ScalarField,
     SymField2,
     SYM_MULT,
+    _project_spectrum,
     _wavevectors,
     divergence,
     identity_sym,
     inner_derivative,
-    solenoidal_project,
-    sym_to_matrix,
     matrix_to_sym,
     tangential_projector,
     trig_upsample,
@@ -96,24 +95,33 @@ class ReconReport:
 _ANGLE_UPSAMPLE = 8
 
 
-def _family_slice_spectrum(sino):
-    """Slice-axis Fourier transform of parallel-beam data per angle.
+def _slice_freqs(family):
+    """Angular frequencies of the slice axis of a plane family (fft order)."""
+    z = family.slices
+    return 2.0 * np.pi * np.fft.fftfreq(len(z), d=z[1] - z[0])
 
-    The angle axis is first refined _ANGLE_UPSAMPLE times by trigonometric
+
+def _family_slice_spectrum(values, family):
+    """Slice-axis Fourier transform of one plane family's data per angle.
+
+    values: the family's real (views, offsets, slices) records.  The angle
+    axis is first refined _ANGLE_UPSAMPLE times by trigonometric
     interpolation: the data are periodic over a full turn once the offset
-    axis is reversed at pi.  Returns (spec, zeta): spec[a, j, l] is the
-    transform of the data over the slice coordinate only, so spec[a, :, l]
-    remains a function of the offset; the offset transform is evaluated
-    per query in _sample_polar.
+    axis is reversed at pi.  Returns spec: spec[a, j, l] is the transform of
+    the data over the slice coordinate only, at the l-th frequency of
+    _slice_freqs, so spec[a, :, l] remains a function of the offset; the
+    offset transform is evaluated per in-plane frequency in _sample_polar.
     """
-    fam = sino.family
-    full = np.concatenate([sino.values, sino.values[:, ::-1, :]], axis=0)
-    vals = trig_upsample(full, _ANGLE_UPSAMPLE)[: _ANGLE_UPSAMPLE * fam.n_views]
-    z = fam.slices
-    dz = z[1] - z[0]
-    zeta = 2.0 * np.pi * np.fft.fftfreq(len(z), d=dz)
-    spec = np.fft.fft(vals, axis=2) * np.exp(-1j * zeta[None, :] * z[0])
-    return spec * dz, zeta
+    full = np.concatenate([values, values[:, ::-1, :]], axis=0)
+    vals = trig_upsample(full, _ANGLE_UPSAMPLE)[: _ANGLE_UPSAMPLE * family.n_views]
+    # the data are real: transform half the slice axis, mirror the rest
+    z = family.slices
+    half = np.fft.rfft(vals, axis=2)
+    spec = np.empty(vals.shape, dtype=complex)
+    spec[..., : half.shape[2]] = half
+    spec[..., half.shape[2] :] = np.conj(half[..., len(z) - half.shape[2] : 0 : -1])
+    spec *= np.exp(-1j * _slice_freqs(family) * z[0]) * (z[1] - z[0])
+    return spec
 
 
 def _cubic_weights(f):
@@ -126,26 +134,47 @@ def _cubic_weights(f):
     )
 
 
-def _sample_polar(spec, offsets, theta_count, angle_idx, angle_frac, radius, zeta_idx):
-    """Offset transform of spec[angle, offset, zeta] at exact signed radii.
+def _polar_rows(offsets, theta_count, angle_idx, angle_frac, radius):
+    """Offset-quadrature rows of in-plane frequency positions.
 
-    The offset axis is transformed by direct quadrature at each query
-    frequency, so only the angle is interpolated (cubic), wrapping at pi
-    with radius negation: a half turn reverses the offset axis.  The phases
-    are computed once per query; a wrapped tap takes their conjugate, the
-    phases of the negated radius.
+    Per position the angle is interpolated by four cubic taps, angle_idx - 1
+    to angle_idx + 2, wrapping at pi with radius negation (a half turn
+    reverses the offset axis), and the offset axis is transformed by direct
+    quadrature at the exact signed radius.  Returns rows (positions, 4 *
+    offsets): weight * exp(-i r o) * do per tap, conjugated on wrapped taps
+    (the phases of the negated radius).
     """
     do = offsets[1] - offsets[0]
     phases = np.exp(-1j * radius[:, None] * offsets[None, :])
-    out = np.zeros(radius.shape, dtype=complex)
-    for da, wa in zip((-1, 0, 1, 2), _cubic_weights(angle_frac)):
-        a = angle_idx + da
-        wrap = (a >= theta_count) | (a < 0)
-        rows = spec[np.mod(a, theta_count), :, zeta_idx]
-        sums = np.sum(rows * phases, axis=-1)
-        sums[wrap] = np.sum(rows[wrap] * np.conj(phases[wrap]), axis=-1)
-        out += wa * sums * do
-    return out
+    taps = angle_idx[:, None] + np.arange(-1, 3)
+    wrap = (taps >= theta_count) | (taps < 0)
+    rows = np.where(wrap[..., None], np.conj(phases)[:, None, :], phases[:, None, :])
+    rows *= np.stack(_cubic_weights(angle_frac), axis=-1)[..., None] * do
+    return rows.reshape(len(radius), -1)
+
+
+def _sample_polar(spec, angle_idx, rows, pos, zeta_idx):
+    """Offset transform of spec[angle, offset, zeta] at the queries
+    (position pos, slice frequency zeta_idx).
+
+    angle_idx and rows (from _polar_rows) are per in-plane position.  The
+    positions sharing a base angle share their four taps, whose spec rows
+    are one contiguous (4 * offsets, slices) window unless they wrap at pi:
+    every slice frequency of such a group is one matmul of its rows with
+    that window, so spec is never gathered per position.
+    """
+    ntheta, noff, nz = spec.shape
+    flat = spec.reshape(ntheta * noff, nz)
+    order = np.argsort(angle_idx, kind="stable")
+    vals = np.empty((len(rows), nz), dtype=complex)
+    for group in np.split(order, np.flatnonzero(np.diff(angle_idx[order])) + 1):
+        a = angle_idx[group[0]]
+        if 1 <= a <= ntheta - 3:
+            window = flat[(a - 1) * noff : (a + 3) * noff]
+        else:
+            window = spec[np.mod(a + np.arange(-1, 3), ntheta)].reshape(-1, nz)
+        vals[group] = rows[group] @ window
+    return vals[pos, zeta_idx]
 
 
 def _support_fill_weights(xcoords, radius):
@@ -181,28 +210,68 @@ def _plane_basis(y, ynorm):
     return b1, b2
 
 
-def invert_I_solenoidal(sinograms, grid: Grid3, floor=1e-6, cond_limit=1e8, refine=1):
-    """Recover the solenoidal field m from its longitudinal transform.
+def _plane_sinograms(sinograms):
+    """The records keyed by family axis, after checking that they are
+    scalar records over the three coordinate-plane families, one each.
 
-    sinograms: scalar-kind records over the three coordinate-plane line
-    families.  A direct Fourier-regrid estimate is followed by `refine`
-    defect-correction sweeps: the estimate is pushed through the exact
-    forward operator and the data residual is inverted again, which removes
-    the offset-sampling alias bias of the direct pass.
+    Raises ValueError naming the offending record (by position) or axis.
     """
-    m = _invert_I_once(sinograms, grid, floor, cond_limit)
-    for _ in range(refine):
-        resid = [
-            s.copy_with("scalar", s.values - longitudinal_transform(m, s.family).values)
-            for s in sinograms
-        ]
-        corr = _invert_I_once(resid, grid, floor, cond_limit)
-        m = SymField2(grid, m.values + corr.values)
-    return m
+    sinos, where = {}, {}
+    for i, s in enumerate(sinograms):
+        if not isinstance(s.family, PlaneFamily):
+            raise ValueError(
+                f"longitudinal inversion expects plane families: sinogram {i} "
+                f"is over a {type(s.family).__name__}"
+            )
+        if s.kind != "scalar":
+            raise ValueError(
+                f"longitudinal inversion expects scalar records: sinogram {i} "
+                f"has kind {s.kind!r}"
+            )
+        k = s.family.axis
+        if k in sinos:
+            raise ValueError(
+                f"sinograms {where[k]} and {i} are both over the family "
+                f"orthogonal to axis {k + 1}"
+            )
+        sinos[k], where[k] = s, i
+    missing = [k + 1 for k in range(3) if k not in sinos]
+    if missing:
+        raise ValueError(
+            "need one sinogram per coordinate-plane family; none is orthogonal "
+            f"to axis {', '.join(map(str, missing))}"
+        )
+    return sinos
 
 
-def _invert_I_once(sinograms, grid: Grid3, floor=1e-6, cond_limit=1e8):
-    """One Fourier-regrid inversion pass over the three plane families.
+@dataclass
+class _Regrid:
+    """Per-node geometry of the Fourier regrid, independent of the data.
+
+    - families: the plane family per axis;
+    - nodes: flat grid indices of the active Fourier nodes;
+    - gain (nodes, 3, 3): maps the three family samples of a node to its
+      2-form coefficients (regularized least squares, with the origin phase
+      and the kernel division folded in);
+    - dyads (nodes, 3, 6): b1 b1, b2 b2 and 2 sym(b1 b2) in symmetric storage;
+    - polar: per family axis (sel, angle_idx, rows, pos, zeta_idx): the
+      active nodes it samples, then per in-plane position the base angle and
+      the _polar_rows, then per sampled node its position and slice index;
+    - levels: the support-fill levels, each (sel, zeros, lines, dual, u);
+    - filled: the number of nodes the levels fill.
+    """
+
+    families: dict
+    nodes: np.ndarray
+    gain: np.ndarray
+    dyads: np.ndarray
+    polar: dict
+    levels: list
+    filled: int
+
+
+def _regrid_geometry(families, grid: Grid3, floor, cond_limit):
+    """Build the _Regrid of the three plane families (dict axis -> family).
 
     Per family the 2D transform of parallel-beam data samples mhat(y) xi xi
     for the in-plane direction xi orthogonal to y; the three families give
@@ -211,11 +280,7 @@ def _invert_I_once(sinograms, grid: Grid3, floor=1e-6, cond_limit=1e8):
     rank-deficient nodes (on coordinate planes and axes) are filled using
     the compact support of the field.
     """
-    fams = {s.family.axis: s for s in sinograms}
-    if len(fams) != 3:
-        raise ValueError("need one sinogram per coordinate-plane family")
     ks = np.meshgrid(*grid.freqs(), indexing="ij")
-    shape = ks[0].shape
     y = np.stack(ks, axis=-1)
     ynorm = np.linalg.norm(y, axis=-1)
     # beyond the grid Nyquist sphere the sampled spectrum is pure alias and
@@ -229,87 +294,74 @@ def _invert_I_once(sinograms, grid: Grid3, floor=1e-6, cond_limit=1e8):
     nact = len(yv)
     # the data integrate the trilinear interpolant of the field, whose
     # transform carries the separable kernel prod_i sinc^2(y_i h_i / 2);
-    # divide it out to recover the sample-grid spectrum
+    # divide it out to recover the sample-grid spectrum.  The origin phase
+    # undoes the node-(0,0,0) offset of the sample grid.
     wtri = np.prod(
         np.sinc(yv * np.asarray(grid.spacing) / (2.0 * np.pi)) ** 2, axis=-1
     )
+    origin_phase = np.exp(1j * np.sum(yv * np.asarray(grid.origin), axis=-1))
+    scale = origin_phase / (grid.cell_volume() * wtri)
     rows_M = np.zeros((nact, 3, 3))
-    rows_Q = np.zeros((nact, 3), dtype=complex)
-    rows_ok = np.zeros((nact, 3), dtype=bool)
     axis_tol = 1e-12
 
     # fft-ordered index of each active node along every grid axis
     idx = np.argwhere(active)
 
-    for k, sino in fams.items():
-        fam = sino.family
-        if not isinstance(fam, PlaneFamily):
-            raise ValueError("longitudinal inversion expects plane families")
-        spec, zeta = _family_slice_spectrum(sino)
+    polar = {}
+    for k, fam in families.items():
         i1, i2 = (k + 1) % 3, (k + 2) % 3
         yp1, yp2 = yv[:, i1], yv[:, i2]
         rad = np.hypot(yp1, yp2)
         ok = rad > axis_tol * np.maximum(yn, 1.0)
+        sel = np.flatnonzero(ok)
+        # consistency of the slice frequency with the node frequency
+        zeta = _slice_freqs(fam)
+        if np.max(np.abs(zeta[idx[sel, k]] - yv[sel, k])) > 1e-9 * max(np.max(np.abs(zeta)), 1.0):
+            raise ValueError("slice axis of the family does not match the grid axis")
         # in-plane direction of the measuring rays: xi ~ unit(e_k x y)
         xi = np.zeros((nact, 3))
         xi[:, i1] = -yp2
         xi[:, i2] = yp1
         xi[ok] /= rad[ok, None]
-        # angle of the offset axis w matching y_p, folded to [0, pi)
-        phi = np.arctan2(yp2, yp1) - 0.5 * np.pi
-        fold = np.floor(phi / np.pi).astype(int)
-        theta = phi - fold * np.pi
-        r = np.where(fold % 2 == 0, rad, -rad)
-        ntheta = spec.shape[0]
-        dtheta = np.pi / ntheta
-        t = theta / dtheta
-        a0 = np.minimum(t.astype(int), ntheta - 1)
-        frac = t - a0
-        sel = np.where(ok)[0]
-        vals = _sample_polar(
-            spec, fam.offsets, ntheta, a0[sel], frac[sel], r[sel], idx[sel, k]
-        )
-        zc = zeta[idx[sel, k]]
-        # undo the slice-axis zeroed-Nyquist mismatch: zeta grid carries the
-        # true frequency; quadratic sample corresponds to y as built above
-        origin_phase = np.exp(1j * np.sum(yv[sel] * np.asarray(grid.origin), axis=-1))
-        # consistency of the slice frequency with the node frequency
-        if np.max(np.abs(zc - yv[sel, k])) > 1e-9 * max(np.max(np.abs(zeta)), 1.0):
-            raise ValueError("slice axis of the family does not match the grid axis")
         c = np.sum(xi[sel] * b1[sel], axis=-1)
         s = np.sum(xi[sel] * b2[sel], axis=-1)
         rows_M[sel, k, 0] = c * c
         rows_M[sel, k, 1] = s * s
         rows_M[sel, k, 2] = 2.0 * c * s
-        rows_Q[sel, k] = vals * origin_phase / (grid.cell_volume() * wtri[sel])
-        rows_ok[sel, k] = True
+        # angle, radius and phases depend only on the in-plane frequency:
+        # build them once per position (y_i1, y_i2) of the queries
+        _, first, pos = np.unique(
+            idx[sel, i1] * grid.dims[i2] + idx[sel, i2], return_index=True, return_inverse=True
+        )
+        p = sel[first]
+        # angle of the offset axis w matching y_p, folded to [0, pi)
+        phi = np.arctan2(yp2[p], yp1[p]) - 0.5 * np.pi
+        fold = np.floor(phi / np.pi).astype(int)
+        theta = phi - fold * np.pi
+        r = np.where(fold % 2 == 0, rad[p], -rad[p])
+        ntheta = _ANGLE_UPSAMPLE * fam.n_views
+        t = theta / (np.pi / ntheta)
+        a0 = np.minimum(t.astype(int), ntheta - 1)
+        polar[k] = (sel, a0, _polar_rows(fam.offsets, ntheta, a0, t - a0, r), pos, idx[sel, k])
 
-    # per-node regularized least squares on the 2-form coefficients
+    # per-node regularized least squares on the 2-form coefficients:
+    # A = (MtM + eps)^-1 Mt (scale Q), one gain matrix per node
     MtM = np.einsum("nri,nrj->nij", rows_M, rows_M)
-    MtQ = np.einsum("nri,nr->ni", rows_M, rows_Q)
     tr = np.trace(MtM, axis1=-2, axis2=-1)
     eps = floor * np.maximum(tr, 1.0)
-    A = np.linalg.solve(MtM + eps[:, None, None] * np.eye(3), MtQ[..., None])[..., 0]
+    gain = np.linalg.solve(MtM + eps[:, None, None] * np.eye(3), np.swapaxes(rows_M, 1, 2))
+    gain = gain * scale[:, None, None]
+    dyads = matrix_to_sym(
+        np.stack([b1[:, :, None] * b1[:, None, :], b2[:, :, None] * b2[:, None, :],
+                  2.0 * b1[:, :, None] * b2[:, None, :]], axis=1)
+    )
 
     # nodes on a coordinate plane are structurally rank-deficient: there two
     # of the three measuring directions coincide, so the cross term of the
     # 2-form is not measured.  Detect via the node spectrum and recover the
     # weak component from the compact support of the field.
-    ev, evec = np.linalg.eigh(MtM)
+    ev = np.linalg.eigvalsh(MtM)
     weak = ev[:, 0] <= ev[:, 2] / cond_limit
-
-    def assemble(Acoef):
-        mats = (
-            Acoef[:, 0, None, None] * b1[:, :, None] * b1[:, None, :]
-            + Acoef[:, 1, None, None] * b2[:, :, None] * b2[:, None, :]
-            + Acoef[:, 2, None, None]
-            * (b1[:, :, None] * b2[:, None, :] + b2[:, :, None] * b1[:, None, :])
-        )
-        spec6 = np.zeros(shape + (6,), dtype=complex)
-        spec6[active] = matrix_to_sym(mats)
-        return spec6
-
-    spec6 = assemble(A)
     zerocomp = np.abs(yv) < 1e-12
     nzero = np.sum(zerocomp, axis=-1)
     stray = float(np.mean(weak & (nzero == 0)))
@@ -318,46 +370,103 @@ def _invert_I_once(sinograms, grid: Grid3, floor=1e-6, cond_limit=1e8):
             f"insufficient angular sampling: {100 * stray:.1f}% of generic "
             "nodes are rank-deficient"
         )
-    u = evec[:, :, 0]
-
+    nodes = np.flatnonzero(active)
+    levels = []
     if np.any(weak & (nzero >= 1)):
         axes_x = [np.asarray(ax) for ax in grid.axes()]
         wfill = [
             _support_fill_weights(axes_x[a], grid.domain.radius) for a in range(3)
         ]
-
+        strides = np.cumprod((grid.dims[1:] + (1,))[::-1])[::-1]
         # plane nodes (one zero frequency coordinate) first: their fill lines
         # traverse only full-rank nodes; then axis nodes (two), averaging the
-        # lines through both filled planes.  Every estimate of a level reads
-        # spec6 as assembled before that level.
+        # lines through both filled planes.  A line through a node with
+        # y_a = 0 runs along axis a: its flat indices step by that axis's
+        # stride from the node.
         for zeros in (1, 2):
             sel = np.flatnonzero(weak & (nzero == zeros))
             if len(sel) == 0:
                 continue
-            est6 = np.zeros((len(sel), 6), dtype=complex)
+            lines = []
             for a in range(3):
-                sub = zerocomp[sel, a]
-                if np.any(sub):
-                    # estimates over the y_a = 0 plane via the support constraint
-                    est = np.tensordot(wfill[a], np.moveaxis(spec6, a, 0), axes=(0, 0))
-                    rest = [idx[sel[sub], b] for b in range(3) if b != a]
-                    est6[sub] += est[rest[0], rest[1]]
-            # replace only the unmeasured combination u at the selected nodes
-            # with the estimate projected onto the local 2-form coordinates
-            nbm = sym_to_matrix(est6 / zeros)
-            nbA = np.stack(
-                [
-                    np.einsum("ni,nij,nj->n", b1[sel], nbm, b1[sel]),
-                    np.einsum("ni,nij,nj->n", b2[sel], nbm, b2[sel]),
-                    np.einsum("ni,nij,nj->n", b1[sel], nbm, b2[sel]),
-                ],
-                axis=-1,
-            )
-            A[sel] += np.einsum("nc,nc->n", nbA - A[sel], u[sel])[:, None] * u[sel]
-            spec6 = assemble(A)
+                sub = np.flatnonzero(zerocomp[sel, a])
+                if len(sub):
+                    line = nodes[sel[sub], None] + strides[a] * np.arange(grid.dims[a])
+                    lines.append((sub, line, wfill[a]))
+            # b_i^T N b_j of a symmetric-storage N is N . (dyad_ij * SYM_MULT)
+            dual = dyads[sel] * SYM_MULT * np.array([1.0, 1.0, 0.5])[:, None]
+            u = np.linalg.eigh(MtM[sel])[1][:, :, 0]
+            levels.append((sel, zeros, lines, dual, u))
+    filled = sum(len(level[0]) for level in levels)
+    return _Regrid(families, nodes, gain, dyads, polar, levels, filled)
 
-    m = SymField2(grid, np.fft.ifftn(spec6, axes=(0, 1, 2)).real)
-    return solenoidal_project(m)
+
+def _regrid_pass(geo: _Regrid, values, grid: Grid3):
+    """One Fourier-regrid inversion of the records `values` (dict axis ->
+    (views, offsets, slices) array) over the families geo was built for."""
+    Q = np.zeros((len(geo.nodes), 3), dtype=complex)
+    for k, (sel, angle_idx, rows, pos, zeta_idx) in geo.polar.items():
+        spec = _family_slice_spectrum(values[k], geo.families[k])
+        Q[sel, k] = _sample_polar(spec, angle_idx, rows, pos, zeta_idx)
+    A = np.einsum("nik,nk->ni", geo.gain, Q)
+    spec6 = np.zeros(grid.dims + (6,), dtype=complex)
+    flat = spec6.reshape(-1, 6)
+    flat[geo.nodes] = np.einsum("nc,ncs->ns", A, geo.dyads)
+    # every estimate of a level reads spec6 as assembled before that level
+    for sel, zeros, lines, dual, u in geo.levels:
+        est6 = np.zeros((len(sel), 6), dtype=complex)
+        for sub, line, w in lines:
+            # estimates over the y_a = 0 plane via the support constraint
+            est6[sub] += np.einsum("j,ljs->ls", w, flat[line])
+        # replace only the unmeasured combination u at the selected nodes
+        # with the estimate projected onto the local 2-form coordinates
+        nbA = np.einsum("ns,ncs->nc", est6 / zeros, dual)
+        A[sel] += np.einsum("nc,nc->n", nbA - A[sel], u)[:, None] * u
+        flat[geo.nodes[sel]] = np.einsum("nc,ncs->ns", A[sel], geo.dyads[sel])
+    # the solenoidal projection of the real part, applied to the spectrum:
+    # P is real and even in y, so it commutes with taking the real part
+    _project_spectrum(spec6, grid)
+    return SymField2(grid, np.fft.ifftn(spec6, axes=(0, 1, 2)).real)
+
+
+def invert_I_solenoidal(sinograms, grid: Grid3, floor=1e-6, cond_limit=1e8, refine=1):
+    """Recover the solenoidal field m from its longitudinal transform.
+
+    sinograms: scalar records over the three coordinate-plane line
+    families, one each (else ValueError naming the record).  A direct
+    Fourier-regrid estimate (O'Sullivan's central-slice regrid) is followed
+    by `refine` defect-correction sweeps: the estimate is pushed through the
+    exact forward operator and the data residual is inverted again, which
+    removes the offset-sampling alias bias of the direct pass.  The regrid
+    geometry (active nodes, plane bases, polar taps and rows, the per-node
+    gains and the support-fill levels) is built once and applied to the
+    data and to every residual.  Returns (m, info): info holds the active
+    node count (active_nodes), the share of them filled from the support
+    (filled_share), the direct pass's relative data residual |d - I m1| /
+    |d| (direct_residual; 0 for zero data, None when refine is 0, where it
+    is not computed) and the geometry build time (geometry_s).
+    """
+    sinos = _plane_sinograms(sinograms)
+    t0 = time.perf_counter()
+    geo = _regrid_geometry({k: s.family for k, s in sinos.items()}, grid, floor, cond_limit)
+    info = {
+        "active_nodes": int(len(geo.nodes)),
+        "filled_share": geo.filled / len(geo.nodes),
+        "direct_residual": None,
+        "geometry_s": time.perf_counter() - t0,
+    }
+    m = _regrid_pass(geo, {k: s.values for k, s in sinos.items()}, grid)
+    for sweep in range(refine):
+        resid = {
+            k: s.values - longitudinal_transform(m, s.family).values for k, s in sinos.items()
+        }
+        if sweep == 0:
+            dn = np.sqrt(sum(np.sum(s.values**2) for s in sinos.values()))
+            rn = np.sqrt(sum(np.sum(r**2) for r in resid.values()))
+            info["direct_residual"] = float(rn / dn) if dn > 0.0 else 0.0
+        corr = _regrid_pass(geo, resid, grid)
+        m = SymField2(grid, m.values + corr.values)
+    return m, info
 
 
 def detangle_trace(m: SymField2, a, floor=1e-8) -> SymField2:
@@ -380,13 +489,18 @@ def detangle_trace(m: SymField2, a, floor=1e-8) -> SymField2:
 
 
 def pwave_pipeline(data, params, grid: Grid3, refine=1):
-    """Compressional reconstruction: invert I, detangle the trace, rescale."""
+    """Compressional reconstruction: invert I, detangle the trace, rescale.
+
+    data: scalar records over the three coordinate-plane families, one
+    each; anything else raises ValueError naming the record before any
+    work.  report.stages["regrid"] is invert_I_solenoidal's info.
+    """
     t0 = time.perf_counter()
     w = pwave_weights(params)
     report = ReconReport(
         config={"pipeline": "pwave", "a": w.a, "scale": w.scale, "refine": refine}
     )
-    m = invert_I_solenoidal(data, grid, refine=refine)
+    m, report.stages["regrid"] = invert_I_solenoidal(data, grid, refine=refine)
     report.timing["invert_I"] = time.perf_counter() - t0
     t1 = time.perf_counter()
     f = detangle_trace(m, w.a)
@@ -508,14 +622,15 @@ def _ramlak_filter(p, offsets):
     With p-hat the continuous transform of the projections, returns
     (1/(4 pi^2)) integral |nu| p-hat e^{i nu o} dnu sampled back on the
     offset grid; the offset-origin phases of the forward and inverse
-    transforms cancel, leaving ifft(fft(p) |nu|) / (2 pi).
+    transforms cancel, leaving ifft(fft(p) |nu|) / (2 pi), here over the
+    half spectrum of the real projections.
     """
     n = p.shape[-1]
     npad = 2 * n
     do = offsets[1] - offsets[0]
-    nu = 2.0 * np.pi * np.fft.fftfreq(npad, d=do)
-    spec = np.fft.fft(p, n=npad, axis=-1) * np.abs(nu)
-    return np.real(np.fft.ifft(spec, axis=-1))[..., :n] / (2.0 * np.pi)
+    nu = 2.0 * np.pi * np.fft.rfftfreq(npad, d=do)
+    spec = np.fft.rfft(p, n=npad, axis=-1) * nu
+    return np.fft.irfft(spec, n=npad, axis=-1)[..., :n] / (2.0 * np.pi)
 
 
 def _trace_dyads(d, frame, a):

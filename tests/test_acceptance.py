@@ -207,7 +207,7 @@ def test_criterion_05_pwave_end_to_end():
     params = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
     fams = build_line_families(grid, 96, 64)
     data = [pwave_data(R, params, fam) for fam in fams]
-    rec, _ = pwave_pipeline(data, params, grid)
+    rec, rep = pwave_pipeline(data, params, grid)
     err_clean = rel(rec.values, R.values)
     nrng = np.random.default_rng(55)
     noisy = [add_noise(s, 0.01, nrng) for s in data]
@@ -219,7 +219,9 @@ def test_criterion_05_pwave_end_to_end():
         5,
         "P-wave end-to-end",
         ok,
-        f"clean {err_clean:.4f} (<=0.05), 1% noise {err_noisy:.4f} (<=0.15), {el:.0f}s",
+        f"clean {err_clean:.4f} (<=0.05), 1% noise {err_noisy:.4f} (<=0.15), "
+        f"clean invert_I {rep.timing['invert_I']:.1f}s "
+        f"({100 * rep.stages['regrid']['filled_share']:.1f}% support-filled), {el:.0f}s",
     )
     assert err_clean <= 0.05
     assert err_noisy <= 0.15

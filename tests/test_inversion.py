@@ -22,6 +22,7 @@ from stresstomo.forward import (
     kdata_transform,
     longitudinal_transform,
     mixed_transform,
+    pwave_data,
     rytov_family,
 )
 from stresstomo.geometry import build_line_families, build_sphere_family
@@ -31,6 +32,7 @@ from stresstomo.inversion import (
     NonUniqueError,
     ReconReport,
     _cubic_weights,
+    _polar_rows,
     _sample_polar,
     detangle_trace,
     invert_I_solenoidal,
@@ -114,15 +116,16 @@ def test_invert_I_zero_data(grid):
     fams = build_line_families(grid, 24, 24)
     zero = SymField2(grid, np.zeros(grid.dims + (6,)))
     sinos = [longitudinal_transform(zero, f) for f in fams]
-    m = invert_I_solenoidal(sinos, grid)
+    m, info = invert_I_solenoidal(sinos, grid)
     assert np.max(np.abs(m.values)) < 1e-12
+    assert info["direct_residual"] == 0.0
 
 
 def test_invert_I_output_is_solenoidal(grid, rng):
     R = inc_potential(random_bump_sym(grid, rng, radius=0.55))
     fams = build_line_families(grid, 24, 24)
     sinos = [longitudinal_transform(R, f) for f in fams]
-    m = invert_I_solenoidal(sinos, grid)
+    m, _ = invert_I_solenoidal(sinos, grid)
     diam = 2.0 * grid.domain.radius
     assert divergence(m).norm() * diam < 1e-6 * m.norm()
 
@@ -135,9 +138,9 @@ def test_invert_I_insensitive_to_potential_part(grid, rng):
     dv = inner_derivative(random_smooth_covector(grid, rng, width=20.0))
     dv = SymField2(grid, dv.values * (R.max_abs() / dv.max_abs()))
     fams = build_line_families(grid, 24, 24)
-    m1 = invert_I_solenoidal([longitudinal_transform(R, f) for f in fams], grid)
+    m1, _ = invert_I_solenoidal([longitudinal_transform(R, f) for f in fams], grid)
     R2 = SymField2(grid, R.values + dv.values)
-    m2 = invert_I_solenoidal([longitudinal_transform(R2, f) for f in fams], grid)
+    m2, _ = invert_I_solenoidal([longitudinal_transform(R2, f) for f in fams], grid)
     assert rel(m2.values, m1.values) < 0.01
 
 
@@ -147,7 +150,7 @@ def test_invert_I_round_trip_24():
     R = inc_potential(random_admissible_potential(grid, rng, r0=0.5))
     fams = build_line_families(grid, 48, 32)
     sinos = [longitudinal_transform(R, f) for f in fams]
-    m = invert_I_solenoidal(sinos, grid)
+    m, _ = invert_I_solenoidal(sinos, grid)
     assert rel(m.values, R.values) < 0.10
 
 
@@ -165,15 +168,76 @@ def _reference_sample_polar(spec, offsets, theta_count, angle_idx, angle_frac, r
     return out
 
 
-def test_sample_polar_matches_reference_bytes(rng):
-    # the first and last two angles wrap at pi on some taps
-    ntheta, noff, nz, q = 12, 20, 8, 500
+def test_sample_polar_matches_reference(rng):
+    # queries share in-plane positions and positions share base angles; the
+    # first and last two angles wrap at pi on some taps.  A group's matmul
+    # sums in another order than the reference, so agreement is to rounding
+    ntheta, noff, nz, npos, q = 12, 20, 8, 60, 500
     spec = rng.normal(size=(ntheta, noff, nz)) + 1j * rng.normal(size=(ntheta, noff, nz))
     offsets = np.linspace(-1.0, 1.0, noff)
-    args = (spec, offsets, ntheta, rng.integers(0, ntheta, q), rng.uniform(0.0, 1.0, q),
-            rng.uniform(-40.0, 40.0, q), rng.integers(0, nz, q))
-    assert np.any(args[3] == 0) and np.any(args[3] == ntheta - 1)
-    assert _sample_polar(*args).tobytes() == _reference_sample_polar(*args).tobytes()
+    angle_idx = rng.integers(0, ntheta, npos)
+    angle_frac = rng.uniform(0.0, 1.0, npos)
+    radius = rng.uniform(-40.0, 40.0, npos)
+    pos = rng.integers(0, npos, q)
+    zeta_idx = rng.integers(0, nz, q)
+    assert np.all(np.isin([0, ntheta - 2, ntheta - 1], angle_idx))
+    assert len(np.unique(pos)) < q and len(np.unique(angle_idx)) < npos
+    rows = _polar_rows(offsets, ntheta, angle_idx, angle_frac, radius)
+    got = _sample_polar(spec, angle_idx, rows, pos, zeta_idx)
+    want = _reference_sample_polar(spec, offsets, ntheta, angle_idx[pos], angle_frac[pos],
+                                   radius[pos], zeta_idx)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("refine", [0, 1, 2])
+def test_invert_I_builds_geometry_once(grid, rng, monkeypatch, refine):
+    # the direct pass and every defect-correction pass share one geometry
+    calls = {"geometry": 0, "pass": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(inversion, "_regrid_geometry", counted("geometry", inversion._regrid_geometry))
+    monkeypatch.setattr(inversion, "_regrid_pass", counted("pass", inversion._regrid_pass))
+    R = inc_potential(random_bump_sym(grid, rng, radius=0.55))
+    sinos = [longitudinal_transform(R, f) for f in build_line_families(grid, 24, 24)]
+    _, info = invert_I_solenoidal(sinos, grid, refine=refine)
+    assert calls == {"geometry": 1, "pass": refine + 1}
+    assert (info["direct_residual"] is None) == (refine == 0)
+
+
+_BAD_INPUTS = {
+    "sphere": "sinogram 0 is over a SphereFamily",
+    "propagator": "sinogram 1 has kind 'propagator'",
+    "lmatrix": "sinogram 2 has kind 'lmatrix'",
+    "repeated-axis": "sinograms 0 and 1 are both over the family orthogonal to axis 1",
+    "missing-axis": "none is orthogonal to axis 3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_pwave_pipeline_rejects_non_plane_or_non_scalar_input(grid, rng, case):
+    # checked before any work, with the offending record or axis named
+    params = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
+    fams = build_line_families(grid, 6, 16)
+    R = random_bump_sym(grid, rng, radius=0.6)
+    sinos = [longitudinal_transform(R, f) for f in fams]
+    if case == "sphere":
+        sinos[0] = longitudinal_transform(R, build_sphere_family(grid, 6))
+    elif case == "propagator":
+        sinos[1] = rytov_family(R, params, fams[1], scale=1e-3)
+    elif case == "lmatrix":
+        sinos[2] = Sinogram(fams[2], "lmatrix", mixed_transform(R, params, fams[2]).values)
+    elif case == "repeated-axis":
+        sinos[1] = sinos[0]
+    else:
+        sinos = sinos[:2]
+    with pytest.raises(ValueError, match=_BAD_INPUTS[case]):
+        pwave_pipeline(sinos, params, grid)
 
 
 def test_invert_I_condition_limit(grid, rng):
@@ -193,6 +257,29 @@ def test_pwave_pipeline_zero_data(grid):
     R, report = pwave_pipeline(sinos, params, grid)
     assert np.max(np.abs(R.values)) < 1e-12
     assert "total" in report.timing
+    regrid = report.stages["regrid"]
+    assert regrid["direct_residual"] == 0.0
+    assert 0 < regrid["active_nodes"] < grid.dims[0] * grid.dims[1] * grid.dims[2]
+    assert 0.0 < regrid["filled_share"] < 0.5
+    assert 0.0 < regrid["geometry_s"] <= report.timing["invert_I"]
+
+
+def test_pwave_pipeline_regrid_record(grid, rng):
+    # the record comes from values the inversion holds: active nodes, the
+    # support-filled share, the direct pass's data residual, build time
+    R = inc_potential(random_bump_sym(grid, rng, radius=0.55))
+    fams = build_line_families(grid, 24, 24)
+    params = MaterialParams()
+    sinos = [pwave_data(R, params, f) for f in fams]
+    _, report = pwave_pipeline(sinos, params, grid)
+    regrid = report.stages["regrid"]
+    assert set(regrid) == {"active_nodes", "filled_share", "direct_residual", "geometry_s"}
+    assert 0.0 < regrid["direct_residual"] < 0.5
+    assert 0.0 < regrid["filled_share"] < 0.5
+    assert 0.0 < regrid["geometry_s"] <= report.timing["invert_I"]
+    _, zero_refine = pwave_pipeline(sinos, params, grid, refine=0)
+    assert zero_refine.stages["regrid"]["direct_residual"] is None
+    assert ReconReport.from_json(report.to_json()).stages["regrid"] == regrid
 
 
 # ---------------------------------------------------------------------------
