@@ -377,7 +377,7 @@ def _regrid_geometry(families, grid: Grid3, floor, cond_limit):
         wfill = [
             _support_fill_weights(axes_x[a], grid.domain.radius) for a in range(3)
         ]
-        strides = np.cumprod((grid.dims[1:] + (1,))[::-1])[::-1]
+        strides = np.cumprod([1] + list(grid.dims[:0:-1]))[::-1]  # flat, C order
         # plane nodes (one zero frequency coordinate) first: their fill lines
         # traverse only full-rank nodes; then axis nodes (two), averaging the
         # lines through both filled planes.  A line through a node with
