@@ -220,8 +220,9 @@ _BAD_INPUTS = {
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
-def test_pwave_pipeline_rejects_non_plane_or_non_scalar_input(grid, rng, case):
+def test_pwave_pipeline_rejects_non_plane_or_non_scalar_input(grid, rng, monkeypatch, case):
     # checked before any work, with the offending record or axis named
+    monkeypatch.setattr(inversion, "_regrid_geometry", lambda *args: pytest.fail("geometry built"))
     params = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
     fams = build_line_families(grid, 6, 16)
     R = random_bump_sym(grid, rng, radius=0.6)
