@@ -257,8 +257,7 @@ class _Regrid:
     - polar: per family axis (sel, angle_idx, rows, pos, zeta_idx): the
       active nodes it samples, then per in-plane position the base angle and
       the _polar_rows, then per sampled node its position and slice index;
-    - levels: the support-fill levels, each (sel, zeros, lines, dual, u);
-    - filled: the number of nodes the levels fill.
+    - levels: the support-fill levels, each (sel, zeros, lines, dual, u).
     """
 
     families: dict
@@ -267,7 +266,6 @@ class _Regrid:
     dyads: np.ndarray
     polar: dict
     levels: list
-    filled: int
 
 
 def _regrid_geometry(families, grid: Grid3, floor, cond_limit):
@@ -397,8 +395,7 @@ def _regrid_geometry(families, grid: Grid3, floor, cond_limit):
             dual = dyads[sel] * SYM_MULT * np.array([1.0, 1.0, 0.5])[:, None]
             u = np.linalg.eigh(MtM[sel])[1][:, :, 0]
             levels.append((sel, zeros, lines, dual, u))
-    filled = sum(len(level[0]) for level in levels)
-    return _Regrid(families, nodes, gain, dyads, polar, levels, filled)
+    return _Regrid(families, nodes, gain, dyads, polar, levels)
 
 
 def _regrid_pass(geo: _Regrid, values, grid: Grid3):
@@ -451,7 +448,7 @@ def invert_I_solenoidal(sinograms, grid: Grid3, floor=1e-6, cond_limit=1e8, refi
     geo = _regrid_geometry({k: s.family for k, s in sinos.items()}, grid, floor, cond_limit)
     info = {
         "active_nodes": int(len(geo.nodes)),
-        "filled_share": geo.filled / len(geo.nodes),
+        "filled_share": sum(len(level[0]) for level in geo.levels) / len(geo.nodes),
         "direct_residual": None,
         "geometry_s": time.perf_counter() - t0,
     }
