@@ -17,13 +17,14 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
 from .fields import (
     Grid3,
     SymField2,
-    divergence,
+    divergence_norm,
     inc_potential,
     random_admissible_potential,
     random_bump_covector,
@@ -310,7 +311,13 @@ def cmd_invert(cfg, out):
 
 def cmd_verify(cfg, out):
     """Invariant suite: solvability conditions, energy-ratio bound,
-    contraction identity, and the potential-part kernel of the phase data."""
+    contraction identity, and the potential-part kernel of the phase data.
+
+    verify.json's timing holds the wall time in seconds of each check
+    (conditions, poincare, contraction, projection) and of the whole suite
+    (total).
+    """
+    t0 = time.perf_counter()
     grid = _grid_from(cfg)
     params = _params_from(cfg)
     rng = np.random.default_rng(cfg["seed"])
@@ -319,11 +326,15 @@ def cmd_verify(cfg, out):
     cond = check_pwave_conditions(params, floor=cfg["tolerances"]["floor"])
     report.conditions.update(cond.values)
     failed_conditions = [k for k, ok in cond.passed.items() if not ok]
+    t1 = time.perf_counter()
+    report.timing["conditions"] = t1 - t0
 
     ratios = [
         verify_poincare(random_bump_covector(grid, rng, radius=0.8)) for _ in range(10)
     ]
     report.stages["poincare_max_ratio"] = float(max(ratios))
+    t2 = time.perf_counter()
+    report.timing["poincare"] = t2 - t1
 
     res = 0.0
     for _ in range(20):
@@ -336,12 +347,15 @@ def cmd_verify(cfg, out):
             abs(contraction_identity_residual(Rv, params.nu_values(), t, v_p=float(params.v_p))),
         )
     report.errors["contraction_residual"] = res
+    t3 = time.perf_counter()
+    report.timing["contraction"] = t3 - t2
 
     u = random_smooth_sym(grid, rng)
     s = solenoidal_project(u)
-    report.errors["divergence_of_projection"] = float(
-        divergence(s).norm() / max(s.norm(), 1e-300)
-    )
+    report.errors["divergence_of_projection"] = divergence_norm(s) / max(s.norm(), 1e-300)
+    t4 = time.perf_counter()
+    report.timing["projection"] = t4 - t3
+    report.timing["total"] = t4 - t0
 
     ok = (
         not failed_conditions

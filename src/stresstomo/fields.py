@@ -2,7 +2,8 @@
 
 Symmetric rank-2 fields are stored with 6 components per node in the
 order (11, 22, 33, 23, 13, 12).  All differential operators are spectral,
-on one periodic Fourier space.
+on one periodic Fourier space: the half spectrum (rfftn) for real fields,
+the full one for complex fields.
 Fields that represent objects extended by zero outside the domain are
 expected to vanish on nodes outside it; generators below guarantee that.
 """
@@ -200,31 +201,83 @@ def spectral_upsample(field, factor):
 # at the aliasing level and padding is unnecessary.
 
 
-def _wavevectors(grid):
-    """Meshed frequency arrays with the Nyquist planes zeroed.
+_AXES = (0, 1, 2)
+
+
+def _wavevectors(grid, half=False):
+    """Wavevector components (y1, y2, y3) with the Nyquist planes zeroed, as
+    open (n1,1,1), (1,n2,1), (1,1,n3) arrays that broadcast to the grid.
 
     For even axis lengths the Nyquist frequency has no negative partner, so
     odd-order spectral operators built from it break Hermitian symmetry.
     Zeroing it keeps every operator below exact on real fields; the dropped
-    content is at the aliasing level for resolved fields.
+    content is at the aliasing level for resolved fields.  half=True gives
+    the wavevectors of the half spectrum (rfftn): the last axis keeps its
+    n3 // 2 + 1 non-negative bins.
     """
     ks = grid.freqs()
     for k, n in zip(ks, grid.dims):
         if n % 2 == 0:
             k[n // 2] = 0.0
-    return np.meshgrid(*ks, indexing="ij")
+    if half:
+        ks[2] = ks[2][: grid.dims[2] // 2 + 1]
+    return np.meshgrid(*ks, indexing="ij", sparse=True)
 
 
-def _nyquist_mask(grid):
-    """Boolean mask of frequency nodes lying on any Nyquist plane."""
+def _nyquist_mask(grid, half=False):
+    """Boolean mask of frequency nodes lying on any Nyquist plane, on the
+    full spectrum or (half=True) on the half spectrum."""
     masks = []
     for n in grid.dims:
         m = np.zeros(n, dtype=bool)
         if n % 2 == 0:
             m[n // 2] = True
         masks.append(m)
-    m1, m2, m3 = np.meshgrid(*masks, indexing="ij")
+    if half:
+        masks[2] = masks[2][: grid.dims[2] // 2 + 1]
+    m1, m2, m3 = np.meshgrid(*masks, indexing="ij", sparse=True)
     return m1 | m2 | m3
+
+
+def _half_spectrum(values, grid):
+    """Half spectrum of a real field, its wavevectors and its Parseval weights.
+
+    Returns (spec, ys, weights): spec = rfftn over the grid axes, ys as from
+    _wavevectors(grid, half=True), and weights (n3 // 2 + 1,) counting each
+    last-axis bin for itself and its dropped conjugate partner: 1 for the
+    zero bin and an even length's Nyquist bin, 2 for every other.  Then
+    sum |f|^2 over the nodes = sum(weights * |spec|^2) / (n1 n2 n3).
+    """
+    n3 = grid.dims[2]
+    weights = np.full(n3 // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if n3 % 2 == 0:
+        weights[-1] = 1.0
+    return np.fft.rfftn(values, axes=_AXES), _wavevectors(grid, half=True), weights
+
+
+def _parseval_norm2(power, weights, grid):
+    """Squared L2 norm of a real field from its half-spectrum power.
+
+    power: (n1, n2, n3 // 2 + 1) sum of |spec|^2 over the field's
+    components; weights as from _half_spectrum.
+    """
+    return float(np.sum(power * weights)) * grid.cell_volume() / np.prod(grid.dims)
+
+
+def _spectrum(values, grid):
+    """(spec, ys, inverse) of a field over the grid axes.
+
+    A real field gets its half spectrum and an inverse (irfftn) that returns
+    a real field; a complex field gets its full spectrum and ifftn.  Every
+    operator below maps a Hermitian spectrum to a Hermitian one, so on real
+    fields both give the same result up to rounding.
+    """
+    if np.iscomplexobj(values):
+        spec = np.fft.fftn(values, axes=_AXES)
+        return spec, _wavevectors(grid), lambda s: np.fft.ifftn(s, axes=_AXES)
+    spec, ys, _ = _half_spectrum(values, grid)
+    return spec, ys, lambda s: np.fft.irfftn(s, s=grid.dims, axes=_AXES)
 
 
 def spectral_gradient(f: ScalarField) -> CovectorField:
@@ -232,32 +285,43 @@ def spectral_gradient(f: ScalarField) -> CovectorField:
 
 
 def _gradient_nd(values, grid):
-    """Per-component partials: (...,C) -> (...,C,3)."""
-    spec = np.fft.fftn(values, axes=(0, 1, 2))
-    cols = []
-    for k in _wavevectors(grid):
-        k = k.reshape(k.shape + (1,) * (values.ndim - 3))
-        col = np.fft.ifftn(1j * k * spec, axes=(0, 1, 2))
-        cols.append(col.real if np.isrealobj(values) else col)
-    return np.stack(cols, axis=-1)
+    """Per-component partials: (...,C) -> (...,C,3), from one half spectrum
+    for a real field (the full spectrum for a complex one)."""
+    spec, ys, inverse = _spectrum(values, grid)
+    trail = (1,) * (values.ndim - 3)
+    return inverse(np.stack([1j * y.reshape(y.shape + trail) * spec for y in ys], axis=-1))
 
 
 def inner_derivative(v: CovectorField) -> SymField2:
-    """Symmetrized derivative (dv)_jk = (d_j v_k + d_k v_j) / 2."""
-    dv = _gradient_nd(v.values, v.grid)  # (...,k,j) = d_j v_k
-    out = np.empty(v.grid.dims + (6,), dtype=dv.dtype)
-    for s, (j, k) in enumerate(SYM_PAIRS):
-        out[..., s] = 0.5 * (dv[..., k, j] + dv[..., j, k])
-    return SymField2(v.grid, out)
+    """Symmetrized derivative (dv)_jk = (d_j v_k + d_k v_j) / 2.
+
+    Its spectrum i (y_j v_k + y_k v_j) / 2 is formed per symmetric slot, so
+    only the 6 returned components are transformed back.
+    """
+    spec, ys, inverse = _spectrum(v.values, v.grid)
+    out = [0.5j * (ys[j] * spec[..., k] + ys[k] * spec[..., j]) for j, k in SYM_PAIRS]
+    return SymField2(v.grid, inverse(np.stack(out, axis=-1)))
+
+
+def _divergence_spectrum(spec, ys):
+    """Spectrum i y_k u_jk of delta u from the (..., 6) spectrum of u."""
+    cols = [sum(ys[k] * spec[..., SYM_SLOT[(j, k)]] for k in range(3)) for j in range(3)]
+    return 1j * np.stack(cols, axis=-1)
 
 
 def divergence(u: SymField2) -> CovectorField:
-    """Divergence (delta u)_j = d_k u_jk."""
-    du = _gradient_nd(u.values, u.grid)  # (...,s,i) = d_i u_s
-    out = np.empty(u.grid.dims + (3,), dtype=du.dtype)
-    for j in range(3):
-        out[..., j] = sum(du[..., SYM_SLOT[(j, k)], k] for k in range(3))
-    return CovectorField(u.grid, out)
+    """Divergence (delta u)_j = d_k u_jk; only its 3 components are
+    transformed back."""
+    spec, ys, inverse = _spectrum(u.values, u.grid)
+    return CovectorField(u.grid, inverse(_divergence_spectrum(spec, ys)))
+
+
+def divergence_norm(u: SymField2) -> float:
+    """|delta u| of a real field by Parseval, from one half spectrum and
+    no inverse transform."""
+    spec, ys, weights = _half_spectrum(u.values, u.grid)
+    power = np.sum(np.abs(_divergence_spectrum(spec, ys)) ** 2, axis=-1)
+    return float(np.sqrt(_parseval_norm2(power, weights, u.grid)))
 
 
 def trace(u: SymField2) -> ScalarField:
@@ -279,14 +343,16 @@ def tangential_projector(y1, y2, y3):
     return eps
 
 
-def _project_spectrum(spec, grid):
-    """P spec P in place on a (n1,n2,n3,6) spectrum, P = I - n n^T.
+def _project_spectrum(spec, ys, nyquist):
+    """P spec P in place on a (..., 6) spectrum, P = I - n n^T.
 
-    With n = y/|y| and v = spec n, P spec P = spec - n v^T - v n^T + (n.v) n n^T,
-    evaluated in symmetric storage.  The y = 0 node and the Nyquist planes
-    (see _wavevectors) are set to zero.  Returns spec.
+    ys: the spectrum's wavevectors (from _wavevectors, full or half);
+    nyquist: the matching _nyquist_mask.  With n = y/|y| and v = spec n,
+    P spec P = spec - n v^T - v n^T + (n.v) n n^T, evaluated in symmetric
+    storage.  The y = 0 node and the Nyquist planes are set to zero.
+    Returns spec.
     """
-    y = np.stack(_wavevectors(grid), axis=-1)
+    y = np.stack(np.broadcast_arrays(*ys), axis=-1)
     ynorm = np.linalg.norm(y, axis=-1)
     n = y / np.where(ynorm == 0.0, 1.0, ynorm)[..., None]
     v = np.stack(
@@ -296,13 +362,13 @@ def _project_spectrum(spec, grid):
     nv = np.sum(n * v, axis=-1)
     j, k = np.array(SYM_PAIRS).T
     spec -= n[..., j] * v[..., k] + v[..., j] * n[..., k] - nv[..., None] * (n[..., j] * n[..., k])
-    spec[(ynorm == 0.0) | _nyquist_mask(grid)] = 0.0
+    spec[(ynorm == 0.0) | nyquist] = 0.0
     return spec
 
 
 def solenoidal_project(u: SymField2) -> SymField2:
     """Solenoidal part S(u): Fourier-domain projection P uhat P, P = I - y y^T/|y|^2,
-    in the closed form of _project_spectrum.
+    in the closed form of _project_spectrum, on the half spectrum.
 
     The y = 0 node is set to zero: compactly supported solenoidal fields
     have vanishing componentwise integral, so no information is lost.  The
@@ -310,15 +376,9 @@ def solenoidal_project(u: SymField2) -> SymField2:
     """
     if np.iscomplexobj(u.values):
         raise ValueError("solenoidal_project expects a real field")
-    spec = _project_spectrum(np.fft.fftn(u.values, axes=(0, 1, 2)), u.grid)
-    return SymField2(u.grid, np.fft.ifftn(spec, axes=(0, 1, 2)).real)
-
-
-_LEVI = np.zeros((3, 3, 3))
-for _p in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-    _LEVI[_p] = 1.0
-for _p in [(0, 2, 1), (2, 1, 0), (1, 0, 2)]:
-    _LEVI[_p] = -1.0
+    spec, ys, inverse = _spectrum(u.values, u.grid)
+    _project_spectrum(spec, ys, _nyquist_mask(u.grid, half=True))
+    return SymField2(u.grid, inverse(spec))
 
 
 def support_margin(values, grid, margin):
@@ -331,10 +391,22 @@ def support_margin(values, grid, margin):
     return float(comp[shell].max()) if shell.any() else 0.0
 
 
+def _cross_matrix(ys):
+    """(..., 3, 3) matrices [y]x with [y]x a = y x a."""
+    y1, y2, y3 = np.broadcast_arrays(*ys)
+    zero = np.zeros_like(y1)
+    return np.stack(
+        [np.stack(row, axis=-1) for row in ((zero, -y3, y2), (y3, zero, -y1), (-y2, y1, zero))],
+        axis=-2,
+    )
+
+
 def inc_potential(a: SymField2, margin=None) -> SymField2:
     """Incompatibility R_jk = eps_jpq eps_krs d_p d_r A_qs of a symmetric potential.
 
-    The output is symmetric and spectrally divergence-free; if A vanishes
+    On the half spectrum this is R_hat = -[y]x A_hat [y]x^T, one batched
+    3x3 product per frequency node ([y]x the cross-product matrix).  The
+    output is symmetric and spectrally divergence-free; if A vanishes
     near the boundary so does R, which makes R traction-free.
     """
     grid = a.grid
@@ -344,12 +416,10 @@ def inc_potential(a: SymField2, margin=None) -> SymField2:
         edge = support_margin(a.values, grid, margin)
         if edge > 1e-8 * (a.max_abs() or 1.0):
             raise ValueError("potential must vanish within the boundary margin")
-    spec = sym_to_matrix(np.fft.fftn(a.values, axes=(0, 1, 2)))
-    ks = _wavevectors(grid)
-    y = np.stack(np.broadcast_arrays(*ks), axis=-1)
-    # R_hat_jk = - eps_jpq eps_krs y_p y_r A_hat_qs
-    rhat = -np.einsum("jpq,krs,...p,...r,...qs->...jk", _LEVI, _LEVI, y, y, spec, optimize=True)
-    return SymField2(grid, np.fft.ifftn(matrix_to_sym(rhat), axes=(0, 1, 2)).real)
+    spec, ys, inverse = _spectrum(a.values, grid)
+    cross = _cross_matrix(ys)
+    rhat = -(cross @ sym_to_matrix(spec) @ np.swapaxes(cross, -1, -2))
+    return SymField2(grid, inverse(matrix_to_sym(rhat)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +454,31 @@ def _bump_modulation(x, rng, degree=2):
     return mod
 
 
-def random_bump_scalar(grid, rng, radius=None, degree=2) -> ScalarField:
+def _random_bumps(grid, rng, ncomp, radius=None, degree=2):
+    """ncomp bump-modulated components, stacked on a last axis.
+
+    The coordinates, r^2 and the bump profile are computed once; the
+    modulations are drawn one component after another, so the result is
+    that of ncomp random_bump_scalar calls, bit for bit.
+    """
     radius = radius or 0.75 * grid.domain.radius
     x = grid.coords()
     r2 = np.sum((x - np.asarray(grid.domain.center)) ** 2, axis=-1)
     chi = bump_profile(r2, radius)
-    return ScalarField(grid, chi * _bump_modulation(x / radius, rng, degree))
+    x = x / radius
+    return np.stack([chi * _bump_modulation(x, rng, degree) for _ in range(ncomp)], axis=-1)
+
+
+def random_bump_scalar(grid, rng, radius=None, degree=2) -> ScalarField:
+    return ScalarField(grid, _random_bumps(grid, rng, 1, radius, degree)[..., 0])
 
 
 def random_bump_covector(grid, rng, radius=None, degree=2) -> CovectorField:
-    comps = [random_bump_scalar(grid, rng, radius, degree).values for _ in range(3)]
-    return CovectorField(grid, np.stack(comps, axis=-1))
+    return CovectorField(grid, _random_bumps(grid, rng, 3, radius, degree))
 
 
 def random_bump_sym(grid, rng, radius=None, degree=2) -> SymField2:
-    comps = [random_bump_scalar(grid, rng, radius, degree).values for _ in range(6)]
-    return SymField2(grid, np.stack(comps, axis=-1))
+    return SymField2(grid, _random_bumps(grid, rng, 6, radius, degree))
 
 
 def gaussian_envelope(grid, r0=None):
@@ -458,9 +537,8 @@ def null_space_witness(grid, rng, width=20.0, radius=0.95) -> SymField2:
     r2 = r2 / grid.domain.radius**2
     c = rng.normal(size=3)
     beta = np.exp(-width * r2) * (1.0 + x @ c) * bump_profile(r2, radius)
-    y1, y2, y3 = _wavevectors(grid)
-    lap = -(y1**2 + y2**2 + y3**2) * np.fft.fftn(beta, axes=(0, 1, 2))
-    alpha = np.fft.ifftn(lap, axes=(0, 1, 2)).real
+    spec, (y1, y2, y3), inverse = _spectrum(beta, grid)
+    alpha = inverse(-(y1**2 + y2**2 + y3**2) * spec)
     alpha /= np.max(np.abs(alpha))
     vals = np.zeros(grid.dims + (6,))
     vals[..., :3] = alpha[..., None]

@@ -22,11 +22,15 @@ from .fields import (
     ScalarField,
     SymField2,
     SYM_MULT,
+    _AXES,
+    _half_spectrum,
+    _nyquist_mask,
+    _parseval_norm2,
     _project_spectrum,
+    _spectrum,
     _wavevectors,
-    divergence,
+    divergence_norm,
     identity_sym,
-    inner_derivative,
     matrix_to_sym,
     tangential_projector,
     trig_upsample,
@@ -422,8 +426,8 @@ def _regrid_pass(geo: _Regrid, values, grid: Grid3):
         flat[geo.nodes[sel]] = np.einsum("nc,ncs->ns", A[sel], geo.dyads[sel])
     # the solenoidal projection of the real part, applied to the spectrum:
     # P is real and even in y, so it commutes with taking the real part
-    _project_spectrum(spec6, grid)
-    return SymField2(grid, np.fft.ifftn(spec6, axes=(0, 1, 2)).real)
+    _project_spectrum(spec6, _wavevectors(grid), _nyquist_mask(grid))
+    return SymField2(grid, np.fft.ifftn(spec6, axes=_AXES).real)
 
 
 def invert_I_solenoidal(sinograms, grid: Grid3, floor=1e-6, cond_limit=1e8, refine=1):
@@ -470,19 +474,19 @@ def detangle_trace(m: SymField2, a, floor=1e-8) -> SymField2:
     """Split f from m = S(f + a (tr f) g) for solenoidal f.
 
     In the Fourier domain m_hat = f_hat + a (tr f_hat) eps with tr eps = 2,
-    so tr f_hat = tr m_hat / (1 + 2a).
+    so tr f_hat = tr m_hat / (1 + 2a).  eps is real and even in y, so a real
+    m is split on its half spectrum.
     """
     if abs(1.0 + 2.0 * a) < floor:
         raise NonUniqueError(
             "1 + 2a vanishes: the data are blind to the S(alpha g) family"
         )
-    spec = np.fft.fftn(m.values, axes=(0, 1, 2))
-    eps = tangential_projector(*_wavevectors(m.grid))
-    eps6 = matrix_to_sym(eps)
+    spec, ys, inverse = _spectrum(m.values, m.grid)
+    eps6 = matrix_to_sym(tangential_projector(*ys))
     trm = spec[..., 0] + spec[..., 1] + spec[..., 2]
     trf = trm / (1.0 + 2.0 * a)
     f = spec - a * trf[..., None] * eps6
-    return SymField2(m.grid, np.fft.ifftn(f, axes=(0, 1, 2)).real)
+    return SymField2(m.grid, inverse(f).real)
 
 
 def pwave_pipeline(data, params, grid: Grid3, refine=1):
@@ -504,7 +508,7 @@ def pwave_pipeline(data, params, grid: Grid3, refine=1):
     R = SymField2(grid, f.values * w.b)
     report.timing["detangle"] = time.perf_counter() - t1
     rn = R.norm()
-    dn = divergence(R).norm()
+    dn = divergence_norm(R)
     diam = 2.0 * grid.domain.radius
     report.stages["m_norm"] = m.norm()
     report.stages["R_norm"] = rn
@@ -760,26 +764,29 @@ def swave_pipeline(sinograms, params, grid: Grid3, scale, lam=None, maxiter=CG_M
 def verify_poincare(v: CovectorField, D=None, margin=0.03, tol=1e-6):
     """Ratio |v|^2 / ((D^2/10)(2 |dv|^2 + |delta v|^2)); at most 1.
 
-    v must vanish near the domain boundary; D defaults to the Euclidean
-    diameter of the ball domain.
+    v must be real and vanish near the domain boundary (else ValueError);
+    D defaults to the Euclidean diameter of the ball domain.  Both
+    derivative norms come by Parseval from one half spectrum V of v:
+    2 |dv|^2 + |delta v|^2 sums |y|^2 |V|^2 + 2 |y.V|^2 over the
+    frequencies, with no inverse transform.
     """
+    if np.iscomplexobj(v.values):
+        raise ValueError("verify_poincare expects a real field")
     grid = v.grid
     vmax = float(np.max(np.abs(v.values)))
     if vmax == 0.0:
         return 0.0
-    r = np.linalg.norm(grid.coords() - np.asarray(grid.domain.center), axis=-1)
+    c = np.asarray(grid.domain.center)
+    x1, x2, x3 = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
+    r = np.sqrt((x1 - c[0]) ** 2 + (x2 - c[1]) ** 2 + (x3 - c[2]) ** 2)
     rim = r > grid.domain.radius * (1.0 - margin)
     if np.max(np.abs(v.values[rim])) > tol * vmax:
         raise ValueError("field does not vanish on the boundary margin")
     if D is None:
         D = 2.0 * grid.domain.radius
-    dv = inner_derivative(v)
-    spec = np.fft.fftn(v.values, axes=(0, 1, 2))
-    y1, y2, y3 = _wavevectors(grid)
-    div_spec = 1j * (y1 * spec[..., 0] + y2 * spec[..., 1] + y3 * spec[..., 2])
-    dvv = np.fft.ifftn(div_spec, axes=(0, 1, 2)).real
-    vol = grid.cell_volume()
-    nv = float(np.sum(v.values**2)) * vol
-    ndv = float(np.sum(SYM_MULT * dv.values**2)) * vol
-    ndel = float(np.sum(dvv**2)) * vol
-    return nv / ((D**2 / 10.0) * (2.0 * ndv + ndel))
+    spec, ys, weights = _half_spectrum(v.values, grid)
+    ysq = ys[0] ** 2 + ys[1] ** 2 + ys[2] ** 2
+    ydotv = ys[0] * spec[..., 0] + ys[1] * spec[..., 1] + ys[2] * spec[..., 2]
+    power = ysq * np.sum(np.abs(spec) ** 2, axis=-1) + 2.0 * np.abs(ydotv) ** 2
+    nv = float(np.sum(v.values**2)) * grid.cell_volume()
+    return nv / ((D**2 / 10.0) * _parseval_norm2(power, weights, grid))

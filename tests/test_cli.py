@@ -344,3 +344,15 @@ def test_report_corrupt_input_exits_config(tmp_path, capsys):
     bad.write_text('{"errors": {"relative_l2": 0.1')
     assert main(["report", str(bad), "--out", str(tmp_path / "merged")]) == EXIT_CONFIG
     assert "report.json" in capsys.readouterr().err
+
+
+def test_verify_records_its_timing(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = str(tmp_path / "v")
+    assert main(["verify", "--config", cfg, "--out", out]) == EXIT_OK
+    timing = read_report(os.path.join(out, "verify.json")).timing
+    assert set(timing) == {"conditions", "poincare", "contraction", "projection", "total"}
+    assert all(isinstance(t, float) and t >= 0.0 for t in timing.values())
+    assert sum(t for k, t in timing.items() if k != "total") == pytest.approx(timing["total"])
+    printed = capsys.readouterr().out  # the printed lines are unchanged
+    assert "verify: total" not in printed and printed.endswith("verify: all checks pass\n")

@@ -4,12 +4,20 @@ import pytest
 from stresstomo import fields
 from stresstomo.cli import EXIT_OK, cmd_verify, load_config
 from stresstomo.fields import (
+    SYM_PAIRS,
+    SYM_SLOT,
     CovectorField,
+    Domain,
     Grid3,
     ScalarField,
     SymField2,
+    _gradient_nd,
+    _half_spectrum,
+    _nyquist_mask,
+    _wavevectors,
     bump_profile,
     divergence,
+    divergence_norm,
     identity_sym,
     inc_potential,
     inner_derivative,
@@ -17,6 +25,7 @@ from stresstomo.fields import (
     random_bump_covector,
     random_bump_scalar,
     random_bump_sym,
+    random_smooth_covector,
     solenoidal_project,
     spectral_gradient,
     spectral_upsample,
@@ -263,8 +272,6 @@ def test_projection_of_scalar_times_identity(grid, rng):
     u = SymField2(grid, np.zeros(grid.dims + (6,)))
     u.values[..., :3] = phi.values[..., None]
     # hand algebra: P g P = P = eps, so S(phi g)^hat = phi_hat eps
-    from stresstomo.fields import _nyquist_mask, _wavevectors
-
     su_hat = np.fft.fftn(solenoidal_project(u).values, axes=(0, 1, 2))
     phi_hat = np.fft.fftn(phi.values, axes=(0, 1, 2))
     eps = matrix_to_sym(tangential_projector(*_wavevectors(grid)))
@@ -341,21 +348,173 @@ def test_inc_moment_identity(grid, rng):
 
 
 # ---------------------------------------------------------------------------
+# half-spectrum operators against the full-spectrum implementations they replace
+
+# even and odd lengths on the last (halved) axis, cubic and not
+EQ_DIMS = [(16, 16, 16), (17, 17, 17), (16, 18, 20), (15, 18, 21)]
+
+
+def ball_grid(dims):
+    """Grid on [-1.2, 1.2]^3 with dims nodes per axis and the unit ball."""
+    h = tuple(2.4 / n for n in dims)
+    origin = tuple(-1.2 + 0.5 * s for s in h)
+    return Grid3(tuple(dims), h, origin, Domain("ball", (0.0, 0.0, 0.0), 1.0))
+
+
+def _reference_wavevectors(grid):
+    ks = grid.freqs()
+    for k, n in zip(ks, grid.dims):
+        if n % 2 == 0:
+            k[n // 2] = 0.0
+    return np.meshgrid(*ks, indexing="ij")
+
+
+def _reference_gradient_nd(values, grid):
+    spec = np.fft.fftn(values, axes=(0, 1, 2))
+    cols = []
+    for k in _reference_wavevectors(grid):
+        k = k.reshape(k.shape + (1,) * (values.ndim - 3))
+        col = np.fft.ifftn(1j * k * spec, axes=(0, 1, 2))
+        cols.append(col.real if np.isrealobj(values) else col)
+    return np.stack(cols, axis=-1)
+
+
+def _reference_inner_derivative(v):
+    dv = _reference_gradient_nd(v.values, v.grid)
+    return np.stack([0.5 * (dv[..., k, j] + dv[..., j, k]) for j, k in SYM_PAIRS], axis=-1)
+
+
+def _reference_divergence(u):
+    du = _reference_gradient_nd(u.values, u.grid)  # (...,s,i) = d_i u_s
+    cols = [sum(du[..., SYM_SLOT[(j, k)], k] for k in range(3)) for j in range(3)]
+    return np.stack(cols, axis=-1)
+
+
+def _reference_solenoidal_project(u):
+    """P uhat P with the 3x3 matrices, on the full spectrum."""
+    grid = u.grid
+    eps = tangential_projector(*_reference_wavevectors(grid))
+    spec = matrix_to_sym(eps @ sym_to_matrix(np.fft.fftn(u.values, axes=(0, 1, 2))) @ eps)
+    spec[_nyquist_mask(grid)] = 0.0  # y = 0 is already zero: eps vanishes there
+    return np.fft.ifftn(spec, axes=(0, 1, 2)).real
+
+
+_LEVI = np.zeros((3, 3, 3))
+for _p in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+    _LEVI[_p] = 1.0
+for _p in [(0, 2, 1), (2, 1, 0), (1, 0, 2)]:
+    _LEVI[_p] = -1.0
+
+
+def _reference_inc_potential(a):
+    """R_hat_jk = - eps_jpq eps_krs y_p y_r A_hat_qs on the full spectrum."""
+    spec = sym_to_matrix(np.fft.fftn(a.values, axes=(0, 1, 2)))
+    y = np.stack(_reference_wavevectors(a.grid), axis=-1)
+    rhat = -np.einsum("jpq,krs,...p,...r,...qs->...jk", _LEVI, _LEVI, y, y, spec, optimize=True)
+    return np.fft.ifftn(matrix_to_sym(rhat), axes=(0, 1, 2)).real
+
+
+def assert_close(got, want, tol=1e-13):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dims", EQ_DIMS)
+def test_half_spectrum_wavevectors_and_parseval(dims):
+    grid = ball_grid(dims)
+    f = np.random.default_rng(1).standard_normal(dims + (2,))
+    spec, ys, weights = _half_spectrum(f, grid)
+    m3 = dims[2] // 2 + 1
+    assert spec.shape == dims[:2] + (m3, 2)
+    full = np.fft.fftn(f, axes=(0, 1, 2))[:, :, :m3]
+    assert np.max(np.abs(spec - full)) <= 1e-12 * np.max(np.abs(full))
+    for y, full in zip(np.broadcast_arrays(*ys), _reference_wavevectors(grid)):
+        assert np.array_equal(y, full[:, :, :m3])
+    assert np.array_equal(_nyquist_mask(grid, half=True), _nyquist_mask(grid)[:, :, :m3])
+    power = np.sum(np.abs(spec) ** 2, axis=-1)
+    assert abs(np.sum(weights * power) / np.prod(dims) - np.sum(f**2)) <= 1e-12 * np.sum(f**2)
+
+
+@pytest.mark.parametrize("dims", EQ_DIMS)
+def test_gradient_matches_full_spectrum_reference(dims):
+    grid = ball_grid(dims)
+    rng = np.random.default_rng(2)
+    u = random_bump_sym(grid, rng, radius=0.6)
+    assert_close(_gradient_nd(u.values, grid), _reference_gradient_nd(u.values, grid))
+    phi = random_bump_scalar(grid, rng)
+    assert_close(spectral_gradient(phi).values, _reference_gradient_nd(phi.values, grid))
+    # a complex field keeps the full-spectrum path and a complex result
+    c = u.values * (1.0 - 0.5j)
+    assert_close(_gradient_nd(c, grid), _reference_gradient_nd(c, grid))
+
+
+@pytest.mark.parametrize("dims", EQ_DIMS)
+def test_inner_derivative_matches_full_spectrum_reference(dims):
+    grid = ball_grid(dims)
+    v = random_bump_covector(grid, np.random.default_rng(3), radius=0.8)
+    assert_close(inner_derivative(v).values, _reference_inner_derivative(v))
+
+
+@pytest.mark.parametrize("dims", EQ_DIMS)
+def test_divergence_matches_full_spectrum_reference(dims):
+    grid = ball_grid(dims)
+    u = random_bump_sym(grid, np.random.default_rng(4), radius=0.6)
+    want = _reference_divergence(u)
+    assert_close(divergence(u).values, want)
+    ref_norm = CovectorField(grid, want).norm()
+    assert abs(divergence_norm(u) - ref_norm) <= 1e-12 * ref_norm
+
+
+@pytest.mark.parametrize("dims", EQ_DIMS)
+def test_solenoidal_project_matches_full_spectrum_reference(dims):
+    grid = ball_grid(dims)
+    u = random_bump_sym(grid, np.random.default_rng(5), radius=0.6)
+    assert_close(solenoidal_project(u).values, _reference_solenoidal_project(u))
+
+
+@pytest.mark.parametrize("dims", EQ_DIMS)
+def test_inc_potential_matches_full_spectrum_reference(dims):
+    grid = ball_grid(dims)
+    a = random_bump_sym(grid, np.random.default_rng(6), radius=0.55)
+    assert_close(inc_potential(a).values, _reference_inc_potential(a))
+    c = SymField2(grid, a.values * (0.5 + 1j))
+    assert_close(inc_potential(c).values, _reference_inc_potential(c))
+
+
+def test_half_spectrum_operators_keep_complex_behaviour():
+    grid = ball_grid((16, 18, 20))
+    rng = np.random.default_rng(8)
+    v = random_smooth_covector(grid, rng)
+    c = CovectorField(grid, v.values * (1.0 + 2.0j))
+    assert_close(inner_derivative(c).values, _reference_inner_derivative(c))
+    u = random_bump_sym(grid, rng, radius=0.6)
+    cu = SymField2(grid, u.values * 1j)
+    assert_close(divergence(cu).values, _reference_divergence(cu))
+    with pytest.raises(ValueError, match="real field"):
+        solenoidal_project(cu)
+
+
+# ---------------------------------------------------------------------------
 # random test fields
 
 
-def _power_bump_scalar(grid, rng, radius=None, degree=2):
-    """Reference: the bump modulation with the monomials taken as x ** exponents."""
-    radius = radius or 0.75 * grid.domain.radius
-    r2 = np.sum((grid.coords() - np.asarray(grid.domain.center)) ** 2, axis=-1)
-    x = grid.coords() / radius
-    mod = np.zeros(grid.dims)
+def _power_bump_modulation(x, rng, degree=2):
+    """Reference for fields._bump_modulation with the monomials taken as x ** exponents."""
+    mod = np.zeros(x.shape[:-1])
     for _ in range(degree + 1):
         c = rng.normal(size=3)
         w = rng.normal()
         mod += w * np.prod(x ** rng.integers(0, degree + 1, size=3), axis=-1) + np.sin(
             x @ c * 2.0
         ) * rng.normal(scale=0.5)
+    return mod
+
+
+def _power_bump_scalar(grid, rng, radius=None, degree=2):
+    """Reference: the bump modulation with the monomials taken as x ** exponents."""
+    radius = radius or 0.75 * grid.domain.radius
+    r2 = np.sum((grid.coords() - np.asarray(grid.domain.center)) ** 2, axis=-1)
+    mod = _power_bump_modulation(grid.coords() / radius, rng, degree)
     return ScalarField(grid, bump_profile(r2, radius) * mod)
 
 
@@ -370,11 +529,22 @@ def test_random_bump_scalar_matches_power_formula(degree):
     assert a.bit_generator.state == b.bit_generator.state  # the same draws
 
 
+@pytest.mark.parametrize("dims", [(20, 20, 20), (15, 18, 21)])
+def test_random_bump_covector_is_three_scalar_draws(dims):
+    grid = ball_grid(dims)
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    got = random_bump_covector(grid, a, radius=0.8).values
+    want = np.stack([random_bump_scalar(grid, b, radius=0.8).values for _ in range(3)], axis=-1)
+    assert np.array_equal(got, want)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_verify_matches_power_formula_fields(tmp_path, monkeypatch):
     cfg = load_config(None)
     assert cmd_verify(cfg, str(tmp_path / "a")) == EXIT_OK
     got = read_report(str(tmp_path / "a" / "verify.json")).stages["poincare_max_ratio"]
-    monkeypatch.setattr(fields, "random_bump_scalar", _power_bump_scalar)
+    # the covector generator draws its modulations through _bump_modulation
+    monkeypatch.setattr(fields, "_bump_modulation", _power_bump_modulation)
     assert cmd_verify(cfg, str(tmp_path / "b")) == EXIT_OK
     want = read_report(str(tmp_path / "b" / "verify.json")).stages["poincare_max_ratio"]
     assert abs(got - want) <= 1e-12

@@ -3,17 +3,25 @@ import pytest
 
 from stresstomo.cli import load_config
 from stresstomo.fields import (
+    SYM_MULT,
+    SYM_PAIRS,
+    SYM_SLOT,
+    CovectorField,
+    Domain,
     Grid3,
     SymField2,
     divergence,
+    divergence_norm,
     identity_sym,
     inc_potential,
     inner_derivative,
+    matrix_to_sym,
     random_admissible_potential,
     random_bump_covector,
     random_bump_sym,
     random_smooth_sym,
     solenoidal_project,
+    tangential_projector,
 )
 import stresstomo.inversion as inversion
 from stresstomo.forward import (
@@ -106,6 +114,117 @@ def test_detangle_nonunique_weight(grid, rng):
         detangle_trace(m, -0.5 + 1e-12)
     # just outside the floor is allowed
     detangle_trace(m, -0.5 + 1e-6)
+
+
+# half-spectrum code against the full-spectrum implementations it replaces,
+# on even and odd lengths of the last (halved) axis
+EQ_DIMS = [(16, 16, 16), (17, 17, 17), (16, 18, 20), (15, 18, 21)]
+
+
+def ball_grid(dims):
+    """Grid on [-1.2, 1.2]^3 with dims nodes per axis and the unit ball."""
+    h = tuple(2.4 / n for n in dims)
+    origin = tuple(-1.2 + 0.5 * s for s in h)
+    return Grid3(tuple(dims), h, origin, Domain("ball", (0.0, 0.0, 0.0), 1.0))
+
+
+def _reference_wavevectors(grid):
+    ks = grid.freqs()
+    for k, n in zip(ks, grid.dims):
+        if n % 2 == 0:
+            k[n // 2] = 0.0
+    return np.meshgrid(*ks, indexing="ij")
+
+
+def _reference_partials(values, grid):
+    """d_i of each component on the full spectrum: (...,C) -> (...,C,3)."""
+    spec = np.fft.fftn(values, axes=(0, 1, 2))
+    ks = _reference_wavevectors(grid)
+    return np.stack([np.fft.ifftn(1j * k[..., None] * spec, axes=(0, 1, 2)).real for k in ks], axis=-1)
+
+
+def _reference_detangle_trace(m, a):
+    spec = np.fft.fftn(m.values, axes=(0, 1, 2))
+    eps6 = matrix_to_sym(tangential_projector(*_reference_wavevectors(m.grid)))
+    trf = (spec[..., 0] + spec[..., 1] + spec[..., 2]) / (1.0 + 2.0 * a)
+    return np.fft.ifftn(spec - a * trf[..., None] * eps6, axes=(0, 1, 2)).real
+
+
+def _reference_verify_poincare(v):
+    """The energy ratio from real-space derivatives, each from the full spectrum."""
+    grid = v.grid
+    dv = _reference_partials(v.values, grid)  # (...,k,j) = d_j v_k
+    sym = np.stack([0.5 * (dv[..., k, j] + dv[..., j, k]) for j, k in SYM_PAIRS], axis=-1)
+    div = dv[..., 0, 0] + dv[..., 1, 1] + dv[..., 2, 2]
+    vol = grid.cell_volume()
+    nv = float(np.sum(v.values**2)) * vol
+    ndv = float(np.sum(SYM_MULT * sym**2)) * vol
+    ndel = float(np.sum(div**2)) * vol
+    return nv / ((2.0 * grid.domain.radius) ** 2 / 10.0 * (2.0 * ndv + ndel))
+
+
+def _reference_divergence_norm(u):
+    du = _reference_partials(u.values, u.grid)  # (...,s,i) = d_i u_s
+    cols = [sum(du[..., SYM_SLOT[(j, k)], k] for k in range(3)) for j in range(3)]
+    div = np.stack(cols, axis=-1)
+    return CovectorField(u.grid, div).norm()
+
+
+@pytest.mark.parametrize("dims", EQ_DIMS)
+def test_detangle_trace_matches_full_spectrum_reference(dims):
+    grid = ball_grid(dims)
+    rng = np.random.default_rng(12)
+    entangled = make_entangled(solenoidal_project(random_smooth_sym(grid, rng)), 0.8)
+    for m in (entangled, random_smooth_sym(grid, rng)):
+        want = _reference_detangle_trace(m, 0.8)
+        assert np.max(np.abs(detangle_trace(m, 0.8).values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dims", EQ_DIMS)
+def test_verify_poincare_matches_full_spectrum_reference(dims):
+    grid = ball_grid(dims)
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        v = random_bump_covector(grid, rng, radius=0.8)
+        want = _reference_verify_poincare(v)
+        assert abs(verify_poincare(v) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("dims", EQ_DIMS)
+def test_poincare_rim_is_the_ball_shell(dims):
+    # the rim test accepts a field on the outermost node inside the shell
+    # r <= radius (1 - margin) and rejects one on the innermost node beyond it
+    grid = ball_grid(dims)
+    r = np.linalg.norm(grid.coords(), axis=-1)
+    edge = 1.0 - 0.03
+    inside = np.where(r <= edge, r, -1.0).argmax()
+    beyond = np.where(r > edge, r, 9.0).argmin()
+    for idx, rejected in ((inside, False), (beyond, True)):
+        vals = np.zeros(dims + (3,))
+        vals.reshape(-1, 3)[idx] = 1.0
+        if rejected:
+            with pytest.raises(ValueError, match="boundary"):
+                verify_poincare(CovectorField(grid, vals))
+        else:
+            assert verify_poincare(CovectorField(grid, vals)) > 0.0
+
+
+@pytest.mark.parametrize("dims", EQ_DIMS)
+def test_divergence_norm_matches_full_spectrum_reference(dims):
+    u = random_bump_sym(ball_grid(dims), np.random.default_rng(14), radius=0.6)
+    want = _reference_divergence_norm(u)
+    assert abs(divergence_norm(u) - want) <= 1e-12 * want
+
+
+def test_pwave_divergence_residual_matches_full_spectrum_reference(grid, rng):
+    # the output is solenoidal, so the residual is at the rounding level:
+    # compare it in absolute terms (it is already relative to |R| / diam)
+    R = inc_potential(random_bump_sym(grid, rng, radius=0.55))
+    fams = build_line_families(grid, 24, 24)
+    params = MaterialParams()
+    out, report = pwave_pipeline([pwave_data(R, params, f) for f in fams], params, grid)
+    want = _reference_divergence_norm(out) * 2.0 * grid.domain.radius / out.norm()
+    assert abs(report.errors["divergence_residual"] - want) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +582,12 @@ def test_poincare_zero_field(grid):
 
     v = CovectorField(grid, np.zeros(grid.dims + (3,)))
     assert verify_poincare(v) == 0.0
+
+
+def test_poincare_rejects_complex_field(grid, rng):
+    v = random_bump_covector(grid, rng, radius=0.8)
+    with pytest.raises(ValueError, match="real field"):
+        verify_poincare(CovectorField(grid, v.values * (1.0 + 1.0j)))
 
 
 def test_poincare_rejects_boundary_support(grid):
