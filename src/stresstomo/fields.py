@@ -454,19 +454,41 @@ def _bump_modulation(x, rng, degree=2):
     return mod
 
 
-def _random_bumps(grid, rng, ncomp, radius=None, degree=2):
-    """ncomp bump-modulated components, stacked on a last axis.
-
-    The coordinates, r^2 and the bump profile are computed once; the
-    modulations are drawn one component after another, so the result is
-    that of ncomp random_bump_scalar calls, bit for bit.
-    """
-    radius = radius or 0.75 * grid.domain.radius
+def _bump_support(grid, radius):
+    """(mask, chi, x): the nodes where bump_profile is positive, the
+    profile there (m,) and their coordinates scaled by 1 / radius (m, 3)."""
     x = grid.coords()
     r2 = np.sum((x - np.asarray(grid.domain.center)) ** 2, axis=-1)
     chi = bump_profile(r2, radius)
-    x = x / radius
-    return np.stack([chi * _bump_modulation(x, rng, degree) for _ in range(ncomp)], axis=-1)
+    mask = chi > 0.0
+    return mask, chi[mask], x[mask] / radius
+
+
+def _bumps_on(support, rng, ncomp, degree=2):
+    """ncomp bump-modulated components on the grid, stacked on a last axis,
+    from a _bump_support; zero off the support.
+
+    The modulations are drawn one component after another and evaluated
+    only on the support's nodes.  The draws do not depend on the support's
+    size, so the generator state after the call is that of a full-grid
+    evaluation.
+    """
+    mask, chi, x = support
+    vals = np.zeros(mask.shape + (ncomp,))
+    vals[mask] = np.stack([chi * _bump_modulation(x, rng, degree) for _ in range(ncomp)], axis=-1)
+    return vals
+
+
+def _random_bumps(grid, rng, ncomp, radius=None, degree=2):
+    """ncomp bump-modulated components, stacked on a last axis.
+
+    The coordinates, r^2 and the bump profile are computed once, and the
+    modulations only where the profile is positive (_bumps_on).  The result
+    is that of ncomp random_bump_scalar calls, bit for bit, and equals the
+    product of profile and modulation on every node of the grid; off the
+    support it holds +0.0 where that product may give -0.0.
+    """
+    return _bumps_on(_bump_support(grid, radius or 0.75 * grid.domain.radius), rng, ncomp, degree)
 
 
 def random_bump_scalar(grid, rng, radius=None, degree=2) -> ScalarField:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
+import os
 import struct
 import warnings
 
@@ -85,10 +87,11 @@ def read_field(path):
         else:
             domain = Domain("box")
         ncomp = _RANK_COMPS[code]
-        count = int(np.prod(dims)) * ncomp
-        data = np.fromfile(fh, dtype="<f8", count=count)
-        if data.size != count:
+        count = math.prod(dims) * ncomp
+        # a header may promise more data than any file holds: check before reading
+        if 8 * count > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ValueError(f"{path}: truncated field data")
+        data = np.fromfile(fh, dtype="<f8", count=count)
     grid = Grid3(dims, spacing, origin, domain)
     shape = dims + (() if code == 0 else (ncomp,))
     return _RANK_CLASSES[code](grid, data.reshape(shape).astype(float))
@@ -331,11 +334,26 @@ def _parse_bulk(path, family_id, kind, count):
     return keys, cols
 
 
+def _max_rows(path, family_id, kind):
+    """The most records a sinogram CSV of path's size can hold: a record
+    has at least its family_id, three one-digit indices, its kind, a digit
+    per value column, the commas between and a one-byte line end."""
+    ncol = len(_KIND_COLUMNS[kind])
+    return os.path.getsize(path) // (len(family_id) + len(kind) + 2 * ncol + 8)
+
+
+def _check_rows(rows, what, v):
+    if type(v) is int and v > rows:
+        raise ValueError(f"family manifest: {what} {v} exceeds the {rows} rows the CSV can hold")
+
+
 def read_sinogram(path):
     """Read a sinogram CSV and its manifest.
 
     The manifest must be an object with a string family_id, a known kind
-    and a family, which family_from_manifest checks.  Every ray index of
+    and a family, which family_from_manifest checks; its counts, and the
+    family's ray count, must fit the rows the CSV's size allows, which is
+    checked before anything of their size is allocated.  Every ray index of
     the family must appear exactly once, and every row must name the
     manifest's family and kind; a malformed manifest or record raises
     ValueError and non-finite values FloatingPointError, both naming the
@@ -352,12 +370,17 @@ def read_sinogram(path):
             raise ValueError(f"manifest: family_id must be a string, got {family_id!r}")
         if type(kind) is not str or kind not in _KIND_COLUMNS:
             raise ValueError(f"manifest: kind must be one of {sorted(_KIND_COLUMNS)}, got {kind!r}")
-        fam = family_from_manifest(man.get("family"))
+        rows = _max_rows(path, family_id, kind)
+        fman = man.get("family")
+        for key in ("angle_count", "offset_count", "direction_count"):
+            _check_rows(rows, key, fman.get(key) if isinstance(fman, dict) else None)
+        fam = family_from_manifest(fman)
+        count = math.prod(fam.shape)
+        _check_rows(rows, "ray count", count)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     ncol = len(_KIND_COLUMNS[kind])
     shape = fam.shape
-    count = int(np.prod(shape))
     args = (path, family_id, kind, count)
     try:
         parsed = _parse_bulk(*args)
@@ -368,7 +391,10 @@ def read_sinogram(path):
     if np.any(keys < 0) or np.any(keys >= shape):
         raise ValueError(f"{path}: ray index out of range")
     flat_keys = np.ravel_multi_index(keys.T, shape)
-    if len(np.unique(flat_keys)) != count:
+    # count keys, all in range: a duplicate leaves some index unseen
+    seen = np.zeros(count, dtype=bool)
+    seen[flat_keys] = True
+    if not seen.all():
         raise ValueError(f"{path}: duplicated ray index")
     if not np.all(np.isfinite(cols)):
         raise FloatingPointError(f"{path}: non-finite sinogram value")

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -311,6 +312,30 @@ def test_corrupt_truth_field_exits_config(tmp_path, capsys, command, damage):
         fh.write(damage(data))
     assert main([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
     assert "truth.stf" in capsys.readouterr().err
+
+
+def test_truth_field_header_beyond_file_exits_config(tmp_path, capsys):
+    # dims of 4e9 x 4e9 x 24 nodes in a file of a few hundred kB
+    cfg, out, _, _ = _forwarded(tmp_path)
+    with open(os.path.join(out, "truth.stf"), "r+b") as fh:
+        fh.seek(5)  # past the magic and the rank code
+        fh.write(struct.pack("<3I", 4000000000, 4000000000, 24))
+    assert main(["forward", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert "unreadable truth field: " in (err := capsys.readouterr().err)
+    assert "truncated field data" in err
+
+
+def test_invert_rejects_manifest_counts_beyond_csv(tmp_path, capsys):
+    # 10**17 angles: beyond any address space, so an allocation of that size fails at once
+    cfg, out, _, _ = _forwarded(tmp_path)
+    path = os.path.join(out, "pwave_plane0.csv.manifest.json")
+    with open(path) as fh:
+        man = json.load(fh)
+    man["family"]["angle_count"] = 10**17
+    with open(path, "w") as fh:
+        json.dump(man, fh)
+    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert "pwave_plane0.csv: family manifest: angle_count" in capsys.readouterr().err
 
 
 def _truth_on_larger_grid(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stresstomo import fields
+from stresstomo import cli, fields
 from stresstomo.cli import EXIT_OK, cmd_verify, load_config
 from stresstomo.fields import (
     SYM_PAIRS,
@@ -35,6 +35,7 @@ from stresstomo.fields import (
     trace,
     trig_upsample,
 )
+from stresstomo.inversion import verify_poincare
 from stresstomo.io import read_report
 
 
@@ -548,3 +549,76 @@ def test_verify_matches_power_formula_fields(tmp_path, monkeypatch):
     assert cmd_verify(cfg, str(tmp_path / "b")) == EXIT_OK
     want = read_report(str(tmp_path / "b" / "verify.json")).stages["poincare_max_ratio"]
     assert abs(got - want) <= 1e-12
+
+
+def _reference_random_bumps(grid, rng, ncomp, radius=None, degree=2):
+    """Reference for fields._random_bumps: every modulation on every node of
+    the grid, multiplied by the profile."""
+    radius = radius or 0.75 * grid.domain.radius
+    x = grid.coords()
+    r2 = np.sum((x - np.asarray(grid.domain.center)) ** 2, axis=-1)
+    chi = bump_profile(r2, radius)
+    x = x / radius
+    return np.stack([chi * fields._bump_modulation(x, rng, degree) for _ in range(ncomp)], axis=-1)
+
+
+def _support_size(grid, radius):
+    r2 = np.sum((grid.coords() - np.asarray(grid.domain.center)) ** 2, axis=-1)
+    return int(np.count_nonzero(bump_profile(r2, radius)))
+
+
+@pytest.mark.parametrize("dims", [(16, 16, 16), (17, 17, 17), (15, 18, 21)])
+@pytest.mark.parametrize("radius", [0.05, 0.8, 3.0, None])
+def test_random_bumps_equal_full_grid_reference(dims, radius):
+    grid = ball_grid(dims)
+    size = _support_size(grid, radius or 0.75)
+    if radius == 0.05:
+        assert size <= 1  # no node, or the center node alone
+    elif radius == 3.0:
+        assert size == np.prod(dims)  # the ball holds the whole box
+    else:
+        assert 0 < size < np.prod(dims)
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    for gen, ncomp in ((random_bump_scalar, 1), (random_bump_covector, 3), (random_bump_sym, 6)):
+        for degree in (0, 2):
+            got = gen(grid, a, radius=radius, degree=degree).values
+            want = _reference_random_bumps(grid, b, ncomp, radius, degree)
+            assert np.array_equal(got.reshape(want.shape), want)
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_bump_modulation_sees_only_the_support(monkeypatch, tmp_path):
+    seen = []
+
+    def recording(x, rng, degree=2):
+        seen.append(x.shape)
+        return _power_bump_modulation(x, rng, degree)
+
+    monkeypatch.setattr(fields, "_bump_modulation", recording)
+    grid = ball_grid((15, 18, 21))
+    random_bump_covector(grid, np.random.default_rng(0), radius=0.8)
+    assert seen == [(_support_size(grid, 0.8), 3)] * 3
+    seen.clear()
+    cfg = load_config(None)
+    assert cmd_verify(cfg, str(tmp_path)) == EXIT_OK
+    size = _support_size(Grid3.cube(cfg["grid"]["n"]), 0.8)
+    assert size < cfg["grid"]["n"] ** 3 / 4
+    assert seen == [(size, 3)] * 30
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_verify_poincare_ratios_equal_ten_covector_draws(n, monkeypatch, tmp_path):
+    got = []
+
+    def recording(v):
+        got.append(verify_poincare(v))
+        return got[-1]
+
+    monkeypatch.setattr(cli, "verify_poincare", recording)
+    cfg = load_config(None)
+    cfg["grid"]["n"] = n
+    assert cmd_verify(cfg, str(tmp_path)) == EXIT_OK
+    grid, rng = Grid3.cube(n), np.random.default_rng(cfg["seed"])
+    want = [verify_poincare(random_bump_covector(grid, rng, radius=0.8)) for _ in range(10)]
+    assert got == want
+    assert read_report(str(tmp_path / "verify.json")).stages["poincare_max_ratio"] == max(want)

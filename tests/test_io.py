@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -64,6 +66,16 @@ def test_field_round_trip_all_ranks(grid, rng, tmp_path):
         assert type(back) is type(fld)
         assert back.grid == fld.grid
         assert np.array_equal(back.values, fld.values)
+
+
+def test_field_rejects_header_beyond_file(grid, rng, tmp_path):
+    p = tmp_path / "f.stf"
+    write_field(p, random_bump_sym(grid, rng, radius=0.7))
+    data = bytearray(p.read_bytes())
+    data[5:17] = struct.pack("<3I", 4000000000, 4000000000, 24)  # the dims, after magic and rank
+    p.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="truncated field data"):
+        read_field(p)
 
 
 def test_field_rejects_bad_magic(tmp_path):
@@ -284,11 +296,21 @@ def _reference_read(path):
     exception it raises.  It does not look at the family column."""
     with open(str(path) + ".manifest.json") as fh:
         man = json.load(fh)
-    fam = family_from_manifest(man["family"])
     kind = man["kind"]
     ncol = len(_KIND_COLUMNS[kind])
+    # no count may exceed the rows the file's size allows: a row holds at least
+    # the family_id, the kind, the commas, a line end and a digit per number
+    rows = os.path.getsize(path) // (len(man["family_id"]) + len(kind) + 2 * ncol + 8)
+    bound = f"the {rows} rows the CSV can hold"
+    for key in ("angle_count", "offset_count", "direction_count"):
+        if man["family"].get(key, 0) > rows:
+            v = man["family"][key]
+            raise ValueError(f"{path}: family manifest: {key} {v} exceeds {bound}")
+    fam = family_from_manifest(man["family"])
     shape = fam.shape
     count = int(np.prod(shape))
+    if count > rows:
+        raise ValueError(f"{path}: family manifest: ray count {count} exceeds {bound}")
     keys = np.empty((count, 3), dtype=np.intp)
     cols = np.empty((count, ncol))
     with open(path, newline="") as fh:
@@ -444,3 +466,29 @@ def test_read_sinogram_rejects_another_familys_rows(grid, rng, tmp_path):
     with pytest.raises(ValueError, match="family 'plane0' where the manifest has 'plane1'") as err:
         read_sinogram(paths[1])
     assert f"{paths[1]}:2:" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        # beyond any address space: an allocation of this size fails at once
+        ("plane", "angle_count", 10**17),
+        ("plane", "offset_count", 10**17),
+        ("sphere", "direction_count", 10**17),
+        ("sphere", "offset_count", 10**17),
+        # 200 angles fit the CSV's rows, 200 x 16 x 16 rays do not
+        ("plane", "angle_count", 200),
+    ],
+)
+def test_read_sinogram_rejects_counts_beyond_csv(grid, rng, tmp_path, kind, key, value):
+    R = random_bump_sym(grid, rng, radius=0.6)
+    fam = build_line_families(grid, 6, 16)[0] if kind == "plane" else build_sphere_family(grid, 5)
+    p = tmp_path / "s.csv"
+    write_sinogram(p, longitudinal_transform(R, fam))
+    side = tmp_path / "s.csv.manifest.json"
+    man = json.loads(side.read_text())
+    man["family"][key] = value
+    side.write_text(json.dumps(man))
+    with pytest.raises(ValueError, match=key if value > 200 else "ray count") as err:
+        read_sinogram(p)
+    assert f"{p}: family manifest:" in str(err.value)
