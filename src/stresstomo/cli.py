@@ -318,7 +318,7 @@ def cmd_verify(cfg, out):
     The energy-ratio check draws its ten bump covectors from one evaluation
     of the coordinates, profile and support, evaluates their modulations on
     the support's nodes only and puts them on the grid one at a time; they
-    equal those of ten random_bump_covector(grid, rng, radius=0.8) calls.
+    equal those of ten _random_bumps(grid, rng, 3, radius=0.8) calls.
 
     verify.json's timing holds the wall time in seconds of each check
     (conditions, poincare, contraction, projection) and of the whole suite

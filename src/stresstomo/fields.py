@@ -58,11 +58,11 @@ class Grid3:
                 raise ValueError("ball domain must lie inside the grid box")
 
     @classmethod
-    def cube(cls, n, halfwidth=1.2, ball_radius=1.0, center=(0.0, 0.0, 0.0)):
-        """Cubic grid on [-halfwidth, halfwidth]^3 with a centered ball domain."""
+    def cube(cls, n, halfwidth=1.2, ball_radius=1.0):
+        """Cubic grid on [-halfwidth, halfwidth]^3 with a ball domain at the origin."""
         h = 2.0 * halfwidth / n
-        origin = tuple(c - halfwidth + 0.5 * h for c in center)  # cell-centered nodes
-        dom = Domain("ball", center, ball_radius) if ball_radius else Domain("box")
+        origin = (0.5 * h - halfwidth,) * 3  # cell-centered nodes
+        dom = Domain("ball", (0.0, 0.0, 0.0), ball_radius) if ball_radius else Domain("box")
         return cls((n, n, n), (h, h, h), origin, dom)
 
     def axes(self):
@@ -138,12 +138,6 @@ def matrix_to_sym(m):
     return out
 
 
-def sym_inner(u: SymField2, w: SymField2):
-    """L2 inner product of two symmetric fields."""
-    prod = np.sum(SYM_MULT * u.values * np.conj(w.values), axis=-1)
-    return float(np.real(np.sum(prod))) * u.grid.cell_volume()
-
-
 def identity_sym(grid, scale=1.0):
     vals = np.zeros(grid.dims + (6,))
     vals[..., :3] = scale
@@ -165,29 +159,6 @@ def trig_upsample(values, factor, axis=0):
     if n % 2 == 0:
         np.moveaxis(spec, axis, 0)[n // 2] *= 0.5
     return np.fft.irfft(spec, n=factor * n, axis=axis) * factor
-
-
-def spectral_upsample(field, factor):
-    """Resample a field onto a factor-times finer grid by trig interpolation
-    along each axis.
-
-    Exact for the band-limited representation the grid already carries, so
-    downstream trilinear sampling sees a denser, smoother field.  Returns a
-    field of the same type on the refined grid.
-    """
-    if factor == 1:
-        return field
-    grid = field.grid
-    fine = Grid3(
-        tuple(n * factor for n in grid.dims),
-        tuple(h / factor for h in grid.spacing),
-        grid.origin,
-        grid.domain,
-    )
-    vals = field.values
-    for axis in range(3):
-        vals = trig_upsample(vals, factor, axis)
-    return type(field)(fine, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +293,6 @@ def divergence_norm(u: SymField2) -> float:
     spec, ys, weights = _half_spectrum(u.values, u.grid)
     power = np.sum(np.abs(_divergence_spectrum(spec, ys)) ** 2, axis=-1)
     return float(np.sqrt(_parseval_norm2(power, weights, u.grid)))
-
-
-def trace(u: SymField2) -> ScalarField:
-    """Euclidean trace tr u = u_11 + u_22 + u_33."""
-    return ScalarField(u.grid, u.values[..., 0] + u.values[..., 1] + u.values[..., 2])
 
 
 def tangential_projector(y1, y2, y3):
@@ -484,19 +450,11 @@ def _random_bumps(grid, rng, ncomp, radius=None, degree=2):
 
     The coordinates, r^2 and the bump profile are computed once, and the
     modulations only where the profile is positive (_bumps_on).  The result
-    is that of ncomp random_bump_scalar calls, bit for bit, and equals the
-    product of profile and modulation on every node of the grid; off the
+    is that of ncomp one-component calls, stacked, bit for bit, and equals
+    the product of profile and modulation on every node of the grid; off the
     support it holds +0.0 where that product may give -0.0.
     """
     return _bumps_on(_bump_support(grid, radius or 0.75 * grid.domain.radius), rng, ncomp, degree)
-
-
-def random_bump_scalar(grid, rng, radius=None, degree=2) -> ScalarField:
-    return ScalarField(grid, _random_bumps(grid, rng, 1, radius, degree)[..., 0])
-
-
-def random_bump_covector(grid, rng, radius=None, degree=2) -> CovectorField:
-    return CovectorField(grid, _random_bumps(grid, rng, 3, radius, degree))
 
 
 def random_bump_sym(grid, rng, radius=None, degree=2) -> SymField2:
@@ -533,10 +491,6 @@ def random_smooth_field(grid, rng, ncomp, width=14.0, degree=1):
             mod = mod + x @ rng.normal(size=3)
         comps.append(env * mod)
     return np.stack(comps, axis=-1)
-
-
-def random_smooth_covector(grid, rng, width=14.0, degree=1) -> CovectorField:
-    return CovectorField(grid, random_smooth_field(grid, rng, 3, width, degree))
 
 
 def random_smooth_sym(grid, rng, width=14.0, degree=1) -> SymField2:

@@ -1,10 +1,10 @@
 """Forward data synthesis for the constant-coefficient pipelines.
 
-Longitudinal, transverse, and truncated-transverse ray transforms of
-symmetric 2-tensor fields; the compressional phase data; the shear-wave
-polarization propagator (a unitary 2x2 ODE flow in the ray frame) with its
-Born reduction to mixed-ray-transform data; and the discrete adjoints used
-by iterative inversion.
+The longitudinal and truncated-transverse ray transforms of symmetric
+2-tensor fields over ray families; the compressional phase data; the
+shear-wave polarization propagator (a unitary 2x2 ODE flow in the ray
+frame) with its Born reduction to mixed-ray-transform data; and the
+adjoint K* used by iterative inversion.
 
 Every family-level transform is one operation with its own dyad table,
 evaluated once per call on the family's stacked views: per view, the field
@@ -19,7 +19,9 @@ solver apply K* and K*K, the latter in one pass per view
 (FamilyOperator.normal), without rebuilding the geometry.  An operator may
 be restricted to a support, a node mask such as the ball's: it then keeps
 only the entries on the support's nodes, numbered over the support, so a
-solver's unknowns are the support's nodes alone.
+solver's unknowns are the support's nodes alone.  Every transform takes a
+family (the adjoint, an operator); references that follow single rays live
+with the tests.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SYM_MULT, ScalarField, SymField2
-from .geometry import Ray, _ChordFamily, _stencil, chord_nodes, trilinear
+from .fields import SYM_MULT, SymField2
+from .geometry import _stencil, chord_nodes, trilinear
 from .material import ConditionError, check_pwave_conditions, pwave_weights, swave_weights
 
 _EYE2 = np.eye(2)
@@ -53,20 +55,6 @@ class Sinogram:
 
     def copy_with(self, kind, values):
         return Sinogram(self.family, kind, values)
-
-
-def sym_qform(vals6, a, b):
-    """u_jk a^j b^k from symmetric storage (11,22,33,23,13,12)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return (
-        vals6[..., 0] * a[..., 0] * b[..., 0]
-        + vals6[..., 1] * a[..., 1] * b[..., 1]
-        + vals6[..., 2] * a[..., 2] * b[..., 2]
-        + vals6[..., 3] * (a[..., 1] * b[..., 2] + a[..., 2] * b[..., 1])
-        + vals6[..., 4] * (a[..., 0] * b[..., 2] + a[..., 2] * b[..., 0])
-        + vals6[..., 5] * (a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0])
-    )
 
 
 def sym_outer(a, b):
@@ -237,7 +225,9 @@ class FamilyOperator:
     trapezoid integrals, which are _gather's up to the summation order, and
     normal(x, rows) the integrals and their transpose in one pass.  An entry
     is an int32 node and a float64 weight, 12 bytes.  Forward transforms use
-    _gather: building costs more than one gather.
+    _gather: building costs more than one gather, so an adjoint pays for
+    an operator only when the caller applies it repeatedly, and kdata_adjoint
+    takes the caller's operator rather than building one per call.
 
     support, a boolean node mask of grid.dims (None: the whole grid),
     restricts the operator to fields that vanish off it: only the entries
@@ -302,50 +292,13 @@ class FamilyOperator:
         return np.stack([np.bincount(v.nodes, b, self.size) for b in back])
 
 
-def _adjoint(family, data, grid, dyads):
-    """Adjoint over an operator's stencils, built here for a plain family."""
-    if not isinstance(family, FamilyOperator):
-        family = FamilyOperator(family, grid)
-    return family.adjoint(data, dyads)
-
-
 # ---------------------------------------------------------------------------
 # scalar and longitudinal transforms
 
 
-def ray_integral_scalar(field: ScalarField, ray: Ray):
-    """Trapezoid quadrature of an interpolated scalar along one ray."""
-    if len(ray.tau) == 0:
-        raise ValueError("empty ray")
-    if len(ray.tau) < 2:
-        return 0.0
-    vals = trilinear(field.grid, field.values, ray.points)
-    return float(np.trapezoid(vals, ray.tau))
-
-
-def longitudinal_transform(u: SymField2, rays):
-    """I(u): per ray the integral of u_jk tangent^j tangent^k.
-
-    rays is a family (gathered per view) or an iterable of Ray objects
-    (the per-ray reference).
-    """
-    if isinstance(rays, _ChordFamily):
-        return Sinogram(rays, "scalar", _gather(u.values, u.grid, rays, _tangent_dyads)[..., 0])
-    out = []
-    for ray in rays:
-        v = trilinear(u.grid, u.values, ray.points)
-        out.append(np.trapezoid(sym_qform(v, ray.tangents, ray.tangents), ray.tau))
-    return Sinogram(None, "scalar", np.asarray(out))
-
-
-def transverse_transform(F: SymField2, ray: Ray, eta):
-    """J(F)(ray, eta): the integral of F_jk eta^j eta^k for eta in the
-    tangent-orthogonal plane."""
-    eta = np.asarray(eta, dtype=float)
-    if np.max(np.abs(ray.tangents @ eta)) > 1e-8 * np.linalg.norm(eta):
-        raise ValueError("eta must be orthogonal to the ray tangent")
-    vals = trilinear(F.grid, F.values, ray.points)
-    return float(np.trapezoid(sym_qform(vals, eta, eta), ray.tau))
+def longitudinal_transform(u: SymField2, family) -> Sinogram:
+    """I(u): per chord of the family the integral of u_jk tangent^j tangent^k."""
+    return Sinogram(family, "scalar", _gather(u.values, u.grid, family, _tangent_dyads)[..., 0])
 
 
 def pwave_data(R: SymField2, params, family):
@@ -446,24 +399,6 @@ def _checked_drift(U, tol):
     return drift
 
 
-def rytov_propagate(R: SymField2, params, ray: Ray, scale=1.0, tol=1e-8):
-    """Propagator U of the polarization ODE dU/dtau = -i G U along one ray.
-
-    G is sampled at the ray's nodes in its per-node frames and stepped by
-    _flow over the ray's own intervals (a short last one included), so a
-    Ray built from a family chord gives rytov_family's record for that
-    chord.  scale multiplies the stress (Born-regime studies); a unitarity
-    drift of U above tol raises RuntimeError.
-    """
-    if ray.frames is None:
-        raise ValueError("ray frame not populated")
-    d = ray.tangents / np.linalg.norm(ray.tangents, axis=-1, keepdims=True)
-    D = SYM_MULT * _shear_dyads(params, scale)(d, ray.frames)
-    U = _flow(np.einsum("nc,nkc->nk", trilinear(R.grid, R.values, ray.points), D), np.diff(ray.tau))
-    _checked_drift(U, tol)
-    return U
-
-
 def rytov_family(R: SymField2, params, family, scale=1.0, tol=1e-8) -> Sinogram:
     """Propagators for every chord of a family: _flow over each chord's
     equispaced nodes, vectorized per view; an empty chord's record is
@@ -526,21 +461,10 @@ def kdata_transform(F: SymField2, family) -> Sinogram:
     return Sinogram(family, "kpair", _gather(F.values, F.grid, family, _kpair_dyads))
 
 
-def longitudinal_adjoint(family, values, grid) -> SymField2:
-    """I*: backprojection of scalar ray data onto tangent dyads.
-
-    Adjoint of longitudinal_transform with respect to the plain sum over
-    rays and the L2 field inner product (cell-volume weighted).
-    """
-    return _adjoint(family, values[..., None], grid, _tangent_dyads)
-
-
-def kdata_adjoint(family, values, grid) -> SymField2:
-    """K*: backprojection of (d, o) pairs onto the frame's trace-free dyads.
-
-    family may be a FamilyOperator, whose cached stencils are then used.
-    """
-    return _adjoint(family, values, grid, _kpair_dyads)
+def kdata_adjoint(op: FamilyOperator, values) -> SymField2:
+    """K*: backprojection of (d, o) pairs onto the frame's trace-free dyads,
+    over the operator's stencils."""
+    return op.adjoint(values, _kpair_dyads)
 
 
 def add_noise(sino: Sinogram, level, rng) -> Sinogram:

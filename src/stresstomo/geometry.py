@@ -1,11 +1,11 @@
-"""Ray geometry: straight-line families, geodesics, and parallel transport.
+"""Ray geometry: straight-line families and geodesics.
 
 Straight-line families organize parallel-beam chords of the ball domain for
-the constant-coefficient pipelines.  Geodesic tracing and parallel transport
-serve the conformally Euclidean metric h = v^-2 g used when the wave speed
-varies.  All rays are parameterized by arclength of the active metric and
-carry a parallel-transported orthonormal frame of the tangent-orthogonal
-plane.
+the constant-coefficient pipelines, as tables of views whose chords are
+generated together (chords, chord_nodes).  Geodesic tracing serves the
+conformally Euclidean metric h = v^-2 g used when the wave speed varies: a
+traced ray is parameterized by h-arclength and carries a
+parallel-transported orthonormal frame of the tangent-orthogonal plane.
 """
 
 from __future__ import annotations
@@ -130,38 +130,6 @@ class Ray:
         return float(self.tau[-1] - self.tau[0]) if len(self.tau) > 1 else 0.0
 
 
-def line_ray(start, direction, length, step, with_frame=True):
-    """Straight Euclidean unit-speed ray from start, uniform quadrature nodes."""
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    n = max(int(np.ceil(length / step)) + 1, 2)
-    tau = np.linspace(0.0, length, n)
-    pts = np.asarray(start, dtype=float) + tau[:, None] * d
-    tangents = np.broadcast_to(d, (n, 3)).copy()
-    frames = None
-    if with_frame:
-        e1, e2 = _orthobasis(d)
-        frames = np.broadcast_to(np.stack([e1, e2]), (n, 2, 3)).copy()
-    return Ray(pts, tangents, tau, frames)
-
-
-def ball_chord(center, radius, point, direction):
-    """Entry point and length of the chord of the ball cut by a line.
-
-    The line is point + t * direction (unit direction); returns (entry, L)
-    with L = 0 when the line misses the ball.
-    """
-    p = np.asarray(point, dtype=float) - np.asarray(center, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    tm = -p @ d
-    h2 = radius**2 - (p @ p - tm**2)
-    if h2 <= 0.0:
-        return np.asarray(point, dtype=float), 0.0
-    hl = np.sqrt(h2)
-    entry = np.asarray(point, dtype=float) + (tm - hl) * d
-    return entry, 2.0 * hl
-
-
 # ---------------------------------------------------------------------------
 # straight-line families
 
@@ -187,23 +155,12 @@ class _ChordFamily:
         return (len(self._dirs), len(self._off1), len(self._off2))
 
     @property
-    def ray_count(self):
-        return int(np.prod(self.shape))
-
-    @property
     def n_nodes(self):
         return int(np.ceil(2.0 * self.radius / self.step)) + 1
-
-    def direction(self, m):
-        return self._dirs[m]
 
     def grid_plane(self, grid):
         """The axis on whose grid planes every chord lies, or None."""
         return None
-
-    def frame(self, m):
-        """Orthonormal frame (e1, e2) of the plane orthogonal to view m."""
-        return self._frames[m]
 
     def views(self):
         """The view table: directions (views, 3) and frames (views, 2, 3)."""
@@ -219,20 +176,6 @@ class _ChordFamily:
         hl = np.sqrt(np.maximum(self.radius**2 - s1**2 - s2**2, 0.0))
         starts = self.center + s1[..., None] * e1 + s2[..., None] * e2 - hl[..., None] * d
         return starts, d, 2.0 * hl
-
-    def ray(self, m, i, j):
-        """The chord (i, j) of view m as a Ray carrying the view frame; cut
-        from the ball by ball_chord, independently of chords()."""
-        e1, e2 = self._frames[m]
-        point = self.center + self._off1[i] * e1 + self._off2[j] * e2
-        entry, length = ball_chord(self.center, self.radius, point, self._dirs[m])
-        r = line_ray(entry, self._dirs[m], length, self.step, with_frame=False)
-        r.frames = np.broadcast_to(self._frames[m], (len(r.tau), 2, 3)).copy()
-        return r
-
-    def rays(self):
-        for idx in np.ndindex(self.shape):
-            yield idx, self.ray(*idx)
 
 
 _ON_PLANE = 1e-12  # cells: dropping the far plane changes a sample by this share of a step
@@ -437,10 +380,6 @@ class ConformalMetric:
             return g / self.fn(pts)[..., None]
         return trilinear(self.grid, self._grad_logv, points, mode="clamp")
 
-    def speed_variation(self):
-        """Relative spread of v: a constant-closeness diagnostic, not a bound."""
-        return (self.v_max - self.v_min) / (0.5 * (self.v_max + self.v_min))
-
 
 def _geodesic_rhs(metric, x, p):
     # h = e^{2 phi} g with phi = -ln v:  x'' = -2 (grad phi . x') x' + |x'|^2 grad phi
@@ -459,21 +398,24 @@ def _rk4_step(metric, x, p, dt):
     return xn, pn
 
 
-def trace_geodesic(metric: ConformalMetric, x0, direction, step=None, budget=64.0):
+_GEODESIC_BUDGET = 64.0  # traced h-length, in box diagonals, before a ray counts as trapped
+
+
+def trace_geodesic(metric: ConformalMetric, x0, direction, step=None):
     """Trace a unit-h-speed geodesic of h = v^-2 g until it exits the domain.
 
     x0 sits on (or inside) the boundary sphere; direction is a Euclidean
     unit vector.  Fixed-step RK4 in h-arclength with tangent renormalized
     to |dx/dtau| = v after every step; the final partial step is bisected
-    onto the boundary.  Raises TrappedRayError past `budget` times the box
-    diagonal of h-length.
+    onto the boundary.  Raises TrappedRayError past _GEODESIC_BUDGET times
+    the box diagonal of h-length.
     """
     grid = metric.grid
     center, radius = _require_ball(grid)
     dt = step or default_step(grid) / metric.v_max
     lo, hi = grid.box()
     diag = np.linalg.norm(hi - lo)
-    max_steps = int(np.ceil(budget * diag / (dt * metric.v_min)))
+    max_steps = int(np.ceil(_GEODESIC_BUDGET * diag / (dt * metric.v_min)))
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
     x = np.asarray(x0, dtype=float)
@@ -549,50 +491,19 @@ def _transport(metric, ray: Ray, X0):
     return out
 
 
-def parallel_transport(ray: Ray, vector):
-    """Transport a tangent-orthogonal vector from the ray start to its end.
-
-    Preserves h-inner products; the identity for straight rays in a
-    constant metric.
-    """
-    v = np.asarray(vector, dtype=float)
-    t0 = ray.tangents[0]
-    if abs(v @ t0) > 1e-8 * np.linalg.norm(v) * np.linalg.norm(t0):
-        raise ValueError("vector must be orthogonal to the initial tangent")
-    if ray.metric is None:
-        return v.copy()
-    return _transport(ray.metric, ray, v)[-1]
-
-
-def reverse_ray(ray: Ray) -> Ray:
-    """The same segment traversed backwards."""
-    return Ray(
-        ray.points[::-1].copy(),
-        -ray.tangents[::-1].copy(),
-        (ray.tau[-1] - ray.tau)[::-1].copy(),
-        None if ray.frames is None else ray.frames[::-1].copy(),
-        ray.metric,
-    )
-
-
 def coverage_directions(y):
     """In-plane directions xi_k = (e_k x y)/|e_k x y| seen by the line families.
 
-    Returns (xi, ok): xi is (3, 3) with one unit direction per family and ok
-    flags which families are nondegenerate at this Fourier node (family k
-    degenerates when y is parallel to e_k).
+    y is (..., 3).  Returns (xi, ok): xi is (..., 3, 3) with one unit
+    direction per family on its second-to-last axis, and ok (..., 3) flags
+    which families are nondegenerate at each Fourier node (family k
+    degenerates when y is parallel to e_k); xi is zero where ok is False.
     """
     y = np.asarray(y, dtype=float)
-    ynorm = np.linalg.norm(y)
-    xi = np.zeros((3, 3))
-    ok = np.zeros(3, dtype=bool)
-    for k in range(3):
-        c = np.cross(np.eye(3)[k], y)
-        n = np.linalg.norm(c)
-        if n > 1e-12 * ynorm:
-            xi[k] = c / n
-            ok[k] = True
-    return xi, ok
+    c = np.cross(np.eye(3), y[..., None, :])
+    n = np.linalg.norm(c, axis=-1)
+    ok = n > 1e-12 * np.linalg.norm(y, axis=-1)[..., None]
+    return np.where(ok[..., None], c / np.where(ok, n, 1.0)[..., None], 0.0), ok
 
 
 def diameter(metric: ConformalMetric, samples=128, step=None):

@@ -47,7 +47,7 @@ from .forward import (
     truncated_reduce,
     unitarity_drift,
 )
-from .geometry import PlaneFamily, SphereFamily
+from .geometry import PlaneFamily, SphereFamily, coverage_directions
 from .material import pwave_weights, swave_weights
 
 
@@ -86,10 +86,6 @@ class ReconReport:
             timing=d.get("timing", {}),
             config=d.get("config", {}),
         )
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
 
 
 # ---------------------------------------------------------------------------
@@ -304,29 +300,25 @@ def _regrid_geometry(families, grid: Grid3, floor, cond_limit):
     origin_phase = np.exp(1j * np.sum(yv * np.asarray(grid.origin), axis=-1))
     scale = origin_phase / (grid.cell_volume() * wtri)
     rows_M = np.zeros((nact, 3, 3))
-    axis_tol = 1e-12
 
     # fft-ordered index of each active node along every grid axis
     idx = np.argwhere(active)
 
+    # in-plane direction of each family's measuring rays: xi ~ unit(e_k x y)
+    xis, oks = coverage_directions(yv)
     polar = {}
     for k, fam in families.items():
         i1, i2 = (k + 1) % 3, (k + 2) % 3
         yp1, yp2 = yv[:, i1], yv[:, i2]
         rad = np.hypot(yp1, yp2)
-        ok = rad > axis_tol * np.maximum(yn, 1.0)
-        sel = np.flatnonzero(ok)
+        sel = np.flatnonzero(oks[:, k])
         # consistency of the slice frequency with the node frequency
         zeta = _slice_freqs(fam)
         if np.max(np.abs(zeta[idx[sel, k]] - yv[sel, k])) > 1e-9 * max(np.max(np.abs(zeta)), 1.0):
             raise ValueError("slice axis of the family does not match the grid axis")
-        # in-plane direction of the measuring rays: xi ~ unit(e_k x y)
-        xi = np.zeros((nact, 3))
-        xi[:, i1] = -yp2
-        xi[:, i2] = yp1
-        xi[ok] /= rad[ok, None]
-        c = np.sum(xi[sel] * b1[sel], axis=-1)
-        s = np.sum(xi[sel] * b2[sel], axis=-1)
+        xi = xis[sel, k]
+        c = np.sum(xi * b1[sel], axis=-1)
+        s = np.sum(xi * b2[sel], axis=-1)
         rows_M[sel, k, 0] = c * c
         rows_M[sel, k, 1] = s * s
         rows_M[sel, k, 2] = 2.0 * c * s
@@ -569,7 +561,7 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=CG_MAXITE
     op = FamilyOperator(kdata.family, grid, support)
     info = {"support_nodes": op.size, "operator_entries": op.entries,
             "operator_build_s": op.build_s}
-    b = _sym_to_coef(kdata_adjoint(op, kdata.values, grid).values[support])
+    b = _sym_to_coef(kdata_adjoint(op, kdata.values).values[support])
     if not np.any(b):
         F = SymField2(grid, np.zeros(grid.dims + (6,)))
         return F, dict(info, iterations=0, lam=0.0, residual=0.0, residuals=[], normal_s=0.0)

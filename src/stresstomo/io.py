@@ -200,33 +200,28 @@ _KIND_COLUMNS = {
 }
 
 
+# trailing shape and dtype of each kind's per-ray record; a complex record's
+# columns are its float view, real and imaginary parts interleaved
+_RECORDS = {
+    "scalar": ((), float),
+    "propagator": ((2, 2), complex),
+    "lmatrix": ((2, 2), float),
+    "kpair": ((2,), float),
+}
+
+
 def _flatten_records(kind, values):
     """(..., record) -> (..., columns) real view of the per-ray records."""
-    if kind == "scalar":
-        return np.asarray(values)[..., None]
-    if kind == "propagator":
-        flat = np.asarray(values).reshape(values.shape[:-2] + (4,))
-        out = np.empty(flat.shape[:-1] + (8,))
-        out[..., 0::2] = flat.real
-        out[..., 1::2] = flat.imag
-        return out
-    if kind == "lmatrix":
-        return np.asarray(values).reshape(values.shape[:-2] + (4,))
-    if kind == "kpair":
-        return np.asarray(values)
-    raise ValueError(f"unknown sinogram kind {kind!r}")
+    if kind not in _RECORDS:
+        raise ValueError(f"unknown sinogram kind {kind!r}")
+    shape, dtype = _RECORDS[kind]
+    v = np.ascontiguousarray(values, dtype=dtype).view(float)
+    return v.reshape(v.shape[: v.ndim - len(shape)] + (len(_KIND_COLUMNS[kind]),))
 
 
 def _unflatten_records(kind, cols):
-    if kind == "scalar":
-        return cols[..., 0]
-    if kind == "propagator":
-        return (cols[..., 0::2] + 1j * cols[..., 1::2]).reshape(cols.shape[:-1] + (2, 2))
-    if kind == "lmatrix":
-        return cols.reshape(cols.shape[:-1] + (2, 2))
-    if kind == "kpair":
-        return cols
-    raise ValueError(f"unknown sinogram kind {kind!r}")
+    shape, dtype = _RECORDS[kind]
+    return np.ascontiguousarray(cols).view(dtype).reshape(cols.shape[:-1] + shape)
 
 
 def write_sinogram(path, sino: Sinogram):
@@ -242,7 +237,7 @@ def write_sinogram(path, sino: Sinogram):
     fam = sino.family
     family_id = fam.kind + str(getattr(fam, "axis", ""))
     kind = sino.kind
-    flat = np.asarray(_flatten_records(kind, sino.values), dtype=float)
+    flat = _flatten_records(kind, sino.values)
     views, offsets, slices, ncol = flat.shape
     heads = [(f"{family_id},{s},", f",{o},{kind},") for o in range(offsets) for s in range(slices)]
     with open(path, "w", newline="") as fh:
@@ -437,7 +432,22 @@ def write_report(path, report: ReconReport):
         fh.write("\n")
 
 
+# the config fields that `stresstomo report` and `export` read, with their types
+_CONFIG_TYPES = {
+    "config_hash": lambda v: v is None or isinstance(v, str),
+    "pipeline": lambda v: isinstance(v, str),
+    "noise": lambda v: _numbers(v, 0),
+}
+
+
 def read_report(path) -> ReconReport:
+    """A report written by write_report.
+
+    Each section must be an object, errors must map names to numbers, and
+    the config's config_hash (a string or null), pipeline (a string) and
+    noise (a number) must have their types; else ValueError naming the
+    file and the section.
+    """
     with open(path) as fh:
         try:
             d = json.load(fh)
@@ -445,4 +455,14 @@ def read_report(path) -> ReconReport:
             raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
     if not isinstance(d, dict):
         raise ValueError(f"{path}: a report must be a JSON object")
+    for section in ("stages", "errors", "conditions", "timing", "config"):
+        if not isinstance(d.get(section, {}), dict):
+            raise ValueError(f"{path}: report section {section!r} must be an object")
+    if not all(_numbers(v, 0) for v in d.get("errors", {}).values()):
+        raise ValueError(f"{path}: report section 'errors' must map names to numbers")
+    config = d.get("config", {})
+    for key, ok in _CONFIG_TYPES.items():
+        if key in config and not ok(config[key]):
+            raise ValueError(f"{path}: report section 'config' has a malformed {key}: "
+                             f"{config[key]!r}")
     return ReconReport.from_dict(d)

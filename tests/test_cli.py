@@ -381,3 +381,38 @@ def test_verify_records_its_timing(tmp_path, capsys):
     assert sum(t for k, t in timing.items() if k != "total") == pytest.approx(timing["total"])
     printed = capsys.readouterr().out  # the printed lines are unchanged
     assert "verify: total" not in printed and printed.endswith("verify: all checks pass\n")
+
+
+_MALFORMED_REPORTS = {
+    "errors-bool": {"errors": True},
+    "errors-pairs": {"errors": [[1, 2]]},
+    "errors-list": {"errors": [5]},
+    "errors-string-value": {"errors": {"relative_l2": "0.1"}},
+    "stages-number": {"stages": 3},
+    "config-number": {"config": 0.5},
+    "config-hash-list": {"config": {"config_hash": [1]}},
+    "config-pipeline-list": {"config": {"pipeline": ["pwave"]}},
+}
+
+
+@pytest.mark.parametrize("report", list(_MALFORMED_REPORTS.values()), ids=list(_MALFORMED_REPORTS))
+def test_report_malformed_report_exits_config(tmp_path, capsys, report):
+    bad = tmp_path / "report.json"
+    bad.write_text(json.dumps(report))
+    assert main(["report", str(bad), "--out", str(tmp_path / "merged")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: unreadable report: " in err and "report.json" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config", [0.5, {"noise": "high"}, {"noise": None}],
+                         ids=["config-number", "noise-string", "noise-null"])
+def test_export_noise_malformed_report_exits_config(tmp_path, capsys, config):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"config": {"noise": 0.0}, "errors": {"relative_l2": 0.1}}))
+    bad.write_text(json.dumps({"config": config, "errors": {"relative_l2": 0.2}}))
+    argv = ["export", str(good), str(bad), "--table", "noise", "--out", str(tmp_path / "exp")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: unreadable report: " in err and "bad.json" in err
+    assert "Traceback" not in err

@@ -22,21 +22,24 @@ from stresstomo.fields import (
     inc_potential,
     inner_derivative,
     matrix_to_sym,
-    random_bump_covector,
-    random_bump_scalar,
     random_bump_sym,
-    random_smooth_covector,
     solenoidal_project,
     spectral_gradient,
-    spectral_upsample,
-    sym_inner,
     sym_to_matrix,
     tangential_projector,
-    trace,
     trig_upsample,
 )
 from stresstomo.inversion import verify_poincare
 from stresstomo.io import read_report
+
+from reference import (
+    random_bump_covector,
+    random_bump_scalar,
+    random_smooth_covector,
+    spectral_upsample,
+    sym_inner,
+    trace,
+)
 
 
 @pytest.fixture(scope="module")

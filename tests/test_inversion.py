@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from stresstomo.fields import (
     inner_derivative,
     matrix_to_sym,
     random_admissible_potential,
-    random_bump_covector,
     random_bump_sym,
     random_smooth_sym,
     solenoidal_project,
@@ -51,6 +52,8 @@ from stresstomo.inversion import (
     verify_poincare,
 )
 from stresstomo.material import MaterialParams, swave_weights
+
+from reference import random_bump_covector, random_smooth_covector
 
 
 @pytest.fixture
@@ -252,8 +255,6 @@ def test_invert_I_output_is_solenoidal(grid, rng):
 def test_invert_I_insensitive_to_potential_part(grid, rng):
     # data from R + dv reconstruct the same field as data from R alone
     R = inc_potential(random_bump_sym(grid, rng, radius=0.55))
-    from stresstomo.fields import random_smooth_covector
-
     dv = inner_derivative(random_smooth_covector(grid, rng, width=20.0))
     dv = SymField2(grid, dv.values * (R.max_abs() / dv.max_abs()))
     fams = build_line_families(grid, 24, 24)
@@ -399,7 +400,7 @@ def test_pwave_pipeline_regrid_record(grid, rng):
     assert 0.0 < regrid["geometry_s"] <= report.timing["invert_I"]
     _, zero_refine = pwave_pipeline(sinos, params, grid, refine=0)
     assert zero_refine.stages["regrid"]["direct_residual"] is None
-    assert ReconReport.from_json(report.to_json()).stages["regrid"] == regrid
+    assert ReconReport.from_dict(json.loads(report.to_json())).stages["regrid"] == regrid
 
 
 # ---------------------------------------------------------------------------
@@ -610,5 +611,5 @@ def test_report_json_round_trip():
         timing={"total": 2.5},
         config={"pipeline": "pwave", "a": 0.25},
     )
-    back = ReconReport.from_json(rep.to_json())
+    back = ReconReport.from_dict(json.loads(rep.to_json()))
     assert back.to_dict() == rep.to_dict()

@@ -11,8 +11,6 @@ from stresstomo.fields import (
     CovectorField,
     Grid3,
     SymField2,
-    random_bump_covector,
-    random_bump_scalar,
     random_bump_sym,
 )
 from stresstomo.forward import (
@@ -41,6 +39,8 @@ from stresstomo.io import (
     write_sinogram,
 )
 from stresstomo.material import MaterialParams
+
+from reference import random_bump_covector, random_bump_scalar
 
 
 @pytest.fixture
