@@ -4,6 +4,7 @@ function and method is referenced by the package itself, and every name the
 benchmark's tracer (perfbench/spans.py) wraps exists."""
 
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -135,8 +136,6 @@ def span_targets(source):
 
 
 def missing_span_targets(source):
-    import importlib
-
     missing = []
     for module, name in span_targets(source):
         obj = importlib.import_module(f"stresstomo.{module}")
