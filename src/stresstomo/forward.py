@@ -293,7 +293,7 @@ class FamilyOperator:
 
 
 # ---------------------------------------------------------------------------
-# scalar and longitudinal transforms
+# longitudinal transform and compressional data
 
 
 def longitudinal_transform(u: SymField2, family) -> Sinogram:
@@ -449,7 +449,7 @@ def truncated_reduce(lm: Sinogram) -> Sinogram:
 
 
 # ---------------------------------------------------------------------------
-# direct K transform and adjoints
+# direct K transform and its adjoint
 
 
 def kdata_transform(F: SymField2, family) -> Sinogram:
