@@ -424,7 +424,8 @@ def cmd_export(cfg, out, what, inputs):
         for p in inputs:
             r = _read_artifact(read_report, p, "report")
             rows.append((r.config.get("noise", 0.0), r.errors.get("relative_l2", "")))
-        rows.sort()
+        # by noise only, stable: a missing error is an empty cell, not comparable
+        rows.sort(key=lambda row: row[0])
         path = os.path.join(out, "error_vs_noise.csv")
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

@@ -129,11 +129,15 @@ def _gather(values, grid, family, dyads, per_view=_trapezoid):
     The dyad table dyads(directions, frames) (views, k, 6) is evaluated once.
     Per view the grid field (dims + (6,)) is first contracted with the
     view's k dyads, so trilinear samples only k scalars, and only on the
-    chords that cross the ball; a family whose chords lie in grid planes
-    is sampled bilinearly within them (_stencil).  per_view(samples (...,
-    n, k), weights (..., n), step (...)) maps them to the view's records,
-    by default the k trapezoid integrals per ray.  Every empty chord gets
-    per_view's record for zero samples, weights and step.
+    chords that cross the ball.  A family whose chords lie in grid planes
+    (grid_plane) is sampled bilinearly within them, with one in-plane
+    stencil per offset: every live chord of an offset has the same in-plane
+    nodes (PlaneFamily._half_lengths), so trilinear reads the samples of
+    every plane that holds a slice at them in one pass, and each chord takes
+    its slice's; a slice outside the grid box reads zeros.  per_view(samples
+    (..., n, k), weights (..., n), step (...)) maps them to the view's
+    records, by default the k trapezoid integrals per ray.  Every empty
+    chord gets per_view's record for zero samples, weights and step.
     """
     flat = values.reshape(-1, 6)
     tables = SYM_MULT * dyads(*family.views())
@@ -141,13 +145,32 @@ def _gather(values, grid, family, dyads, per_view=_trapezoid):
     empty = per_view(np.zeros((n, k)), np.zeros(n), np.zeros(()))
     out = np.empty(family.shape + empty.shape, empty.dtype)
     plane = family.grid_plane(grid)
+    if plane is not None:
+        planes, in_box = family.slice_planes(grid)
+        used, planes = np.unique(planes, return_inverse=True)
     for m, D in enumerate(tables):
         starts, d, lengths = family.chords(m)
         live = lengths > 0.0
-        pts, w, dt = chord_nodes(starts[live], d, lengths[live], n)
         contracted = (flat @ D.T).reshape(grid.dims + (k,))
+        if plane is not None and len(used) < grid.dims[plane]:
+            contracted = contracted.take(used, axis=plane)
         out[m] = empty
-        out[m][live] = per_view(trilinear(grid, contracted, pts, plane=plane), w, dt)
+        if plane is None:
+            pts, w, dt = chord_nodes(starts[live], d, lengths[live], n)
+            samples = trilinear(grid, contracted, pts)
+        else:
+            off, sl = np.nonzero(live)
+            new = np.diff(off, prepend=-1) != 0
+            first, row = np.flatnonzero(new), np.cumsum(new) - 1
+            pts, w, dt = chord_nodes(starts[off[first], sl[first]], d,
+                                     lengths[off[first], sl[first]], n)
+            inplane = np.delete(pts, plane, axis=-1)
+            # (offsets, n, planes, k) -> the live chords' (n, k) blocks
+            samples = trilinear(grid, contracted, inplane, plane=plane).swapaxes(1, 2)[
+                row, planes[sl]]
+            samples[~in_box[sl]] = 0.0
+            w, dt = w[row], dt[row]
+        out[m][live] = per_view(samples, w, dt)
     return out
 
 

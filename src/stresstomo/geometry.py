@@ -39,7 +39,9 @@ def _stencil(grid: Grid3, points, mode="zero", plane=None):
     property of a family's geometry, _ChordFamily.grid_plane).  The
     stencil then takes each point's nearest plane and yields only the
     four bilinear corners within it; the other four would carry the
-    weight of the coordinate's roundoff.
+    weight of the coordinate's roundoff.  Points (..., 2) with a plane are
+    in-plane points: their two coordinates are the other axes', in order,
+    and the index addresses the nodes flattened over those two axes.
 
     The stencil is built axis by axis.  Chord nodes lie in the ball, which
     Grid3 keeps inside the box, so one min/max per axis usually shows that
@@ -50,9 +52,11 @@ def _stencil(grid: Grid3, points, mode="zero", plane=None):
     if mode not in ("zero", "clamp"):
         raise ValueError(f"unknown interpolation mode {mode!r}")
     p = np.asarray(points, dtype=float)
+    axes = [a for a in range(3) if p.shape[-1] == 3 or a != plane]
     outside, index, weights = False, 0, []
-    for a, (n, h, o) in enumerate(zip(grid.dims, grid.spacing, grid.origin)):
-        u, top = (p[..., a] - o) / h, n - 1
+    for j, a in enumerate(axes):
+        n, h, o = grid.dims[a], grid.spacing[a], grid.origin[a]
+        u, top = (p[..., j] - o) / h, n - 1
         lo, hi = (u.min(), u.max()) if u.size else (0.0, 0.0)
         if lo < 0.0 or hi > top:
             outside = outside | (u < 0.0) | (u > top)
@@ -67,8 +71,8 @@ def _stencil(grid: Grid3, points, mode="zero", plane=None):
     if mode == "zero" and np.any(outside):
         # every corner weight carries the first axis's factor
         weights[0] = tuple(np.where(outside, 0.0, g) for g in weights[0])
-    _, ny, nz = grid.dims
-    strides = [s for a, s in enumerate((ny * nz, nz, 1)) if a != plane]
+    sizes = [grid.dims[a] for a in axes]
+    strides = [int(np.prod(sizes[j + 1 :])) for j, a in enumerate(axes) if a != plane]
     for corner in itertools.product((0, 1), repeat=len(weights)):
         w = weights[0][corner[0]]
         for g, c in zip(weights[1:], corner[1:]):
@@ -85,14 +89,29 @@ def trilinear(grid: Grid3, values, points, mode="zero", plane=None):
     coefficients that must not vanish outside); the mask or the clamp is
     applied only when a point leaves the box.  With plane, points on grid
     planes of that axis are interpolated bilinearly within them (_stencil).
+    In-plane points (..., 2) with a plane, the coordinates of the other two
+    axes in order, give the bilinear samples at them of every plane that
+    values holds along that axis (the grid's, or any p of them), shape
+    points.shape[:-1] + (p,) + (m,): the values are read as rows of
+    (in-plane node, planes x components), one row per corner and point.
     """
     values = np.asarray(values)
     comp_shape = values.shape[3:]
-    flat = values.reshape((-1,) + comp_shape)
-    out = np.zeros(np.shape(points)[:-1] + comp_shape, dtype=values.dtype)
+    if np.shape(points)[-1] == 3:
+        flat = values.reshape((-1,) + comp_shape)
+        shape = np.shape(points)[:-1] + comp_shape
+    else:
+        rows = np.moveaxis(values, plane, 2)
+        flat = rows.reshape(rows.shape[0] * rows.shape[1], -1)
+        shape = np.shape(points)[:-1] + rows.shape[2:]
+    out = np.zeros(np.shape(points)[:-1] + flat.shape[1:], dtype=values.dtype)
+    corner = np.empty_like(out)
     for idx, w in _stencil(grid, points, mode, plane):
-        out += w.reshape(w.shape + (1,) * len(comp_shape)) * np.take(flat, idx, axis=0)
-    return out
+        # the indices are in range: "clip" only spares take a buffered copy
+        np.take(flat, idx, axis=0, out=corner, mode="clip")
+        corner *= w.reshape(w.shape + (1,) * (flat.ndim - 1))
+        out += corner
+    return out.reshape(shape)
 
 
 def _orthobasis(d):
@@ -168,14 +187,22 @@ class _ChordFamily:
 
     def chords(self, m):
         """Start points (off1, off2, 3), the direction and the chord lengths
-        (off1, off2) of view m."""
+        (off1, off2) of view m: the chords along the direction centered on
+        center + s1 e1 + s2 e2, with the family's _half_lengths (0: an
+        empty chord)."""
         d = self._dirs[m]
         e1, e2 = self._frames[m]
         s1 = self._off1[:, None]
         s2 = self._off2[None, :]
-        hl = np.sqrt(np.maximum(self.radius**2 - s1**2 - s2**2, 0.0))
+        hl = self._half_lengths(s1, s2)
         starts = self.center + s1[..., None] * e1 + s2[..., None] * e2 - hl[..., None] * d
         return starts, d, 2.0 * hl
+
+    def _half_lengths(self, s1, s2):
+        """Half-lengths (off1, off2) of the chords at offsets s1 (off1, 1)
+        and s2 (1, off2): each line's own chord of the ball, 0 where it
+        misses."""
+        return np.sqrt(np.maximum(self.radius**2 - s1**2 - s2**2, 0.0))
 
 
 _ON_PLANE = 1e-12  # cells: dropping the far plane changes a sample by this share of a step
@@ -208,7 +235,9 @@ class PlaneFamily(_ChordFamily):
     geometry: angles theta_a = a*pi/A over the in-plane basis (u1, u2),
     cell-centered offsets along the rotated axis w = (-sin, cos).  View a
     has the frame (w, e_axis) and the offset axes (offsets, slices
-    relative to the center).
+    relative to the center).  A chord at offset s1 spans the ball's
+    equator disk in every slice where its line meets the ball
+    (_half_lengths), so one in-plane geometry serves every slice.
     """
 
     axis: int
@@ -230,17 +259,39 @@ class PlaneFamily(_ChordFamily):
         self._off1 = self.offsets
         self._off2 = self.slices - self.center[self.axis]
 
-    def grid_plane(self, grid):
-        """The family's axis when every slice is a grid plane of it, to
-        within _ON_PLANE of a cell, else None.
+    def _half_lengths(self, s1, s2):
+        """The plane-family rule: a chord whose own line meets the ball
+        (s1^2 + s2^2 < R^2) runs across the ball's equator disk at its
+        in-plane offset, half-length sqrt(R^2 - s1^2) in every slice; every
+        other chord is empty.  So every live chord of an offset has the same
+        in-plane start and length, and its slices share in-plane nodes.
+        Beyond its own slice's disk a chord reads the field off the ball,
+        where data of fields supported in the ball see zeros."""
+        live = s1**2 + s2**2 < self.radius**2
+        return np.where(live, np.sqrt(np.maximum(self.radius**2 - s1**2, 0.0)), 0.0)
+
+    def _slice_coords(self, grid):
+        """Grid coordinate of every slice along the axis.
 
         Directions and frames have an exactly zero axis component, so every
         chord node's axis coordinate is the slice's, center + (slice -
         center), as chords() computes it.
         """
         k = self.axis
-        u = (self.center[k] + self._off2 - grid.origin[k]) / grid.spacing[k]
-        return k if np.all(np.abs(u - np.rint(u)) <= _ON_PLANE) else None
+        return (self.center[k] + self._off2 - grid.origin[k]) / grid.spacing[k]
+
+    def grid_plane(self, grid):
+        """The family's axis when every slice is a grid plane of it, to
+        within _ON_PLANE of a cell, else None."""
+        u = self._slice_coords(grid)
+        return self.axis if np.all(np.abs(u - np.rint(u)) <= _ON_PLANE) else None
+
+    def slice_planes(self, grid):
+        """The nearest grid plane of every slice and whether the slice lies
+        in the grid box; outside it the field reads zero (trilinear's mode
+        "zero").  For a family on grid planes (grid_plane)."""
+        u, top = self._slice_coords(grid), grid.dims[self.axis] - 1
+        return np.rint(np.clip(u, 0.0, top)).astype(int), (u >= 0.0) & (u <= top)
 
 
 @dataclass

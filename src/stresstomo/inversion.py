@@ -433,11 +433,16 @@ def invert_I_solenoidal(sinograms, grid: Grid3, floor=1e-6, cond_limit=1e8, refi
     removes the offset-sampling alias bias of the direct pass.  The regrid
     geometry (active nodes, plane bases, polar taps and rows, the per-node
     gains and the support-fill levels) is built once and applied to the
-    data and to every residual.  Returns (m, info): info holds the active
-    node count (active_nodes), the share of them filled from the support
+    data and to every residual.  m is not masked to the ball: the plane
+    families' chords run across the ball's equator disk in every slice
+    (PlaneFamily._half_lengths), so the residual gathers also read m off
+    the ball.  Returns (m, info): info holds the active node count
+    (active_nodes), the share of them filled from the support
     (filled_share), the direct pass's relative data residual |d - I m1| /
     |d| (direct_residual; 0 for zero data, None when refine is 0, where it
-    is not computed) and the geometry build time (geometry_s).
+    is not computed), the share of m's energy |m|^2 on the nodes outside
+    the ball (outside_energy; 0 for m = 0) and the geometry build time
+    (geometry_s).
     """
     sinos = _plane_sinograms(sinograms)
     t0 = time.perf_counter()
@@ -459,6 +464,9 @@ def invert_I_solenoidal(sinograms, grid: Grid3, floor=1e-6, cond_limit=1e8, refi
             info["direct_residual"] = float(rn / dn) if dn > 0.0 else 0.0
         corr = _regrid_pass(geo, resid, grid)
         m = SymField2(grid, m.values + corr.values)
+    total = m.norm()
+    off_ball = SymField2(grid, m.values * ~grid.domain_mask()[..., None]).norm()
+    info["outside_energy"] = (off_ball / total) ** 2 if total > 0.0 else 0.0
     return m, info
 
 

@@ -110,10 +110,19 @@ def ball_chord(center, radius, point, direction):
 
 def family_ray(family, m, i, j):
     """The chord (i, j) of view m of a family as a Ray carrying the view
-    frame; cut from the ball by ball_chord, independently of chords()."""
+    frame; cut from the ball by ball_chord, independently of chords().
+
+    A plane family's chord whose line meets the ball is instead its
+    offset's chord of the ball's equator disk (the line through center +
+    s1 e1), moved by s2 e2 into its slice."""
     e1, e2 = family._frames[m]
-    point = family.center + family._off1[i] * e1 + family._off2[j] * e2
-    entry, length = ball_chord(family.center, family.radius, point, family._dirs[m])
+    s1, s2 = family._off1[i], family._off2[j]
+    entry, length = ball_chord(family.center, family.radius,
+                               family.center + s1 * e1 + s2 * e2, family._dirs[m])
+    if family.kind == "plane" and length > 0.0:
+        entry, length = ball_chord(family.center, family.radius, family.center + s1 * e1,
+                                   family._dirs[m])
+        entry = entry + s2 * e2
     r = line_ray(entry, family._dirs[m], length, family.step, with_frame=False)
     r.frames = np.broadcast_to(family._frames[m], (len(r.tau), 2, 3)).copy()
     return r

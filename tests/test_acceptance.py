@@ -211,7 +211,9 @@ def test_criterion_05_pwave_end_to_end():
     R = inc_potential(random_admissible_potential(grid, rng, r0=0.7))
     params = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
     fams = build_line_families(grid, 96, 64)
+    t_fwd = time.time()
     data = [pwave_data(R, params, fam) for fam in fams]
+    t_fwd = time.time() - t_fwd
     rec, rep = pwave_pipeline(data, params, grid)
     err_clean = rel(rec.values, R.values)
     nrng = np.random.default_rng(55)
@@ -225,7 +227,7 @@ def test_criterion_05_pwave_end_to_end():
         "P-wave end-to-end",
         ok,
         f"clean {err_clean:.4f} (<=0.05), 1% noise {err_noisy:.4f} (<=0.15), "
-        f"clean invert_I {rep.timing['invert_I']:.1f}s "
+        f"forward {t_fwd:.2f}s, clean invert_I {rep.timing['invert_I']:.1f}s "
         f"({100 * rep.stages['regrid']['filled_share']:.1f}% support-filled), {el:.0f}s",
     )
     assert err_clean <= 0.05
@@ -295,8 +297,10 @@ def test_criterion_07_swave_end_to_end():
     scale = 1e-3
     sphere = build_sphere_family(grid, 60)
     planes = build_line_families(grid, 96, 96)
+    t_fwd = time.time()
     sinos = [rytov_family(R, params, sphere, scale=scale)]
     sinos += [rytov_family(R, params, fam, scale=scale) for fam in planes]
+    t_fwd = time.time() - t_fwd
     rec, rep = swave_pipeline(sinos, params, grid, scale, tol=1e-3, maxiter=300)
     err_full = rel(rec.values, R.values)
     trR = R.values[..., :3].sum(-1)
@@ -323,7 +327,8 @@ def test_criterion_07_swave_end_to_end():
         "S-wave end-to-end",
         ok,
         f"full {err_full:.4f} (<=0.15), trace-free {err_dev:.4f} (<=0.10), "
-        f"trace {err_tr:.4f} (<=0.05), CG {rep.stages['cg']['iterations']} iterations "
+        f"trace {err_tr:.4f} (<=0.05), forward {t_fwd:.2f}s, "
+        f"CG {rep.stages['cg']['iterations']} iterations "
         f"in {rep.timing['invert_K']:.1f}s, {el:.0f}s",
     )
     assert err_full <= 0.15

@@ -170,6 +170,21 @@ def test_export_noise_table_reports_configured_noise(tmp_path):
     assert [r[0] for r in rows] == [0.0, 0.01]
 
 
+def test_export_noise_table_keeps_reports_without_an_error(tmp_path, capsys):
+    # two reports at one noise level, one without errors.relative_l2 (an
+    # invert run without a truth): both rows, input order, an empty cell
+    reps = [tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"]
+    reps[0].write_text(json.dumps({"config": {"noise": 0.0}, "errors": {"relative_l2": 0.1}}))
+    reps[1].write_text(json.dumps({"config": {"noise": 0.0}, "errors": {}}))
+    reps[2].write_text(json.dumps({"config": {"noise": 0.01}, "errors": {"relative_l2": 0.2}}))
+    out = tmp_path / "exp"
+    argv = ["export", str(reps[2]), str(reps[0]), str(reps[1]), "--table", "noise", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    lines = (out / "error_vs_noise.csv").read_text().strip().splitlines()
+    assert lines == ["noise,relative_l2", "0.0,0.1", "0.0,", "0.01,0.2"]
+
+
 @pytest.mark.parametrize(
     "over",
     [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stresstomo import forward
 from stresstomo.fields import (
     SYM_MULT,
     Grid3,
@@ -739,6 +740,55 @@ def test_plane_families_sample_bilinearly_within_trilinear_roundoff(grid, rng, m
         for name, want in eight.items():
             err = np.max(np.abs(four[name] - want)) / np.max(np.abs(want))
             assert err <= 1e-13, (fam.axis, name, err)
+
+
+def test_plane_family_gather_samples_through_trilinear(grid, rng, monkeypatch):
+    # profilers time sampling by rebinding forward.trilinear: a grid-plane
+    # family's gather calls it once per view, on in-plane points
+    calls = []
+    sample = forward.trilinear
+
+    def counted(grid, values, points, *args, **kwargs):
+        calls.append((np.shape(points)[-1], kwargs.get("plane")))
+        return sample(grid, values, points, *args, **kwargs)
+
+    fam = build_line_families(grid, angles=6, offsets=24)[1]
+    assert fam.grid_plane(grid) == 1
+    R = random_smooth_sym(grid, rng)
+    p = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
+    want = pwave_data(R, p, fam).values
+    monkeypatch.setattr(forward, "trilinear", counted)
+    assert pwave_data(R, p, fam).values.tobytes() == want.tobytes()
+    assert calls == [(2, 1)] * fam.n_views
+
+
+def test_plane_family_on_some_grid_planes_samples_bilinearly(grid, rng, monkeypatch):
+    # slices on every third grid plane and one a plane below the box, chords
+    # reaching past the box: where they leave it they read the zero
+    # extension, and elsewhere trilinear's values to its roundoff
+    R = random_smooth_sym(grid, rng)
+    on = build_line_families(grid, angles=6, offsets=24)[0]
+    slices = np.r_[on.slices[0] - grid.spacing[0], on.slices[1::3]]
+    fam = PlaneFamily(0, on.thetas, on.offsets, slices, on.center, 1.3, on.step)
+    assert fam.grid_plane(grid) == 0
+    p = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
+    four = pwave_data(R, p, fam).values
+    assert np.any(fam.chords(0)[2][:, 0] > 0.0) and np.all(four[:, :, 0] == 0.0)
+    monkeypatch.setattr(PlaneFamily, "grid_plane", lambda self, grid: None)
+    eight = pwave_data(R, p, fam).values
+    assert np.max(np.abs(four - eight)) <= 1e-13 * np.max(np.abs(eight))
+
+
+def test_grid_plane_view_without_live_chords(grid, rng):
+    # offsets all beyond the ball: no chord is sampled, every record exact
+    R = random_smooth_sym(grid, rng)
+    on = build_line_families(grid, angles=4, offsets=24)[1]
+    fam = PlaneFamily(1, on.thetas, np.array([-1.1, 1.05]), on.slices, on.center, on.radius,
+                      on.step)
+    assert fam.grid_plane(grid) == 1
+    p = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
+    assert np.all(pwave_data(R, p, fam).values == 0.0)
+    assert np.all(rytov_family(R, p, fam).values == np.eye(2))
 
 
 def test_off_grid_plane_family_keeps_trilinear_stencil(grid, rng):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from stresstomo.fields import Grid3, ScalarField
 from stresstomo.geometry import (
     ConformalMetric,
+    PlaneFamily,
     SphereFamily,
     _stencil,
     build_line_families,
@@ -115,8 +116,10 @@ def test_family_ray_count_and_boundary_endpoints():
         for (a, o, si), ray in family_rays(fam):
             if ray.length == 0.0:
                 continue
+            # a live chord ends on the equator circle of its offset, moved
+            # into its slice: at the unit distance from the family's axis
             for end in (ray.points[0], ray.points[-1]):
-                assert abs(np.linalg.norm(end) - 1.0) <= fam.step
+                assert abs(np.linalg.norm(np.delete(end, fam.axis)) - 1.0) <= fam.step
 
 
 def test_family_chord_batch_matches_single_rays():
@@ -133,6 +136,42 @@ def test_family_chord_batch_matches_single_rays():
                 if lengths[o, si] > 0:
                     assert np.allclose(ray.points[0], starts[o, si], atol=1e-12)
                     assert np.allclose(ray.tangents[0], d, atol=1e-15)
+
+
+def _plane_families(grid):
+    # the coordinate-plane families, and one whose offsets reach past the ball
+    fams = build_line_families(grid, angles=5, offsets=12)
+    wide = PlaneFamily(2, fams[2].thetas, np.linspace(-1.3, 1.3, 11), fams[2].slices,
+                       fams[2].center, fams[2].radius, fams[2].step)
+    return fams + [wide]
+
+
+def test_plane_family_live_chords_are_those_meeting_the_ball():
+    grid = Grid3.cube(12)
+    for fam in _plane_families(grid):
+        s1 = fam.offsets[:, None]
+        s2 = (fam.slices - fam.center[fam.axis])[None, :]
+        meets = s1**2 + s2**2 < fam.radius**2
+        assert 0 < np.count_nonzero(meets) < meets.size
+        for m in range(fam.n_views):
+            assert np.array_equal(fam.chords(m)[2] > 0.0, meets)
+
+
+def test_plane_family_live_chords_share_their_offsets_in_plane_chord():
+    # every live chord of an offset has its in-plane start and length: the
+    # chord of the ball's equator disk at that offset
+    grid = Grid3.cube(12)
+    for fam in _plane_families(grid):
+        inplane = [a for a in range(3) if a != fam.axis]
+        for m in range(fam.n_views):
+            starts, d, lengths = fam.chords(m)
+            for i, s1 in enumerate(fam.offsets):
+                live = lengths[i] > 0.0
+                if not np.any(live):
+                    continue
+                assert np.all(lengths[i][live] == 2.0 * np.sqrt(fam.radius**2 - s1**2))
+                first = starts[i][live][0]
+                assert np.all(starts[i][live][:, inplane] == first[inplane])
 
 
 def test_sphere_family_geometry():
@@ -314,6 +353,25 @@ def test_bilinear_stencil_on_grid_planes():
         assert np.allclose(sum(w for _, w in corners), 1.0, rtol=0, atol=1e-15)
         got = trilinear(grid, vals, pts, plane=axis)
         assert np.max(np.abs(got - trilinear(grid, vals, pts))) <= 1e-14
+
+
+def test_in_plane_points_sample_every_plane():
+    # in-plane points give each grid plane's bilinear samples, the bytes of
+    # the same points placed on that plane; past the box they read zero
+    grid = Grid3.cube(12)
+    rng = np.random.default_rng(2)
+    vals = rng.normal(size=grid.dims + (3,))
+    for axis in range(3):
+        uv = rng.uniform(-1.4, 1.4, size=(7, 5, 2))
+        got = trilinear(grid, vals, uv, plane=axis)
+        assert got.shape == (7, 5, 12, 3)
+        for j, x in enumerate(grid.axes()[axis]):
+            pts = np.insert(uv, axis, x, axis=-1)
+            want = trilinear(grid, vals, pts, plane=axis)
+            assert got[:, :, j].tobytes() == want.tobytes()
+        lo, hi = np.delete(grid.box()[0], axis), np.delete(grid.box()[1], axis)
+        out = np.any((uv < lo) | (uv > hi), axis=-1)
+        assert np.any(out) and np.all(got[out] == 0.0)
 
 
 def test_plane_family_grid_plane_needs_every_slice_on_the_grid():

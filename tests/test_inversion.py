@@ -380,6 +380,7 @@ def test_pwave_pipeline_zero_data(grid):
     assert "total" in report.timing
     regrid = report.stages["regrid"]
     assert regrid["direct_residual"] == 0.0
+    assert regrid["outside_energy"] == 0.0
     assert 0 < regrid["active_nodes"] < grid.dims[0] * grid.dims[1] * grid.dims[2]
     assert 0.0 < regrid["filled_share"] < 0.5
     assert 0.0 < regrid["geometry_s"] <= report.timing["invert_I"]
@@ -394,13 +395,26 @@ def test_pwave_pipeline_regrid_record(grid, rng):
     sinos = [pwave_data(R, params, f) for f in fams]
     _, report = pwave_pipeline(sinos, params, grid)
     regrid = report.stages["regrid"]
-    assert set(regrid) == {"active_nodes", "filled_share", "direct_residual", "geometry_s"}
+    assert set(regrid) == {"active_nodes", "filled_share", "direct_residual", "geometry_s",
+                           "outside_energy"}
     assert 0.0 < regrid["direct_residual"] < 0.5
     assert 0.0 < regrid["filled_share"] < 0.5
     assert 0.0 < regrid["geometry_s"] <= report.timing["invert_I"]
     _, zero_refine = pwave_pipeline(sinos, params, grid, refine=0)
     assert zero_refine.stages["regrid"]["direct_residual"] is None
     assert ReconReport.from_dict(json.loads(report.to_json())).stages["regrid"] == regrid
+
+
+def test_regrid_record_outside_energy(grid, rng):
+    # the share of m's energy off the ball, one masked norm: in [0, 1], and
+    # the whole of it for m supported off the ball only
+    R = inc_potential(random_bump_sym(grid, rng, radius=0.55))
+    sinos = [longitudinal_transform(R, f) for f in build_line_families(grid, 24, 24)]
+    m, info = invert_I_solenoidal(sinos, grid)
+    off = ~grid.domain_mask()
+    energy = np.sum(SYM_MULT * m.values**2, axis=-1)
+    assert 0.0 < info["outside_energy"] < 1.0
+    assert info["outside_energy"] == pytest.approx(energy[off].sum() / energy.sum(), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
