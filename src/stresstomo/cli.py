@@ -281,7 +281,7 @@ def cmd_invert(cfg, out):
         cond = check_pwave_conditions(params, floor=tol["floor"])
         if not cond.all_pass:
             bad = [k for k, ok in cond.passed.items() if not ok]
-            print(f"condition failure: {', '.join(bad)} below floor {cond.floor}")
+            print(f"condition failure: {', '.join(bad)} below floor {cond.floor}", file=sys.stderr)
             return EXIT_CONDITION
         R, report = pwave_pipeline(sinos, params, grid)
     else:
@@ -301,7 +301,7 @@ def cmd_invert(cfg, out):
             np.linalg.norm(R.values - truth.values) / np.linalg.norm(truth.values)
         )
     if not np.all(np.isfinite(R.values)):
-        print("numerical failure: reconstruction is not finite")
+        print("numerical failure: reconstruction is not finite", file=sys.stderr)
         return EXIT_NUMERICAL
     write_field(os.path.join(out, "reconstruction.stf"), R)
     write_report(os.path.join(out, "report.json"), report)
@@ -378,10 +378,10 @@ def cmd_verify(cfg, out):
     for k, v in {**report.conditions, **report.stages, **report.errors}.items():
         print(f"verify: {k} = {v:.6g}")
     if failed_conditions:
-        print(f"condition failure: {', '.join(failed_conditions)}")
+        print(f"condition failure: {', '.join(failed_conditions)}", file=sys.stderr)
         return EXIT_CONDITION
     if not ok:
-        print("numerical failure: an invariant check is out of tolerance")
+        print("numerical failure: an invariant check is out of tolerance", file=sys.stderr)
         return EXIT_NUMERICAL
     print("verify: all checks pass")
     return EXIT_OK
@@ -393,7 +393,8 @@ def cmd_report(cfg, out, inputs):
     reports = [_read_artifact(read_report, p, "report") for p in inputs]
     hashes = {r.config.get("config_hash") for r in reports}
     if len(hashes) > 1:
-        print(f"refusing to merge reports with mismatched config hashes: {sorted(hashes)}")
+        print(f"refusing to merge reports with mismatched config hashes: {sorted(hashes)}",
+              file=sys.stderr)
         return EXIT_CONFIG
     os.makedirs(out, exist_ok=True)
     keys = sorted({k for r in reports for k in r.errors})

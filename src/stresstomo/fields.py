@@ -367,19 +367,19 @@ def _cross_matrix(ys):
     )
 
 
-def inc_potential(a: SymField2, margin=None) -> SymField2:
+def inc_potential(a: SymField2) -> SymField2:
     """Incompatibility R_jk = eps_jpq eps_krs d_p d_r A_qs of a symmetric potential.
 
     On the half spectrum this is R_hat = -[y]x A_hat [y]x^T, one batched
     3x3 product per frequency node ([y]x the cross-product matrix).  The
     output is symmetric and spectrally divergence-free; if A vanishes
-    near the boundary so does R, which makes R traction-free.
+    near the boundary so does R, which makes R traction-free.  On a ball
+    domain A must vanish, to 1e-8 of its maximum, within two grid steps
+    of the boundary (else ValueError).
     """
     grid = a.grid
-    if margin is None:
-        margin = 2.0 * max(grid.spacing)
     if grid.domain.kind == "ball":
-        edge = support_margin(a.values, grid, margin)
+        edge = support_margin(a.values, grid, 2.0 * max(grid.spacing))
         if edge > 1e-8 * (a.max_abs() or 1.0):
             raise ValueError("potential must vanish within the boundary margin")
     spec, ys, inverse = _spectrum(a.values, grid)
@@ -493,11 +493,11 @@ def random_smooth_field(grid, rng, ncomp, width=14.0, degree=1):
     return np.stack(comps, axis=-1)
 
 
-def random_smooth_sym(grid, rng, width=14.0, degree=1) -> SymField2:
-    return SymField2(grid, random_smooth_field(grid, rng, 6, width, degree))
+def random_smooth_sym(grid, rng) -> SymField2:
+    return SymField2(grid, random_smooth_field(grid, rng, 6))
 
 
-def null_space_witness(grid, rng, width=20.0, radius=0.95) -> SymField2:
+def null_space_witness(grid, rng, width=20.0) -> SymField2:
     """Solenoidal field S(alpha g) with a compactly supported potential part.
 
     For generic alpha the potential of S(alpha g) only decays like an
@@ -512,7 +512,7 @@ def null_space_witness(grid, rng, width=20.0, radius=0.95) -> SymField2:
     r2 = np.sum((x - np.asarray(grid.domain.center)) ** 2, axis=-1)
     r2 = r2 / grid.domain.radius**2
     c = rng.normal(size=3)
-    beta = np.exp(-width * r2) * (1.0 + x @ c) * bump_profile(r2, radius)
+    beta = np.exp(-width * r2) * (1.0 + x @ c) * bump_profile(r2, 0.95)
     spec, (y1, y2, y3), inverse = _spectrum(beta, grid)
     alpha = inverse(-(y1**2 + y2**2 + y3**2) * spec)
     alpha /= np.max(np.abs(alpha))
@@ -521,14 +521,16 @@ def null_space_witness(grid, rng, width=20.0, radius=0.95) -> SymField2:
     return solenoidal_project(SymField2(grid, vals))
 
 
-def random_admissible_potential(grid, rng, r0=None, degree=2) -> SymField2:
-    """Smooth symmetric potential suitable for the incompatibility generator."""
+def random_admissible_potential(grid, rng, r0=None) -> SymField2:
+    """Smooth symmetric potential suitable for the incompatibility generator:
+    per component a random constant plus two random linear and sine terms,
+    under the Gaussian envelope of radius r0."""
     env = gaussian_envelope(grid, r0)
     x = grid.coords() / (r0 or 0.9 * grid.domain.radius)
     comps = []
     for _ in range(6):
         mod = rng.normal()
-        for _ in range(degree):
+        for _ in range(2):
             c = rng.normal(size=3)
             mod = mod + rng.normal() * (x @ c) + rng.normal(scale=0.5) * np.sin(x @ c)
         comps.append(env * mod)

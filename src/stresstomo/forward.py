@@ -16,10 +16,10 @@ samples, exactly 0 for the integrals and exactly the identity for the
 propagators.  The adjoints run over the same chords' merged interpolation
 weights, held by a FamilyOperator.  Built once for one family, it lets a
 solver apply K* and K*K, the latter in one pass per view
-(FamilyOperator.normal), without rebuilding the geometry.  An operator may
-be restricted to a support, a node mask such as the ball's: it then keeps
-only the entries on the support's nodes, numbered over the support, so a
-solver's unknowns are the support's nodes alone.  Every transform takes a
+(FamilyOperator.normal), without rebuilding the geometry.  An operator
+keeps only the entries on the nodes of its grid's domain (the ball, or
+every node of a box domain), numbered over those nodes, so a solver's
+unknowns are the domain's nodes alone.  Every transform takes a
 family (the adjoint, an operator); references that follow single rays live
 with the tests.
 """
@@ -129,15 +129,17 @@ def _gather(values, grid, family, dyads, per_view=_trapezoid):
     The dyad table dyads(directions, frames) (views, k, 6) is evaluated once.
     Per view the grid field (dims + (6,)) is first contracted with the
     view's k dyads, so trilinear samples only k scalars, and only on the
-    chords that cross the ball.  A family whose chords lie in grid planes
-    (grid_plane) is sampled bilinearly within them, with one in-plane
-    stencil per offset: every live chord of an offset has the same in-plane
-    nodes (PlaneFamily._half_lengths), so trilinear reads the samples of
-    every plane that holds a slice at them in one pass, and each chord takes
-    its slice's; a slice outside the grid box reads zeros.  per_view(samples
-    (..., n, k), weights (..., n), step (...)) maps them to the view's
-    records, by default the k trapezoid integrals per ray.  Every empty
-    chord gets per_view's record for zero samples, weights and step.
+    chords that cross the ball.  A whole stack of the grid's planes
+    (grid_plane: slice j lies in plane j) is sampled bilinearly within them,
+    with one in-plane stencil per offset: every live chord of an offset has
+    the same in-plane nodes (PlaneFamily._half_lengths), so trilinear reads
+    the samples of every plane at them in one pass, and the chord at
+    (offset, slice j) takes plane j's.  Every other family, a plane family
+    on only some planes or off them included, takes the trilinear samples
+    at its chord nodes.  per_view(samples (..., n, k), weights (..., n),
+    step (...)) maps them to the view's records, by default the k
+    trapezoid integrals per ray.  Every empty chord gets per_view's record
+    for zero samples, weights and step.
     """
     flat = values.reshape(-1, 6)
     tables = SYM_MULT * dyads(*family.views())
@@ -145,15 +147,10 @@ def _gather(values, grid, family, dyads, per_view=_trapezoid):
     empty = per_view(np.zeros((n, k)), np.zeros(n), np.zeros(()))
     out = np.empty(family.shape + empty.shape, empty.dtype)
     plane = family.grid_plane(grid)
-    if plane is not None:
-        planes, in_box = family.slice_planes(grid)
-        used, planes = np.unique(planes, return_inverse=True)
     for m, D in enumerate(tables):
         starts, d, lengths = family.chords(m)
         live = lengths > 0.0
         contracted = (flat @ D.T).reshape(grid.dims + (k,))
-        if plane is not None and len(used) < grid.dims[plane]:
-            contracted = contracted.take(used, axis=plane)
         out[m] = empty
         if plane is None:
             pts, w, dt = chord_nodes(starts[live], d, lengths[live], n)
@@ -166,9 +163,7 @@ def _gather(values, grid, family, dyads, per_view=_trapezoid):
                                      lengths[off[first], sl[first]], n)
             inplane = np.delete(pts, plane, axis=-1)
             # (offsets, n, planes, k) -> the live chords' (n, k) blocks
-            samples = trilinear(grid, contracted, inplane, plane=plane).swapaxes(1, 2)[
-                row, planes[sl]]
-            samples[~in_box[sl]] = 0.0
+            samples = trilinear(grid, contracted, inplane, plane=plane).swapaxes(1, 2)[row, sl]
             w, dt = w[row], dt[row]
         out[m][live] = per_view(samples, w, dt)
     return out
@@ -195,17 +190,17 @@ class _ViewStencil:
     weights: np.ndarray
 
 
-def _view_stencils(family, grid, support=None):
+def _view_stencils(family, grid):
     """Yield the merged stencil of every view of a family, chunk by chunk.
 
-    With a support (a boolean node mask of grid.dims) the entries on nodes
-    outside it are dropped before merging, so the merged weights of the
-    kept nodes are those of the whole grid, and nodes are numbered over
-    the support in flat order.
+    The entries on nodes outside the grid's domain (grid.domain_mask()) are
+    dropped before merging, so the merged weights of the kept nodes are
+    those of the whole grid, and nodes are numbered over the domain's nodes
+    in flat order.
     """
     size = int(np.prod(grid.dims))
-    inside = None if support is None else support.ravel()
-    number = None if support is None else (np.cumsum(inside) - 1).astype(np.int32)
+    inside = grid.domain_mask().ravel()
+    number = (np.cumsum(inside) - 1).astype(np.int32)
     plane = family.grid_plane(grid)
     corners = 8 if plane is None else 4
     chunk = max(1, _STEP_ENTRIES // (family.n_nodes * corners))
@@ -222,9 +217,7 @@ def _view_stencils(family, grid, support=None):
             for j, (idx, cw) in enumerate(_stencil(grid, pts, plane=plane)):
                 keys[:, j] = idx
                 np.multiply(cw, w, out=wts[:, j])
-            keep = wts != 0.0
-            if inside is not None:
-                keep &= inside[keys]
+            keep = (wts != 0.0) & inside[keys]
             if not np.any(keep):
                 continue
             keys += sel[:, None, None] * size
@@ -233,8 +226,7 @@ def _view_stencils(family, grid, support=None):
             keys, wts = keys[order], wts[order]
             first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
             rays, counts = np.unique(keys[first] // size, return_counts=True)
-            nodes = keys[first] % size
-            nodes = nodes.astype(np.int32) if number is None else number[nodes]
+            nodes = number[keys[first] % size]
             parts.append((rays, counts, nodes, np.add.reduceat(wts, first)))
         rays, counts, nodes, weights = (np.concatenate(p) for p in zip(*parts))
         yield _ViewStencil(rays, counts, np.cumsum(counts) - counts, nodes, weights)
@@ -252,18 +244,19 @@ class FamilyOperator:
     an operator only when the caller applies it repeatedly, and kdata_adjoint
     takes the caller's operator rather than building one per call.
 
-    support, a boolean node mask of grid.dims (None: the whole grid),
-    restricts the operator to fields that vanish off it: only the entries
-    on its nodes are kept, and size is its node count.  normal then maps
-    (size, c) coefficients of the support's nodes in flat order, and
-    adjoint still returns a whole-grid field, zero off the support.
+    The support is the grid's domain, grid.domain_mask(): the ball on the
+    grids the pipelines build, every node on a box-domain grid.  The
+    operator acts on fields that vanish off it: only the entries on its
+    nodes are kept, and size is its node count.  normal maps (size, c)
+    coefficients of the support's nodes in flat order, and adjoint returns
+    a whole-grid field, zero off the support.
     """
 
-    def __init__(self, family, grid, support=None):
+    def __init__(self, family, grid):
         t0 = time.perf_counter()
-        self.family, self.grid, self.support = family, grid, support
-        self.size = int(np.prod(grid.dims) if support is None else np.count_nonzero(support))
-        self.views = list(_view_stencils(family, grid, support))
+        self.family, self.grid, self.support = family, grid, grid.domain_mask()
+        self.size = int(np.count_nonzero(self.support))
+        self.views = list(_view_stencils(family, grid))
         self.build_s = time.perf_counter() - t0
 
     @property
@@ -280,21 +273,19 @@ class FamilyOperator:
         for rec, v, D in zip(data, self.views, dyads(*self.family.views())):
             rec = rec.reshape(-1, rec.shape[-1])[v.rays]
             out += self._spread(rec.T, v).T @ D
-        out /= self.grid.cell_volume()
-        if self.support is not None:
-            full = np.zeros(self.grid.dims + (6,))
-            full[self.support] = out
-            out = full
-        return SymField2(self.grid, out.reshape(self.grid.dims + (6,)))
+        full = np.zeros(self.grid.dims + (6,))
+        full[self.support] = out / self.grid.cell_volume()
+        return SymField2(self.grid, full)
 
     def normal(self, x, rows):
-        """A* A on coefficients x, (size, c) or, on the whole grid, dims +
-        (c,), in one pass per view, for the transform A whose view rows
-        (views, k, c) map a node's coefficients to the view's k dyad
-        contractions (the dyads times SYM_MULT, in the coefficient basis):
-        the k scalars are taken at the view's entries in one (k, entries)
-        block, weighted and summed per chord, spread back over the same
-        entries (_spread) and expanded with the rows transposed."""
+        """A* A on coefficients x of the support's nodes, (size, c) or, on a
+        box-domain grid, dims + (c,), in one pass per view, for the
+        transform A whose view rows (views, k, c) map a node's coefficients
+        to the view's k dyad contractions (the dyads times SYM_MULT, in the
+        coefficient basis): the k scalars are taken at the view's entries
+        in one (k, entries) block, weighted and summed per chord, spread
+        back over the same entries (_spread) and expanded with the rows
+        transposed."""
         c = x.shape[-1]
         flat = np.ascontiguousarray(x.reshape(-1, c).T)
         out = np.zeros((c, self.size))

@@ -35,8 +35,8 @@ def _stencil(grid: Grid3, points, mode="zero", plane=None):
     clamps them to the nearest node.  Interpolation and its transpose
     (scatter onto the nodes) share this stencil.
 
-    plane is None, or an axis on whose grid planes every point lies (a
-    property of a family's geometry, _ChordFamily.grid_plane).  The
+    plane is None, or an axis on whose grid planes every point lies (for
+    chord nodes, a whole grid-plane stack's: _ChordFamily.grid_plane).  The
     stencil then takes each point's nearest plane and yields only the
     four bilinear corners within it; the other four would carry the
     weight of the coordinate's roundoff.  Points (..., 2) with a plane are
@@ -90,10 +90,11 @@ def trilinear(grid: Grid3, values, points, mode="zero", plane=None):
     applied only when a point leaves the box.  With plane, points on grid
     planes of that axis are interpolated bilinearly within them (_stencil).
     In-plane points (..., 2) with a plane, the coordinates of the other two
-    axes in order, give the bilinear samples at them of every plane that
-    values holds along that axis (the grid's, or any p of them), shape
-    points.shape[:-1] + (p,) + (m,): the values are read as rows of
-    (in-plane node, planes x components), one row per corner and point.
+    axes in order, give the bilinear samples at them of every grid plane of
+    that axis, shape points.shape[:-1] + (planes,) + (m,): the values are
+    read as rows of (in-plane node, planes x components), one row per
+    corner and point.  A whole grid-plane stack's gather reads its chords
+    so (forward._gather).
     """
     values = np.asarray(values)
     comp_shape = values.shape[3:]
@@ -178,7 +179,8 @@ class _ChordFamily:
         return int(np.ceil(2.0 * self.radius / self.step)) + 1
 
     def grid_plane(self, grid):
-        """The axis on whose grid planes every chord lies, or None."""
+        """The axis of a whole stack of the grid's planes (PlaneFamily), or
+        None."""
         return None
 
     def views(self):
@@ -203,9 +205,6 @@ class _ChordFamily:
         and s2 (1, off2): each line's own chord of the ball, 0 where it
         misses."""
         return np.sqrt(np.maximum(self.radius**2 - s1**2 - s2**2, 0.0))
-
-
-_ON_PLANE = 1e-12  # cells: dropping the far plane changes a sample by this share of a step
 
 
 def chord_nodes(starts, d, lengths, n):
@@ -270,28 +269,11 @@ class PlaneFamily(_ChordFamily):
         live = s1**2 + s2**2 < self.radius**2
         return np.where(live, np.sqrt(np.maximum(self.radius**2 - s1**2, 0.0)), 0.0)
 
-    def _slice_coords(self, grid):
-        """Grid coordinate of every slice along the axis.
-
-        Directions and frames have an exactly zero axis component, so every
-        chord node's axis coordinate is the slice's, center + (slice -
-        center), as chords() computes it.
-        """
-        k = self.axis
-        return (self.center[k] + self._off2 - grid.origin[k]) / grid.spacing[k]
-
     def grid_plane(self, grid):
-        """The family's axis when every slice is a grid plane of it, to
-        within _ON_PLANE of a cell, else None."""
-        u = self._slice_coords(grid)
-        return self.axis if np.all(np.abs(u - np.rint(u)) <= _ON_PLANE) else None
-
-    def slice_planes(self, grid):
-        """The nearest grid plane of every slice and whether the slice lies
-        in the grid box; outside it the field reads zero (trilinear's mode
-        "zero").  For a family on grid planes (grid_plane)."""
-        u, top = self._slice_coords(grid), grid.dims[self.axis] - 1
-        return np.rint(np.clip(u, 0.0, top)).astype(int), (u >= 0.0) & (u <= top)
+        """The family's axis when it is a whole stack of the grid's planes
+        of that axis (slices equal to grid.axes()[axis], in order), so that
+        slice j lies in plane j; else None."""
+        return self.axis if np.array_equal(self.slices, grid.axes()[self.axis]) else None
 
 
 @dataclass
@@ -557,7 +539,7 @@ def coverage_directions(y):
     return np.where(ok[..., None], c / np.where(ok, n, 1.0)[..., None], 0.0), ok
 
 
-def diameter(metric: ConformalMetric, samples=128, step=None):
+def diameter(metric: ConformalMetric, samples=128):
     """Lower bound on the h-diameter from center-aimed boundary geodesics.
 
     Shoots one geodesic inward from each of `samples` boundary points and
@@ -567,6 +549,6 @@ def diameter(metric: ConformalMetric, samples=128, step=None):
     best = 0.0
     for q in fibonacci_sphere(samples):
         x0 = center + radius * q
-        ray = trace_geodesic(metric, x0, -q, step=step)
+        ray = trace_geodesic(metric, x0, -q)
         best = max(best, ray.length)
     return best

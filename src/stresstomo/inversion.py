@@ -55,6 +55,9 @@ class NonUniqueError(RuntimeError):
     """The requested inversion has a nontrivial null space at these weights."""
 
 
+_NULL_FLOOR = 1e-8  # |1 + 2a| or |a + 2/3| below this: the data have a null space
+
+
 @dataclass
 class ReconReport:
     """Serializable record of a reconstruction run."""
@@ -93,6 +96,7 @@ class ReconReport:
 
 
 _ANGLE_UPSAMPLE = 8
+_GAIN_FLOOR = 1e-6  # Tikhonov floor of the per-node gains, times max(tr(M^T M), 1)
 
 
 def _slice_freqs(family):
@@ -268,7 +272,7 @@ class _Regrid:
     levels: list
 
 
-def _regrid_geometry(families, grid: Grid3, floor, cond_limit):
+def _regrid_geometry(families, grid: Grid3, cond_limit):
     """Build the _Regrid of the three plane families (dict axis -> family).
 
     Per family the 2D transform of parallel-beam data samples mhat(y) xi xi
@@ -342,7 +346,7 @@ def _regrid_geometry(families, grid: Grid3, floor, cond_limit):
     # A = (MtM + eps)^-1 Mt (scale Q), one gain matrix per node
     MtM = np.einsum("nri,nrj->nij", rows_M, rows_M)
     tr = np.trace(MtM, axis1=-2, axis2=-1)
-    eps = floor * np.maximum(tr, 1.0)
+    eps = _GAIN_FLOOR * np.maximum(tr, 1.0)
     gain = np.linalg.solve(MtM + eps[:, None, None] * np.eye(3), np.swapaxes(rows_M, 1, 2))
     gain = gain * scale[:, None, None]
     dyads = matrix_to_sym(
@@ -422,7 +426,7 @@ def _regrid_pass(geo: _Regrid, values, grid: Grid3):
     return SymField2(grid, np.fft.ifftn(spec6, axes=_AXES).real)
 
 
-def invert_I_solenoidal(sinograms, grid: Grid3, floor=1e-6, cond_limit=1e8, refine=1):
+def invert_I_solenoidal(sinograms, grid: Grid3, cond_limit=1e8, refine=1):
     """Recover the solenoidal field m from its longitudinal transform.
 
     sinograms: scalar records over the three coordinate-plane line
@@ -446,7 +450,7 @@ def invert_I_solenoidal(sinograms, grid: Grid3, floor=1e-6, cond_limit=1e8, refi
     """
     sinos = _plane_sinograms(sinograms)
     t0 = time.perf_counter()
-    geo = _regrid_geometry({k: s.family for k, s in sinos.items()}, grid, floor, cond_limit)
+    geo = _regrid_geometry({k: s.family for k, s in sinos.items()}, grid, cond_limit)
     info = {
         "active_nodes": int(len(geo.nodes)),
         "filled_share": sum(len(level[0]) for level in geo.levels) / len(geo.nodes),
@@ -470,14 +474,14 @@ def invert_I_solenoidal(sinograms, grid: Grid3, floor=1e-6, cond_limit=1e8, refi
     return m, info
 
 
-def detangle_trace(m: SymField2, a, floor=1e-8) -> SymField2:
+def detangle_trace(m: SymField2, a) -> SymField2:
     """Split f from m = S(f + a (tr f) g) for solenoidal f.
 
     In the Fourier domain m_hat = f_hat + a (tr f_hat) eps with tr eps = 2,
     so tr f_hat = tr m_hat / (1 + 2a).  eps is real and even in y, so a real
     m is split on its half spectrum.
     """
-    if abs(1.0 + 2.0 * a) < floor:
+    if abs(1.0 + 2.0 * a) < _NULL_FLOOR:
         raise NonUniqueError(
             "1 + 2a vanishes: the data are blind to the S(alpha g) family"
         )
@@ -546,7 +550,7 @@ CG_TOL = 1e-3
 CG_MAXITER = 300
 
 
-def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=CG_MAXITER, tol=CG_TOL):
+def invert_K_tracefree(kdata: Sinogram, grid: Grid3, maxiter=CG_MAXITER, tol=CG_TOL):
     """Solve min |K F - kdata|^2 + lam |F|^2 over trace-free symmetric F
     supported in the ball grid.domain.
 
@@ -554,10 +558,11 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=CG_MAXITE
     by working in a 5-component deviatoric basis per node, and the
     unknowns are the coefficients of the ball's nodes only (the stress
     vanishes outside the body): F is exactly zero off them.  K and K* run
-    on one FamilyOperator restricted to the ball, built here and dropped
-    on return: the right-hand side is one kdata_adjoint, and every
-    iteration one normal pass (FamilyOperator.normal) with the K dyads in
-    the deviatoric basis, on (support nodes, 5) vectors.  Returns (F,
+    on one FamilyOperator, whose support (op.support) is the grid's domain,
+    built here and dropped on return: the right-hand side b is one
+    kdata_adjoint, and every iteration one normal pass
+    (FamilyOperator.normal) with the K dyads in the deviatoric basis, on
+    (support nodes, 5) vectors.  lam is 1e-6 |b| / |kdata|.  Returns (F,
     info): info holds the iteration count, lam, the final relative
     residual, the relative residual after every iteration, the support's
     node count (support_nodes), the operator's entry count on the support
@@ -565,8 +570,8 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=CG_MAXITE
     """
     if kdata.kind != "kpair":
         raise ValueError("invert_K_tracefree expects kpair records")
-    support = grid.domain_mask()
-    op = FamilyOperator(kdata.family, grid, support)
+    op = FamilyOperator(kdata.family, grid)
+    support = op.support
     info = {"support_nodes": op.size, "operator_entries": op.entries,
             "operator_build_s": op.build_s}
     b = _sym_to_coef(kdata_adjoint(op, kdata.values).values[support])
@@ -575,8 +580,7 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, lam=None, maxiter=CG_MAXITE
         return F, dict(info, iterations=0, lam=0.0, residual=0.0, residuals=[], normal_s=0.0)
     rows = (SYM_MULT * _kpair_dyads(*op.family.views())) @ _DEV_BASIS.T
     data_norm = float(np.linalg.norm(kdata.values))
-    if lam is None:
-        lam = 1e-6 * float(np.linalg.norm(b)) / max(data_norm, 1e-300)
+    lam = 1e-6 * float(np.linalg.norm(b)) / max(data_norm, 1e-300)
     # x0 = 0, so r = b exactly
     x = np.zeros_like(b)
     r = b.copy()
@@ -641,7 +645,7 @@ def _trace_dyads(d, frame, a):
     return np.stack([0.5 * (g11 + g22), g11 - g22], axis=-2)
 
 
-def recover_trace(ldata, Ftilde: SymField2, a, floor=1e-8, eta_tol=1e-6):
+def recover_trace(ldata, Ftilde: SymField2, a, eta_tol=1e-6):
     """Trace of F from eta-averaged diagonal shear data and the known
     trace-free part.
 
@@ -653,7 +657,7 @@ def recover_trace(ldata, Ftilde: SymField2, a, floor=1e-8, eta_tol=1e-6):
     inverted slice by slice with Ram-Lak filtered backprojection.  Any
     other family in ldata is ignored.
     """
-    if abs(a + 2.0 / 3.0) < floor:
+    if abs(a + 2.0 / 3.0) < _NULL_FLOOR:
         raise NonUniqueError("a + 2/3 vanishes: the trace cannot be recovered")
     grid = Ftilde.grid
     sinos = {s.family.axis: s for s in ldata}
@@ -705,7 +709,7 @@ def recover_trace(ldata, Ftilde: SymField2, a, floor=1e-8, eta_tol=1e-6):
     return ScalarField(grid, out)
 
 
-def swave_pipeline(sinograms, params, grid: Grid3, scale, lam=None, maxiter=CG_MAXITER, tol=CG_TOL):
+def swave_pipeline(sinograms, params, grid: Grid3, scale, maxiter=CG_MAXITER, tol=CG_TOL):
     """Shear reconstruction from propagator sinograms.
 
     sinograms: propagator records over one dense-sphere family (feeds the
@@ -714,7 +718,7 @@ def swave_pipeline(sinograms, params, grid: Grid3, scale, lam=None, maxiter=CG_M
     third axis feeds the scalar trace recovery and its split warning; the
     other two are required but not used.  scale is the stress amplitude
     used when the propagators were collected; the result approximates the
-    true R up to the quadratic Born remainder.  lam, maxiter and tol go to
+    true R up to the quadratic Born remainder.  maxiter and tol go to
     invert_K_tracefree; the defaults are the CLI's.
     """
     t0 = time.perf_counter()
@@ -736,7 +740,7 @@ def swave_pipeline(sinograms, params, grid: Grid3, scale, lam=None, maxiter=CG_M
 
     kdata = truncated_reduce(lmatrix(sphere[0]))
     t1 = time.perf_counter()
-    Ft, report.stages["cg"] = invert_K_tracefree(kdata, grid, lam=lam, maxiter=maxiter, tol=tol)
+    Ft, report.stages["cg"] = invert_K_tracefree(kdata, grid, maxiter=maxiter, tol=tol)
     report.timing["invert_K"] = time.perf_counter() - t1
 
     # the plane families feed only the trace recovery: reduce them after
@@ -761,14 +765,15 @@ def swave_pipeline(sinograms, params, grid: Grid3, scale, lam=None, maxiter=CG_M
 # Poincare-type verification
 
 
-def verify_poincare(v: CovectorField, D=None, margin=0.03, tol=1e-6):
+def verify_poincare(v: CovectorField):
     """Ratio |v|^2 / ((D^2/10)(2 |dv|^2 + |delta v|^2)); at most 1.
 
-    v must be real and vanish near the domain boundary (else ValueError);
-    D defaults to the Euclidean diameter of the ball domain.  Both
-    derivative norms come by Parseval from one half spectrum V of v:
-    2 |dv|^2 + |delta v|^2 sums |y|^2 |V|^2 + 2 |y.V|^2 over the
-    frequencies, with no inverse transform.
+    v must be real and vanish near the domain boundary, within 3% of the
+    ball's radius up to 1e-6 of its maximum (else ValueError); D is the
+    Euclidean diameter of the ball domain.  Both derivative norms come by
+    Parseval from one half spectrum V of v: 2 |dv|^2 + |delta v|^2 sums
+    |y|^2 |V|^2 + 2 |y.V|^2 over the frequencies, with no inverse
+    transform.
     """
     if np.iscomplexobj(v.values):
         raise ValueError("verify_poincare expects a real field")
@@ -779,11 +784,10 @@ def verify_poincare(v: CovectorField, D=None, margin=0.03, tol=1e-6):
     c = np.asarray(grid.domain.center)
     x1, x2, x3 = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
     r = np.sqrt((x1 - c[0]) ** 2 + (x2 - c[1]) ** 2 + (x3 - c[2]) ** 2)
-    rim = r > grid.domain.radius * (1.0 - margin)
-    if np.max(np.abs(v.values[rim])) > tol * vmax:
+    rim = r > grid.domain.radius * (1.0 - 0.03)
+    if np.max(np.abs(v.values[rim])) > 1e-6 * vmax:
         raise ValueError("field does not vanish on the boundary margin")
-    if D is None:
-        D = 2.0 * grid.domain.radius
+    D = 2.0 * grid.domain.radius
     spec, ys, weights = _half_spectrum(v.values, grid)
     ysq = ys[0] ** 2 + ys[1] ** 2 + ys[2] ** 2
     ydotv = ys[0] * spec[..., 0] + ys[1] * spec[..., 1] + ys[2] * spec[..., 2]

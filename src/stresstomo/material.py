@@ -17,6 +17,7 @@ import numpy as np
 from .fields import ScalarField, spectral_gradient
 
 _DELTA = np.eye(3)
+_FLOOR = 1e-6  # default least value of a solvability quantity
 
 
 class ConditionError(RuntimeError):
@@ -227,7 +228,7 @@ class ConditionReport:
         return all(self.passed.values())
 
 
-def check_pwave_conditions(params: MaterialParams, floor=1e-6) -> ConditionReport:
+def check_pwave_conditions(params: MaterialParams, floor=_FLOOR) -> ConditionReport:
     """Nondegeneracy checks for the compressional-wave inverse problem.
 
     Reports minima of |3(nu1+nu2) + 2(1+nu3+nu4)|, |1+nu3+nu4| and
@@ -244,20 +245,22 @@ def check_pwave_conditions(params: MaterialParams, floor=1e-6) -> ConditionRepor
     return ConditionReport(vals, passed, floor)
 
 
-def check_variable_conditions(params: MaterialParams, diameter, grid=None, floor=1e-6):
+def check_variable_conditions(params: MaterialParams, diameter, grid=None):
     """Ellipticity and uniqueness bounds for the variable-coefficient problem.
 
     Evaluates a0 = sup|a/(1+3a)|, alpha0 = sup|alpha|^(1/2),
     beta0 = sup|(a alpha - beta)/(1+3a)|^(1/2), the ellipticity inequality
     |1+a| < |1+3a| (plus the symbol-positivity test kappa > -1), and the
     smallness bound 3 a0 + alpha0/2 + 3 beta0/2 + (alpha0^3+beta0^3) D^2/4 < 1.
+    Where |1+3a| falls below _FLOOR the report is "indeterminate".  Variable
+    coefficients need the grid (pwave_weights).
     """
     w = pwave_weights(params, grid)
     a = np.asarray(w.a, dtype=float)
     one3a = 1.0 + 3.0 * a
     vals, passed = {}, {}
-    if np.any(np.abs(one3a) < floor):
-        return ConditionReport({"indeterminate": 0.0}, {"indeterminate": False}, floor)
+    if np.any(np.abs(one3a) < _FLOOR):
+        return ConditionReport({"indeterminate": 0.0}, {"indeterminate": False}, _FLOOR)
     a0 = float(np.max(np.abs(a / one3a)))
     if w.alpha is None:
         alpha0 = beta0 = 0.0
@@ -276,4 +279,4 @@ def check_variable_conditions(params: MaterialParams, diameter, grid=None, floor
     passed["smallness"] = bound < 1.0
     passed["ellipticity_strict"] = vals["ellipticity_margin"] > 0.0
     passed["symbol_positivity"] = vals["kappa_min"] > -1.0
-    return ConditionReport(vals, passed, floor)
+    return ConditionReport(vals, passed, _FLOOR)

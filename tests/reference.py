@@ -8,9 +8,11 @@ compare the two independently.  Nothing in the package imports them.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from stresstomo.fields import SYM_MULT, CovectorField, Grid3, ScalarField, SymField2
+from stresstomo.fields import SYM_MULT, CovectorField, Domain, Grid3, ScalarField, SymField2
 from stresstomo.fields import _random_bumps, random_smooth_field, trig_upsample
 from stresstomo.forward import (
     FamilyOperator,
@@ -24,6 +26,11 @@ from stresstomo.geometry import Ray, _orthobasis, _transport, trilinear
 
 # ---------------------------------------------------------------------------
 # fields
+
+
+def box_domain(grid):
+    """The grid with a box domain: a FamilyOperator on it keeps every node."""
+    return dataclasses.replace(grid, domain=Domain())
 
 
 def sym_inner(u: SymField2, w: SymField2):
@@ -233,9 +240,9 @@ def rytov_propagate(R: SymField2, params, ray: Ray, scale=1.0, tol=1e-8):
 
 def longitudinal_adjoint(family, values, grid) -> SymField2:
     """I*: backprojection of scalar ray data onto tangent dyads, over an
-    operator built here for the family.
+    operator built here for the family on every node of the grid.
 
     Adjoint of longitudinal_transform with respect to the plain sum over
     rays and the L2 field inner product (cell-volume weighted).
     """
-    return FamilyOperator(family, grid).adjoint(values[..., None], _tangent_dyads)
+    return FamilyOperator(family, box_domain(grid)).adjoint(values[..., None], _tangent_dyads)

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from stresstomo import cli
 from stresstomo.cli import (
     EXIT_CONDITION,
     EXIT_CONFIG,
@@ -431,3 +432,62 @@ def test_export_noise_malformed_report_exits_config(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert "config error: unreadable report: " in err and "bad.json" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# failure messages go to stderr, like main's own
+
+
+def _failure_on_stderr(capsys, message):
+    out, err = capsys.readouterr()
+    assert message in err and message not in out
+
+
+def test_report_refusal_is_on_stderr(tmp_path, capsys):
+    paths = []
+    for h in ("a", "b"):
+        paths.append(str(tmp_path / f"{h}.json"))
+        write_report(paths[-1], ReconReport(config={"config_hash": h}))
+    assert main(["report", *paths, "--out", str(tmp_path / "m")]) == EXIT_CONFIG
+    _failure_on_stderr(capsys, "refusing to merge reports")
+
+
+def test_verify_condition_failure_is_on_stderr(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, material={"nu": [0.0, 0.0, -1.0, 0.0]})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_CONDITION
+    _failure_on_stderr(capsys, "condition failure: weight_sum")
+
+
+def test_verify_numerical_failure_is_on_stderr(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path)
+    monkeypatch.setattr(cli, "contraction_identity_residual", lambda *args, **kwargs: 1.0)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_NUMERICAL
+    _failure_on_stderr(capsys, "numerical failure: an invariant check")
+
+
+def test_invert_condition_failure_is_on_stderr(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, material={"nu": [-1.0, 0.0, 0.0, 0.0]})
+    out = str(tmp_path / "run")
+    for command in ("generate", "forward"):
+        assert main([command, "--config", cfg, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONDITION
+    _failure_on_stderr(capsys, "condition failure: trace_uniqueness")
+
+
+def test_invert_numerical_failure_is_on_stderr(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path)
+    out = str(tmp_path / "run")
+    for command in ("generate", "forward"):
+        assert main([command, "--config", cfg, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    pipeline = cli.pwave_pipeline
+
+    def not_finite(*args, **kwargs):
+        R, report = pipeline(*args, **kwargs)
+        R.values[0, 0, 0, 0] = np.nan
+        return R, report
+
+    monkeypatch.setattr(cli, "pwave_pipeline", not_finite)
+    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_NUMERICAL
+    _failure_on_stderr(capsys, "numerical failure: reconstruction is not finite")

@@ -57,6 +57,7 @@ from stresstomo.inversion import _DEV_BASIS, _coef_to_sym, _sym_to_coef, _trace_
 from stresstomo.material import ConditionError, MaterialParams, swave_weights
 
 from reference import (
+    box_domain,
     family_ray,
     line_ray,
     longitudinal_adjoint,
@@ -561,7 +562,7 @@ def test_kdata_adjoint_inner_product(grid, rng):
     kd = kdata_transform(F, fam)
     s = rng.normal(size=kd.values.shape)
     lhs = float(np.sum(kd.values * s))
-    rhs = sym_inner(F, kdata_adjoint(FamilyOperator(fam, grid), s))
+    rhs = sym_inner(F, kdata_adjoint(FamilyOperator(fam, box_domain(grid)), s))
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
@@ -576,6 +577,7 @@ def test_add_noise_scale(grid, rng):
 # the contract-then-gather / scatter pair on random family geometries
 
 _PAIR_GRID = Grid3.cube(8)
+_PAIR_BOX = box_domain(_PAIR_GRID)  # operators on it keep every node
 
 
 @st.composite
@@ -626,7 +628,7 @@ def test_gather_scatter_pair_property(family, a, which, seed):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     y = rng.normal(size=got.shape)
     lhs = float(np.sum(got * y))
-    rhs = sym_inner(F, FamilyOperator(family, _PAIR_GRID).adjoint(y, dyads))
+    rhs = sym_inner(F, FamilyOperator(family, _PAIR_BOX).adjoint(y, dyads))
     assert abs(lhs - rhs) <= 1e-10 * max(np.linalg.norm(got) * np.linalg.norm(y), 1e-300)
 
 
@@ -642,7 +644,7 @@ def test_family_operator_property(family, a, which, seed):
     dyads = _pair_dyads(which, a)
     rng = np.random.default_rng(seed)
     F = SymField2(_PAIR_GRID, rng.normal(size=_PAIR_GRID.dims + (6,)))
-    op = FamilyOperator(family, _PAIR_GRID)
+    op = FamilyOperator(family, _PAIR_BOX)
     got = _gather(F.values, _PAIR_GRID, family, dyads)
     y = rng.normal(size=got.shape)
     back = op.adjoint(y, dyads)
@@ -656,7 +658,7 @@ def test_family_operator_property(family, a, which, seed):
         assert not np.any(got[m][empty])
         y[m][empty] = 0.0
     assert op.adjoint(y, dyads).values.tobytes() == back.values.tobytes()
-    again = FamilyOperator(family, _PAIR_GRID)
+    again = FamilyOperator(family, _PAIR_BOX)
     assert again.entries == op.entries
     assert again.adjoint(y, dyads).values.tobytes() == back.values.tobytes()
 
@@ -676,7 +678,7 @@ def test_family_operator_normal_pass_property(family, a, which, support, seed):
     # symmetric and repeatable
     dyads = _pair_dyads(which, a)
     rng = np.random.default_rng(seed)
-    whole = FamilyOperator(family, _PAIR_GRID)
+    whole = FamilyOperator(family, _PAIR_BOX)
     rows = (SYM_MULT * dyads(*family.views())) @ _DEV_BASIS.T
     if support is None:
         op = whole
@@ -685,7 +687,7 @@ def test_family_operator_normal_pass_property(family, a, which, support, seed):
                                         dyads).values)
     else:
         mask = _PAIR_GRID.domain_mask()
-        op = FamilyOperator(family, _PAIR_GRID, mask)
+        op = FamilyOperator(family, _PAIR_GRID)
         x, y = rng.normal(size=(2, op.size, 5))
         ext = np.zeros(_PAIR_GRID.dims + (5,))
         ext[mask] = x
@@ -707,8 +709,8 @@ def test_family_operator_stores_twelve_bytes_per_entry(grid):
     # int32 nodes and float64 weights per entry, and per live chord its
     # index, entry count and first entry
     fams = [build_sphere_family(grid, 6, 16)] + build_line_families(grid, 6, 24)
-    for fam, support in itertools.product(fams, [None, grid.domain_mask()]):
-        op = FamilyOperator(fam, grid, support)
+    for fam, on in itertools.product(fams, [box_domain(grid), grid]):
+        op = FamilyOperator(fam, on)
         chords = sum(len(v.rays) for v in op.views)
         total = sum(getattr(v, f.name).nbytes for v in op.views for f in dataclasses.fields(v))
         assert 0 < op.entries and total <= 12 * op.entries + 24 * chords
@@ -760,23 +762,6 @@ def test_plane_family_gather_samples_through_trilinear(grid, rng, monkeypatch):
     monkeypatch.setattr(forward, "trilinear", counted)
     assert pwave_data(R, p, fam).values.tobytes() == want.tobytes()
     assert calls == [(2, 1)] * fam.n_views
-
-
-def test_plane_family_on_some_grid_planes_samples_bilinearly(grid, rng, monkeypatch):
-    # slices on every third grid plane and one a plane below the box, chords
-    # reaching past the box: where they leave it they read the zero
-    # extension, and elsewhere trilinear's values to its roundoff
-    R = random_smooth_sym(grid, rng)
-    on = build_line_families(grid, angles=6, offsets=24)[0]
-    slices = np.r_[on.slices[0] - grid.spacing[0], on.slices[1::3]]
-    fam = PlaneFamily(0, on.thetas, on.offsets, slices, on.center, 1.3, on.step)
-    assert fam.grid_plane(grid) == 0
-    p = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
-    four = pwave_data(R, p, fam).values
-    assert np.any(fam.chords(0)[2][:, 0] > 0.0) and np.all(four[:, :, 0] == 0.0)
-    monkeypatch.setattr(PlaneFamily, "grid_plane", lambda self, grid: None)
-    eight = pwave_data(R, p, fam).values
-    assert np.max(np.abs(four - eight)) <= 1e-13 * np.max(np.abs(eight))
 
 
 def test_grid_plane_view_without_live_chords(grid, rng):
@@ -888,25 +873,33 @@ def _reference_view_stencils(family, grid):
 
 
 def test_gather_and_operator_match_reference_bytes():
-    # an on-grid and an off-grid plane family, a sphere family, and families
-    # reaching past the grid box, whose outside nodes read the zero extension
+    # whole grid-plane stacks, an off-grid plane family, a family on every
+    # third grid plane plus one slice below the box, a sphere family, and
+    # families reaching past the grid box, whose outside nodes read the zero
+    # extension
     grid = Grid3.cube(16)
     R = random_smooth_sym(grid, np.random.default_rng(3))
     on = build_line_families(grid, angles=5, offsets=16)
     off = PlaneFamily(2, on[2].thetas, on[2].offsets, on[2].slices[::3] + grid.spacing[2] / 3.0,
                       on[2].center, on[2].radius, on[2].step)
+    some = PlaneFamily(0, on[0].thetas, on[0].offsets,
+                       np.r_[on[0].slices[0] - grid.spacing[0], on[0].slices[1::3]],
+                       on[0].center, 1.3, on[0].step)
     sphere = build_sphere_family(grid, directions=5)
     wide_plane = PlaneFamily(1, on[1].thetas, np.linspace(-1.4, 1.4, 9), on[1].slices,
                              on[1].center, 1.6, on[1].step)
     wide_sphere = SphereFamily(sphere.directions, np.linspace(-1.4, 1.4, 9), sphere.center,
                                1.6, sphere.step)
-    fams = on + [off, sphere, wide_plane, wide_sphere]
-    assert [f.grid_plane(grid) for f in fams] == [0, 1, 2, None, None, 1, None]
+    fams = on + [off, some, sphere, wide_plane, wide_sphere]
+    assert [f.grid_plane(grid) for f in fams] == [0, 1, 2, None, None, None, 1, None]
     lo, hi = grid.box()
     for wide in fams[-2:]:
         starts, d, lengths = wide.chords(0)
         far = starts + lengths[..., None] * d
         assert np.any((far < lo) | (far > hi))
+    # live chords in the slice below the box read the zero extension
+    assert np.any(some.chords(0)[2][:, 0] > 0.0)
+    assert np.all(_gather(R.values, grid, some, _kpair_dyads)[:, :, 0] == 0.0)
     p = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
     inside = grid.domain_mask()
 
@@ -919,13 +912,13 @@ def test_gather_and_operator_match_reference_bytes():
             got = _gather(R.values, grid, fam, dyads, per_view)
             want = _reference_gather(R.values, grid, fam, dyads, per_view)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        op = FamilyOperator(fam, grid)
+        op = FamilyOperator(fam, box_domain(grid))
         for v, want in zip(op.views, _reference_view_stencils(fam, grid), strict=True):
             for got, ref in zip((v.rays, v.counts, v.nodes, v.weights), want):
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
         # on the ball's nodes: the whole grid's entries there, weights to the
         # byte, nodes numbered over the ball
-        ball = FamilyOperator(fam, grid, inside)
+        ball = FamilyOperator(fam, grid)
         for v, w in zip(ball.views, op.views, strict=True):
             keep = inside.ravel()[w.nodes]
             assert v.weights.tobytes() == w.weights[keep].tobytes()

@@ -380,6 +380,17 @@ def test_plane_family_grid_plane_needs_every_slice_on_the_grid():
     assert [f.grid_plane(grid) for f in fams] == [0, 1, 2]
     assert fams[0].grid_plane(Grid3.cube(15)) is None  # odd planes fall between
     assert build_sphere_family(grid, 5).grid_plane(grid) is None
+    # slice j must be grid plane j: one slice moved by one ulp, the planes
+    # reversed or only some of them make the family no whole stack
+    fam = fams[1]
+    moved = fam.slices.copy()
+    moved[5] = np.nextafter(moved[5], np.inf)
+    for slices in (moved, fam.slices[::-1], fam.slices[::2]):
+        other = PlaneFamily(1, fam.thetas, fam.offsets, slices, fam.center, fam.radius, fam.step)
+        assert other.grid_plane(grid) is None
+    same = PlaneFamily(1, fam.thetas, fam.offsets, fam.slices.copy(), fam.center, fam.radius,
+                       fam.step)
+    assert same.grid_plane(grid) == 1
 
 
 def _reference_stencil(grid, points, mode="zero", plane=None):

@@ -1,7 +1,8 @@
 """Static checks on the package's source: every module-level import is
 used, every import names the standard library, numpy or the package, every
-function and method is referenced by the package itself, and every name the
-benchmark's tracer (perfbench/spans.py) wraps exists."""
+function and method is referenced by the package itself, every parameter
+with a default is passed by some call, and every name the benchmark's tracer
+(perfbench/spans.py) wraps exists."""
 
 import ast
 import importlib
@@ -222,3 +223,95 @@ def test_unreferenced_function_is_found():
              "    def n(self):\n        return self.m()\n",
     }
     assert unreferenced(sources) == ["a.alone", "b.C.n"]
+
+
+# ---------------------------------------------------------------------------
+# every parameter with a default is set by some caller
+
+# Parameters with a default that no call in src/, tests/ or perfbench/ passes,
+# each with the reason it stays settable.
+_UNSET_KEPT = {
+    "fields.random_bump_sym(degree)": "test_random_bumps_equal_full_grid_reference passes it "
+                                      "through a generator variable",
+}
+
+
+def defaulted_parameters(source):
+    """(qualified name, callee name, parameter, position) of every parameter
+    with a default on a def in source.  position is the parameter's index
+    among the positional arguments of a call, None for a keyword-only one;
+    a method's self or cls takes none, and __init__ is called by its class's
+    name."""
+    out = []
+
+    def visit(node, prefix, in_class):
+        for ch in ast.iter_child_nodes(node):
+            if isinstance(ch, ast.FunctionDef):
+                args = ch.args
+                pos = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in ch.decorator_list)
+                if in_class and not static:
+                    pos = pos[1:]
+                first = len(pos) - len(args.defaults)
+                params = [(p.arg, i) for i, p in enumerate(pos) if i >= first]
+                params += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                           if d is not None]
+                callee = prefix.rstrip(".").rsplit(".", 1)[-1] if (
+                    in_class and ch.name == "__init__") else ch.name
+                out.extend((prefix + ch.name, callee, p, i) for p, i in params)
+                visit(ch, prefix + ch.name + ".", False)
+            elif isinstance(ch, ast.ClassDef):
+                visit(ch, prefix + ch.name + ".", True)
+            else:
+                visit(ch, prefix, in_class)
+
+    visit(ast.parse(source), "", False)
+    return out
+
+
+def call_sites(source):
+    """(callee name, positional count, keywords) of every call in source:
+    the callee is a name or an attribute, the count stops at the first
+    starred argument, and **mapping passes no keyword."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+            name = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            npos = next((i for i, a in enumerate(n.args) if isinstance(a, ast.Starred)),
+                        len(n.args))
+            out.append((name, npos, {k.arg for k in n.keywords if k.arg}))
+    return out
+
+
+def unset_parameters(package, callers):
+    """"module.qualname(parameter)" for every parameter with a default in
+    package (module name -> source) that no call in callers (sources) passes,
+    by keyword or by position, to a def of its name."""
+    calls = [c for source in callers for c in call_sites(source)]
+    out = []
+    for module, source in package.items():
+        for qual, callee, param, index in defaulted_parameters(source):
+            if not any(name == callee and (param in kws or index is not None and npos > index)
+                       for name, npos, kws in calls):
+                out.append(f"{module}.{qual}({param})")
+    return sorted(out)
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    root = SRC.parents[1]
+    callers = [p.read_text() for d in ("src", "tests", "perfbench")
+               for p in sorted((root / d).rglob("*.py"))]
+    found = unset_parameters({p.stem: p.read_text() for p in SRC.glob("*.py")}, callers)
+    assert [q for q in found if q not in _UNSET_KEPT] == []
+    assert sorted(q for q in _UNSET_KEPT if q not in found) == []  # no stale entries
+
+
+def test_unset_parameter_is_found():
+    package = {
+        "a": "def f(x, y=1, *, z=2):\n    return x\n\n"
+             "class C:\n    def __init__(self, u=0, v=1):\n        pass\n\n"
+             "    def m(self, w=3):\n        return w\n",
+    }
+    callers = ["f(0, 5)\nC(v=2)\nobj.m(*args, **kwargs)\n", "from a import f\nf(1, z=3)\n"]
+    assert unset_parameters(package, callers) == ["a.C.__init__(u)", "a.C.m(w)"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import stresstomo.io as sio
+from stresstomo import cli
 from stresstomo.fields import (
     CovectorField,
     Grid3,
@@ -492,3 +493,24 @@ def test_read_sinogram_rejects_counts_beyond_csv(grid, rng, tmp_path, kind, key,
     with pytest.raises(ValueError, match=key if value > 200 else "ray count") as err:
         read_sinogram(p)
     assert f"{p}: family manifest:" in str(err.value)
+
+
+@pytest.mark.parametrize("n", [16, 17, 24])
+def test_read_plane_families_stay_whole_grid_plane_stacks(n, tmp_path):
+    # invert gathers its residuals over the families read back from the
+    # sinograms: they must stay whole stacks of the grid's planes, or the
+    # gather leaves the in-plane path
+    cfg = cli.load_config()
+    cfg["grid"]["n"] = cfg["families"]["offsets"] = n
+    cfg["families"]["angles"] = 3
+    grid = cli._grid_from(cfg)
+    for pipeline in ("pwave", "swave"):
+        cfg["pipeline"] = pipeline
+        fams = [f for f in cli._families(cfg, grid)[1] if f.kind == "plane"]
+        fams += build_line_families(grid, 3, n)
+        for k, fam in enumerate(fams):
+            assert fam.grid_plane(grid) == fam.axis
+            path = str(tmp_path / f"{pipeline}{k}.csv")
+            write_sinogram(path, Sinogram(fam, "scalar", np.zeros(fam.shape)))
+            back = read_sinogram(path).family
+            assert back.grid_plane(grid) == back.axis == fam.axis

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stresstomo.fields import Grid3, ScalarField
 from stresstomo.material import (
     MaterialParams,
     c_from_R,
@@ -221,6 +222,55 @@ def test_variable_conditions_indeterminate():
     rep = check_variable_conditions(make_constant_a(-1.0 / 3.0), diameter=2.0)
     assert not rep.all_pass
     assert "indeterminate" in rep.values
+
+
+def _variable_density(grid):
+    """rho = 1 + g/2 for a Gaussian g of width 0.2, below 1e-7 at the box
+    edge, so ln rho is smooth on the periodic grid; and the analytic grad
+    ln rho = grad(rho) / rho, with grad g = -g x / 0.2^2."""
+    x = grid.coords()
+    g = np.exp(-np.sum(x**2, axis=-1) / (2.0 * 0.2**2))
+    rho = 1.0 + 0.5 * g
+    return ScalarField(grid, rho), (-0.5 * g / 0.2**2)[..., None] * x / rho[..., None]
+
+
+def test_pwave_weights_variable_density():
+    # constant lam, mu and nu: b = (lam + 2 mu)^2 / (rho (1 + nu3 + nu4)) and
+    # c = v_p^2 = (lam + 2 mu) / rho, so alpha = grad ln b + grad ln c / 2 =
+    # -(3/2) grad ln rho and beta = -grad ln c / 2 = (1/2) grad ln rho
+    grid = Grid3.cube(32)
+    rho, glog = _variable_density(grid)
+    params = MaterialParams(lam=1.5, mu=0.8, rho=rho, nu=(0.1, 0.4, -0.2, 0.5))
+    assert not params.constants_mode
+    w = pwave_weights(params, grid)
+    scale = np.max(np.abs(glog))
+    assert np.max(np.abs(w.alpha - (-1.5) * glog)) <= 1e-5 * scale
+    assert np.max(np.abs(w.beta - 0.5 * glog)) <= 1e-5 * scale
+    assert w.a == pytest.approx(0.5 / (2.0 * 1.3))
+    assert np.allclose(w.b, 3.1**2 / (rho.values * 1.3), rtol=1e-14, atol=0)
+    with pytest.raises(ValueError, match="need the grid"):
+        pwave_weights(params)
+
+
+def test_variable_conditions_variable_density():
+    # a0, alpha0 and beta0 from the analytic gradients: alpha0 =
+    # sup|alpha|^(1/2), beta0 = sup|(a alpha - beta)/(1 + 3a)|^(1/2)
+    grid = Grid3.cube(32)
+    rho, glog = _variable_density(grid)
+    params = MaterialParams(lam=1.5, mu=0.8, rho=rho, nu=(0.1, 0.4, -0.2, 0.5))
+    rep = check_variable_conditions(params, 2.0, grid)
+    a = 0.5 / (2.0 * 1.3)
+    top = np.max(np.linalg.norm(glog, axis=-1))
+    alpha0 = (1.5 * top) ** 0.5
+    beta0 = (abs(-1.5 * a - 0.5) * top / (1.0 + 3.0 * a)) ** 0.5
+    assert rep.values["a0"] == pytest.approx(a / (1.0 + 3.0 * a), rel=1e-14)
+    assert rep.values["alpha0"] == pytest.approx(alpha0, rel=1e-5)
+    assert rep.values["beta0"] == pytest.approx(beta0, rel=1e-5)
+    bound = 3.0 * a / (1.0 + 3.0 * a) + 0.5 * alpha0 + 1.5 * beta0 + (alpha0**3 + beta0**3)
+    assert rep.values["smallness_bound"] == pytest.approx(bound, rel=1e-5)
+    assert rep.passed["smallness"] == (bound < 1.0)
+    with pytest.raises(ValueError, match="need the grid"):
+        check_variable_conditions(params, 2.0)
 
 
 def test_params_validation():
