@@ -58,6 +58,7 @@ from .material import (
     ConditionError,
     MaterialParams,
     check_pwave_conditions,
+    check_swave_conditions,
     contraction_identity_residual,
 )
 
@@ -203,6 +204,15 @@ def _read_truth(path, grid):
     return R
 
 
+def _conditions(cfg, params):
+    """The solvability checks of the config pipeline's inverse problem,
+    against tolerances.floor."""
+    floor = cfg["tolerances"]["floor"]
+    if cfg["pipeline"] == "pwave":
+        return check_pwave_conditions(params, floor=floor)
+    return check_swave_conditions(params, floor=floor)
+
+
 def _families(cfg, grid):
     """The sinogram file names and the ray families of the config's pipeline."""
     fam = cfg["families"]
@@ -277,12 +287,12 @@ def cmd_invert(cfg, out):
     truth_path = os.path.join(out, "truth.stf")
     truth = _read_truth(truth_path, grid) if os.path.exists(truth_path) else None
     tol = cfg["tolerances"]
+    cond = _conditions(cfg, params)
+    if not cond.all_pass:
+        bad = [k for k, ok in cond.passed.items() if not ok]
+        print(f"condition failure: {', '.join(bad)} below floor {cond.floor}", file=sys.stderr)
+        return EXIT_CONDITION
     if cfg["pipeline"] == "pwave":
-        cond = check_pwave_conditions(params, floor=tol["floor"])
-        if not cond.all_pass:
-            bad = [k for k, ok in cond.passed.items() if not ok]
-            print(f"condition failure: {', '.join(bad)} below floor {cond.floor}", file=sys.stderr)
-            return EXIT_CONDITION
         R, report = pwave_pipeline(sinos, params, grid)
     else:
         R, report = swave_pipeline(
@@ -315,6 +325,10 @@ def cmd_verify(cfg, out):
     """Invariant suite: solvability conditions, energy-ratio bound,
     contraction identity, and the potential-part kernel of the phase data.
 
+    The conditions are those of the config's pipeline: the P-wave weights
+    (weight_sum, leading_weight, trace_uniqueness) or the S-wave ones
+    (shear_weight, trace_recovery), against tolerances.floor.
+
     The energy-ratio check draws its ten bump covectors from one evaluation
     of the coordinates, profile and support, evaluates their modulations on
     the support's nodes only and puts them on the grid one at a time; they
@@ -330,7 +344,7 @@ def cmd_verify(cfg, out):
     rng = np.random.default_rng(cfg["seed"])
     report = ReconReport(config={"pipeline": "verify", "config_hash": config_hash(cfg)})
 
-    cond = check_pwave_conditions(params, floor=cfg["tolerances"]["floor"])
+    cond = _conditions(cfg, params)
     report.conditions.update(cond.values)
     failed_conditions = [k for k, ok in cond.passed.items() if not ok]
     t1 = time.perf_counter()

@@ -31,12 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SYM_MULT, SymField2
+from .fields import SYM_MULT, SYM_PAIRS, SymField2
 from .geometry import _stencil, chord_nodes, trilinear
 from .material import ConditionError, check_pwave_conditions, pwave_weights, swave_weights
 
 _EYE2 = np.eye(2)
 _G6 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])  # the metric in symmetric storage
+_SYM_J, _SYM_K = np.array(SYM_PAIRS).T  # the index pair of each storage slot
 
 
 @dataclass
@@ -58,20 +59,11 @@ class Sinogram:
 
 
 def sym_outer(a, b):
-    """Symmetric storage components of sym(a x b)."""
+    """Symmetric storage components of sym(a x b): the slot of each SYM_PAIRS
+    pair (j, k) holds (a_j b_k + a_k b_j) / 2, exactly a_j b_j when j = k."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return np.stack(
-        [
-            a[..., 0] * b[..., 0],
-            a[..., 1] * b[..., 1],
-            a[..., 2] * b[..., 2],
-            0.5 * (a[..., 1] * b[..., 2] + a[..., 2] * b[..., 1]),
-            0.5 * (a[..., 0] * b[..., 2] + a[..., 2] * b[..., 0]),
-            0.5 * (a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0]),
-        ],
-        axis=-1,
-    )
+    return 0.5 * (a[..., _SYM_J] * b[..., _SYM_K] + a[..., _SYM_K] * b[..., _SYM_J])
 
 
 # ---------------------------------------------------------------------------

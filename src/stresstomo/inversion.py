@@ -12,7 +12,7 @@ import functools
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -60,7 +60,9 @@ _NULL_FLOOR = 1e-8  # |1 + 2a| or |a + 2/3| below this: the data have a null spa
 
 @dataclass
 class ReconReport:
-    """Serializable record of a reconstruction run."""
+    """Serializable record of a reconstruction run.  Its fields are the
+    report's sections, each a dict: to_dict, from_dict and io.read_report
+    take the section names from them."""
 
     stages: dict = field(default_factory=dict)
     errors: dict = field(default_factory=dict)
@@ -69,26 +71,14 @@ class ReconReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "stages": self.stages,
-            "errors": self.errors,
-            "conditions": self.conditions,
-            "timing": self.timing,
-            "config": self.config,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            stages=d.get("stages", {}),
-            errors=d.get("errors", {}),
-            conditions=d.get("conditions", {}),
-            timing=d.get("timing", {}),
-            config=d.get("config", {}),
-        )
+        return cls(**{f.name: d.get(f.name, {}) for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +635,13 @@ def _trace_dyads(d, frame, a):
     return np.stack([0.5 * (g11 + g22), g11 - g22], axis=-2)
 
 
+def _require_trace_recoverable(a):
+    """NonUniqueError when a + 2/3 vanishes: the diagonal shear data then
+    carry no trace."""
+    if abs(a + 2.0 / 3.0) < _NULL_FLOOR:
+        raise NonUniqueError("a + 2/3 vanishes: the trace cannot be recovered")
+
+
 def recover_trace(ldata, Ftilde: SymField2, a, eta_tol=1e-6):
     """Trace of F from eta-averaged diagonal shear data and the known
     trace-free part.
@@ -657,8 +654,7 @@ def recover_trace(ldata, Ftilde: SymField2, a, eta_tol=1e-6):
     inverted slice by slice with Ram-Lak filtered backprojection.  Any
     other family in ldata is ignored.
     """
-    if abs(a + 2.0 / 3.0) < _NULL_FLOOR:
-        raise NonUniqueError("a + 2/3 vanishes: the trace cannot be recovered")
+    _require_trace_recoverable(a)
     grid = Ftilde.grid
     sinos = {s.family.axis: s for s in ldata}
     if 2 not in sinos:
@@ -719,10 +715,13 @@ def swave_pipeline(sinograms, params, grid: Grid3, scale, maxiter=CG_MAXITER, to
     other two are required but not used.  scale is the stress amplitude
     used when the propagators were collected; the result approximates the
     true R up to the quadratic Born remainder.  maxiter and tol go to
-    invert_K_tracefree; the defaults are the CLI's.
+    invert_K_tracefree; the defaults are the CLI's.  When a + 2/3 vanishes
+    the trace cannot be recovered, and NonUniqueError is raised before any
+    work.
     """
     t0 = time.perf_counter()
     sw = swave_weights(params)
+    _require_trace_recoverable(sw.a)
     report = ReconReport(
         config={"pipeline": "swave", "a": sw.a, "scale": scale, "weight": sw.scale}
     )

@@ -9,7 +9,9 @@ parameters are plain JSON.
 
 from __future__ import annotations
 
+import collections
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -26,11 +28,10 @@ from .inversion import ReconReport
 from .material import MaterialParams
 
 _MAGIC = b"STF1"
-_RANK_CODES = {ScalarField: 0, CovectorField: 1, SymField2: 2}
-_RANK_CLASSES = {0: ScalarField, 1: CovectorField, 2: SymField2}
-_RANK_COMPS = {0: 1, 1: 3, 2: 6}
-_DOMAIN_CODES = {"box": 0, "ball": 1}
-_DOMAIN_KINDS = {0: "box", 1: "ball"}
+# the field class and per-node component shape of each rank code, and the
+# domain kind of each domain code: a code is its index
+_RANKS = ((ScalarField, ()), (CovectorField, (3,)), (SymField2, (6,)))
+_DOMAINS = ("box", "ball")
 
 
 # ---------------------------------------------------------------------------
@@ -40,12 +41,12 @@ _DOMAIN_KINDS = {0: "box", 1: "ball"}
 def write_field(path, fld):
     """Binary field file: magic, rank code, dims, spacing, origin, domain,
     then little-endian float64 components in C order."""
-    code = _RANK_CODES.get(type(fld))
+    code = next((c for c, (cls, _) in enumerate(_RANKS) if type(fld) is cls), None)
     if code is None:
         raise ValueError(f"cannot serialize field of type {type(fld).__name__}")
     grid = fld.grid
     vals = np.ascontiguousarray(fld.values, dtype="<f8")
-    expect = grid.dims + (() if code == 0 else (_RANK_COMPS[code],))
+    expect = grid.dims + _RANKS[code][1]
     if vals.shape != expect:
         raise ValueError(f"field values have shape {vals.shape}, expected {expect}")
     with open(path, "wb") as fh:
@@ -54,7 +55,7 @@ def write_field(path, fld):
         fh.write(struct.pack("<3I", *grid.dims))
         fh.write(struct.pack("<3d", *grid.spacing))
         fh.write(struct.pack("<3d", *grid.origin))
-        fh.write(struct.pack("<B", _DOMAIN_CODES[grid.domain.kind]))
+        fh.write(struct.pack("<B", _DOMAINS.index(grid.domain.kind)))
         if grid.domain.kind == "ball":
             fh.write(struct.pack("<4d", *grid.domain.center, grid.domain.radius))
         fh.write(vals.tobytes())
@@ -69,32 +70,39 @@ def _unpack(fh, fmt, path):
 
 
 def read_field(path):
+    """A field written by write_field.
+
+    A bad magic, an unknown rank or domain code, or a header that promises
+    more data than the file holds raises ValueError, and a non-finite
+    value FloatingPointError, both naming the file.
+    """
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a field file (bad magic)")
         (code,) = _unpack(fh, "<B", path)
-        if code not in _RANK_CLASSES:
+        if code >= len(_RANKS):
             raise ValueError(f"{path}: unknown rank code {code}")
+        cls, comps = _RANKS[code]
         dims = _unpack(fh, "<3I", path)
         spacing = _unpack(fh, "<3d", path)
         origin = _unpack(fh, "<3d", path)
         (dcode,) = _unpack(fh, "<B", path)
-        if dcode not in _DOMAIN_KINDS:
+        if dcode >= len(_DOMAINS):
             raise ValueError(f"{path}: unknown domain code {dcode}")
-        if _DOMAIN_KINDS[dcode] == "ball":
+        if _DOMAINS[dcode] == "ball":
             params = _unpack(fh, "<4d", path)
             domain = Domain("ball", tuple(params[:3]), params[3])
         else:
             domain = Domain("box")
-        ncomp = _RANK_COMPS[code]
-        count = math.prod(dims) * ncomp
+        count = math.prod(dims + comps)
         # a header may promise more data than any file holds: check before reading
         if 8 * count > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ValueError(f"{path}: truncated field data")
         data = np.fromfile(fh, dtype="<f8", count=count)
     grid = Grid3(dims, spacing, origin, domain)
-    shape = dims + (() if code == 0 else (ncomp,))
-    return _RANK_CLASSES[code](grid, data.reshape(shape).astype(float))
+    if not np.all(np.isfinite(data)):
+        raise FloatingPointError(f"{path}: non-finite field value")
+    return cls(grid, data.reshape(dims + comps).astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -189,38 +197,30 @@ def family_from_manifest(man):
 # sinogram CSV + sidecar manifest
 
 _HEADER = ["family", "slice", "angle", "offset", "kind"]
-_KIND_COLUMNS = {
-    "scalar": ["value"],
-    "propagator": [
-        "u11_re", "u11_im", "u12_re", "u12_im",
-        "u21_re", "u21_im", "u22_re", "u22_im",
-    ],
-    "lmatrix": ["l11", "l12", "l21", "l22"],
-    "kpair": ["d", "o"],
-}
-
-
-# trailing shape and dtype of each kind's per-ray record; a complex record's
-# columns are its float view, real and imaginary parts interleaved
-_RECORDS = {
-    "scalar": ((), float),
-    "propagator": ((2, 2), complex),
-    "lmatrix": ((2, 2), float),
-    "kpair": ((2,), float),
+# per sinogram kind: the value columns, and the trailing shape and dtype of
+# the per-ray record; a complex record's columns are its float view, real
+# and imaginary parts interleaved
+_Kind = collections.namedtuple("_Kind", "columns shape dtype")
+_KINDS = {
+    "scalar": _Kind(["value"], (), float),
+    "propagator": _Kind(["u11_re", "u11_im", "u12_re", "u12_im",
+                         "u21_re", "u21_im", "u22_re", "u22_im"], (2, 2), complex),
+    "lmatrix": _Kind(["l11", "l12", "l21", "l22"], (2, 2), float),
+    "kpair": _Kind(["d", "o"], (2,), float),
 }
 
 
 def _flatten_records(kind, values):
     """(..., record) -> (..., columns) real view of the per-ray records."""
-    if kind not in _RECORDS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown sinogram kind {kind!r}")
-    shape, dtype = _RECORDS[kind]
+    columns, shape, dtype = _KINDS[kind]
     v = np.ascontiguousarray(values, dtype=dtype).view(float)
-    return v.reshape(v.shape[: v.ndim - len(shape)] + (len(_KIND_COLUMNS[kind]),))
+    return v.reshape(v.shape[: v.ndim - len(shape)] + (len(columns),))
 
 
 def _unflatten_records(kind, cols):
-    shape, dtype = _RECORDS[kind]
+    _, shape, dtype = _KINDS[kind]
     return np.ascontiguousarray(cols).view(dtype).reshape(cols.shape[:-1] + shape)
 
 
@@ -241,7 +241,7 @@ def write_sinogram(path, sino: Sinogram):
     views, offsets, slices, ncol = flat.shape
     heads = [(f"{family_id},{s},", f",{o},{kind},") for o in range(offsets) for s in range(slices)]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_HEADER + _KIND_COLUMNS[kind]) + "\r\n")
+        fh.write(",".join(_HEADER + _KINDS[kind].columns) + "\r\n")
         for v in range(views):
             vals = map(repr, flat[v].ravel().tolist())
             if ncol > 1:
@@ -261,12 +261,13 @@ def _parse_rows(path, family_id, kind, count):
     """Row by row: ray keys (count, 3) in (angle, offset, slice) order and
     values (count, columns) of a sinogram CSV, or ValueError at the first
     bad record, naming the file and the line."""
-    ncol = len(_KIND_COLUMNS[kind])
+    columns = _KINDS[kind].columns
+    ncol = len(columns)
     keys = np.empty((count, 3), dtype=np.intp)
     cols = np.empty((count, ncol))
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        if next(rd, None) != _HEADER + _KIND_COLUMNS[kind]:
+        if next(rd, None) != _HEADER + columns:
             raise ValueError(f"{path}: bad sinogram header")
         n = 0
         for n, r in enumerate(rd, start=1):
@@ -302,7 +303,7 @@ def _parse_bulk(path, family_id, kind, count):
     columns are read one character wider than expected, so that a longer
     string cannot be truncated into a match.
     """
-    columns = _KIND_COLUMNS[kind]
+    columns = _KINDS[kind].columns
     dtype = [("family", f"U{len(family_id) + 1}"), ("slice", np.intp), ("angle", np.intp),
              ("offset", np.intp), ("kind", f"U{len(kind) + 1}")] + [(c, float) for c in columns]
     keys = np.empty((count, 3), dtype=np.intp)
@@ -333,7 +334,7 @@ def _max_rows(path, family_id, kind):
     """The most records a sinogram CSV of path's size can hold: a record
     has at least its family_id, three one-digit indices, its kind, a digit
     per value column, the commas between and a one-byte line end."""
-    ncol = len(_KIND_COLUMNS[kind])
+    ncol = len(_KINDS[kind].columns)
     return os.path.getsize(path) // (len(family_id) + len(kind) + 2 * ncol + 8)
 
 
@@ -363,8 +364,8 @@ def read_sinogram(path):
         family_id, kind = man.get("family_id"), man.get("kind")
         if type(family_id) is not str:
             raise ValueError(f"manifest: family_id must be a string, got {family_id!r}")
-        if type(kind) is not str or kind not in _KIND_COLUMNS:
-            raise ValueError(f"manifest: kind must be one of {sorted(_KIND_COLUMNS)}, got {kind!r}")
+        if type(kind) is not str or kind not in _KINDS:
+            raise ValueError(f"manifest: kind must be one of {sorted(_KINDS)}, got {kind!r}")
         rows = _max_rows(path, family_id, kind)
         fman = man.get("family")
         for key in ("angle_count", "offset_count", "direction_count"):
@@ -374,7 +375,7 @@ def read_sinogram(path):
         _check_rows(rows, "ray count", count)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    ncol = len(_KIND_COLUMNS[kind])
+    ncol = len(_KINDS[kind].columns)
     shape = fam.shape
     args = (path, family_id, kind, count)
     try:
@@ -406,17 +407,7 @@ def write_params(path, params: MaterialParams):
     if not params.constants_mode:
         raise ValueError("only constants-mode parameters serialize to JSON")
     with open(path, "w") as fh:
-        json.dump(
-            {
-                "lam": params.lam,
-                "mu": params.mu,
-                "rho": params.rho,
-                "nu": list(params.nu),
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(dataclasses.asdict(params), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -443,10 +434,10 @@ _CONFIG_TYPES = {
 def read_report(path) -> ReconReport:
     """A report written by write_report.
 
-    Each section must be an object, errors must map names to numbers, and
-    the config's config_hash (a string or null), pipeline (a string) and
-    noise (a number) must have their types; else ValueError naming the
-    file and the section.
+    Each section that ReconReport's fields name must be an object, errors
+    must map names to numbers, and the config's config_hash (a string or
+    null), pipeline (a string) and noise (a number) must have their types;
+    else ValueError naming the file and the section.
     """
     with open(path) as fh:
         try:
@@ -455,14 +446,14 @@ def read_report(path) -> ReconReport:
             raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
     if not isinstance(d, dict):
         raise ValueError(f"{path}: a report must be a JSON object")
-    for section in ("stages", "errors", "conditions", "timing", "config"):
-        if not isinstance(d.get(section, {}), dict):
-            raise ValueError(f"{path}: report section {section!r} must be an object")
-    if not all(_numbers(v, 0) for v in d.get("errors", {}).values()):
+    for f in dataclasses.fields(ReconReport):
+        if not isinstance(d.get(f.name, {}), dict):
+            raise ValueError(f"{path}: report section {f.name!r} must be an object")
+    report = ReconReport.from_dict(d)
+    if not all(_numbers(v, 0) for v in report.errors.values()):
         raise ValueError(f"{path}: report section 'errors' must map names to numbers")
-    config = d.get("config", {})
     for key, ok in _CONFIG_TYPES.items():
-        if key in config and not ok(config[key]):
+        if key in report.config and not ok(report.config[key]):
             raise ValueError(f"{path}: report section 'config' has a malformed {key}: "
-                             f"{config[key]!r}")
-    return ReconReport.from_dict(d)
+                             f"{report.config[key]!r}")
+    return report

@@ -245,6 +245,21 @@ def check_pwave_conditions(params: MaterialParams, floor=_FLOOR) -> ConditionRep
     return ConditionReport(vals, passed, floor)
 
 
+def check_swave_conditions(params: MaterialParams, floor=_FLOOR) -> ConditionReport:
+    """Nondegeneracy checks for the shear-wave inverse problem.
+
+    Reports minima of |nu4| (the shear weight, zero when the S-wave
+    weights are undefined) and |nu2/nu4 + 2/3| (|a + 2/3|, the trace
+    recovery condition), the second as 0 where nu4 vanishes.
+    """
+    n1, n2, n3, n4 = params.nu_values()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        trace = np.where(n4 != 0.0, np.abs(n2 / n4 + 2.0 / 3.0), 0.0)
+    vals = {"shear_weight": float(np.min(np.abs(n4))), "trace_recovery": float(np.min(trace))}
+    passed = {k: v > floor for k, v in vals.items()}
+    return ConditionReport(vals, passed, floor)
+
+
 def check_variable_conditions(params: MaterialParams, diameter, grid=None):
     """Ellipticity and uniqueness bounds for the variable-coefficient problem.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -17,7 +18,7 @@ from stresstomo.cli import (
     main,
 )
 from stresstomo.inversion import ReconReport
-from stresstomo.io import read_field, read_report, write_report
+from stresstomo.io import read_field, read_report, write_field, write_report
 
 
 def write_cfg(tmp_path, **over):
@@ -110,6 +111,59 @@ def test_invert_degenerate_weights_exit_condition(tmp_path):
 def test_verify_default_params_passes(tmp_path):
     cfg = write_cfg(tmp_path, material={"lam": 1.0, "mu": 1.0, "rho": 1.0, "nu": [0.0, 0.0, 0.0, 0.0]})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_OK
+
+
+def _swave_cfg(tmp_path, nu):
+    return write_cfg(tmp_path, pipeline="swave", material={"nu": nu},
+                     families={"angles": 12, "offsets": 16, "sphere_directions": 20})
+
+
+def test_verify_swave_records_swave_conditions(tmp_path):
+    # 1 + nu3 + nu4 = 0 fails a P-wave condition, which the shear route never uses
+    cfg = _swave_cfg(tmp_path, [0.1, 0.4, -1.5, 0.5])
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    conditions = read_report(str(out / "verify.json")).conditions
+    assert conditions == {"shear_weight": 0.5, "trace_recovery": pytest.approx(0.8 + 2.0 / 3.0)}
+
+
+@pytest.mark.parametrize(
+    "nu, failed",
+    [([0.1, -0.2, 0.0, 0.3], "trace_recovery"), ([0.1, 0.4, 0.0, 0.0], "shear_weight")],
+    ids=["a-plus-two-thirds", "nu4-zero"],
+)
+def test_verify_swave_condition_failure(tmp_path, capsys, nu, failed):
+    cfg = _swave_cfg(tmp_path, nu)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_CONDITION
+    _failure_on_stderr(capsys, f"condition failure: {failed}")
+
+
+def test_invert_swave_condition_failure_precedes_the_solve(tmp_path, capsys, monkeypatch):
+    cfg = _swave_cfg(tmp_path, [0.1, -0.2, 0.0, 0.3])
+    out = str(tmp_path / "run")
+    for command in ("generate", "forward"):
+        assert main([command, "--config", cfg, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "swave_pipeline", lambda *args, **kwargs: pytest.fail("solved"))
+    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONDITION
+    _failure_on_stderr(capsys, "condition failure: trace_recovery below floor")
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+@pytest.mark.parametrize("command", ["forward", "invert"])
+def test_non_finite_truth_field_exits_numerical(tmp_path, capsys, command):
+    cfg, out = write_cfg(tmp_path), str(tmp_path / "run")
+    for step in ("generate", "forward")[: 1 if command == "forward" else 2]:
+        assert main([step, "--config", cfg, "--out", out]) == EXIT_OK
+    path = os.path.join(out, "truth.stf")
+    R = read_field(path)
+    R.values[8, 8, 8, 0] = np.nan
+    write_field(path, R)
+    written = sorted(os.listdir(out))
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", out]) == EXIT_NUMERICAL
+    _failure_on_stderr(capsys, f"numerical failure: {path}: non-finite field value")
+    assert sorted(os.listdir(out)) == written
 
 
 def test_report_merges_and_refuses_mismatch(tmp_path):
@@ -409,6 +463,10 @@ _MALFORMED_REPORTS = {
     "config-hash-list": {"config": {"config_hash": [1]}},
     "config-pipeline-list": {"config": {"pipeline": ["pwave"]}},
 }
+# every report section that is not an object, so that a section added to
+# ReconReport is tested too
+for _section in dataclasses.fields(ReconReport):
+    _MALFORMED_REPORTS.setdefault(f"{_section.name}-number", {_section.name: 3})
 
 
 @pytest.mark.parametrize("report", list(_MALFORMED_REPORTS.values()), ids=list(_MALFORMED_REPORTS))

@@ -581,6 +581,24 @@ def test_swave_pipeline_family_mix(grid, rng):
         swave_pipeline(sinos, params, grid, 1e-3)
 
 
+def test_swave_pipeline_nonunique_trace_raises_before_the_solve(grid, rng, monkeypatch):
+    # a = nu2 / nu4 = -2/3: the trace cannot be recovered, so the CG must not run
+    params = MaterialParams(nu=(0.1, -0.2, 0.0, 0.3))
+    fams = [build_sphere_family(grid, 8)] + build_line_families(grid, 6, 16)
+    R = random_bump_sym(grid, rng, radius=0.6)
+    sinos = [rytov_family(R, params, f, scale=1e-3) for f in fams]
+    calls = []
+
+    def solve(kdata, grid, **kwargs):
+        calls.append(kdata)
+        return SymField2(grid, np.zeros(grid.dims + (6,))), {}
+
+    monkeypatch.setattr(inversion, "invert_K_tracefree", solve)
+    with pytest.raises(NonUniqueError, match="a \\+ 2/3"):
+        swave_pipeline(sinos, params, grid, 1e-3)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # energy-ratio check
 

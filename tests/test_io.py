@@ -25,7 +25,7 @@ from stresstomo.geometry import SphereFamily, build_line_families, build_sphere_
 from stresstomo.inversion import ReconReport
 from stresstomo.io import (
     _HEADER,
-    _KIND_COLUMNS,
+    _KINDS,
     _flatten_records,
     _unflatten_records,
     family_from_manifest,
@@ -60,6 +60,7 @@ def test_field_round_trip_all_ranks(grid, rng, tmp_path):
         random_bump_covector(grid, rng, radius=0.7),
         random_bump_sym(grid, rng, radius=0.7),
     ]
+    assert [type(f) for f in fields] == [cls for cls, _ in sio._RANKS]  # every rank code
     for i, fld in enumerate(fields):
         p = tmp_path / f"f{i}.stf"
         write_field(p, fld)
@@ -77,6 +78,16 @@ def test_field_rejects_header_beyond_file(grid, rng, tmp_path):
     p.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="truncated field data"):
         read_field(p)
+
+
+def test_field_rejects_non_finite_value(grid, rng, tmp_path):
+    p = tmp_path / "f.stf"
+    fld = random_bump_sym(grid, rng, radius=0.7)
+    fld.values[3, 4, 5, 1] = np.nan
+    write_field(p, fld)
+    with pytest.raises(FloatingPointError, match="non-finite field value") as err:
+        read_field(p)
+    assert str(p) in str(err.value)
 
 
 def test_field_rejects_bad_magic(tmp_path):
@@ -119,6 +130,7 @@ def test_sinogram_round_trip_each_kind(grid, rng, tmp_path):
         mixed_transform(R, params, plane),
         kdata_transform(R, sphere),
     ]
+    assert {s.kind for s in sinos} == set(_KINDS)
     for i, s in enumerate(sinos):
         p = tmp_path / f"s{i}.csv"
         write_sinogram(p, s)
@@ -287,7 +299,7 @@ def _reference_write(path, sino):
     flat = _flatten_records(sino.kind, sino.values)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(_HEADER + _KIND_COLUMNS[sino.kind])
+        w.writerow(_HEADER + _KINDS[sino.kind].columns)
         for v, o, s in np.ndindex(flat.shape[:3]):
             w.writerow([family_id, s, v, o, sino.kind] + [repr(float(x)) for x in flat[v, o, s]])
 
@@ -298,7 +310,7 @@ def _reference_read(path):
     with open(str(path) + ".manifest.json") as fh:
         man = json.load(fh)
     kind = man["kind"]
-    ncol = len(_KIND_COLUMNS[kind])
+    ncol = len(_KINDS[kind].columns)
     # no count may exceed the rows the file's size allows: a row holds at least
     # the family_id, the kind, the commas, a line end and a digit per number
     rows = os.path.getsize(path) // (len(man["family_id"]) + len(kind) + 2 * ncol + 8)
@@ -316,7 +328,7 @@ def _reference_read(path):
     cols = np.empty((count, ncol))
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        if next(rd, None) != _HEADER + _KIND_COLUMNS[kind]:
+        if next(rd, None) != _HEADER + _KINDS[kind].columns:
             raise ValueError(f"{path}: bad sinogram header")
         n = 0
         for n, r in enumerate(rd, start=1):
