@@ -37,7 +37,6 @@ from .material import ConditionError, check_pwave_conditions, pwave_weights, swa
 
 _EYE2 = np.eye(2)
 _G6 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])  # the metric in symmetric storage
-_SYM_J, _SYM_K = np.array(SYM_PAIRS).T  # the index pair of each storage slot
 
 
 @dataclass
@@ -63,7 +62,8 @@ def sym_outer(a, b):
     pair (j, k) holds (a_j b_k + a_k b_j) / 2, exactly a_j b_j when j = k."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return 0.5 * (a[..., _SYM_J] * b[..., _SYM_K] + a[..., _SYM_K] * b[..., _SYM_J])
+    return np.stack([0.5 * (a[..., j] * b[..., k] + a[..., k] * b[..., j]) for j, k in SYM_PAIRS],
+                    axis=-1)
 
 
 # ---------------------------------------------------------------------------
