@@ -2,8 +2,8 @@
 
 Symmetric rank-2 fields are stored with 6 components per node in the
 order (11, 22, 33, 23, 13, 12).  All differential operators are spectral,
-on one periodic Fourier space: the half spectrum (rfftn) for real fields,
-the full one for complex fields.
+on one periodic Fourier space: the half spectrum (rfftn) of real fields;
+they reject complex fields.
 Fields that represent objects extended by zero outside the domain are
 expected to vanish on nodes outside it; generators below guarantee that.
 """
@@ -217,8 +217,11 @@ def _half_spectrum(values, grid):
     _wavevectors(grid, half=True), and weights (n3 // 2 + 1,) counting each
     last-axis bin for itself and its dropped conjugate partner: 1 for the
     zero bin and an even length's Nyquist bin, 2 for every other.  Then
-    sum |f|^2 over the nodes = sum(weights * |spec|^2) / (n1 n2 n3).
+    sum |f|^2 over the nodes = sum(weights * |spec|^2) / (n1 n2 n3).  A
+    complex field raises ValueError.
     """
+    if np.iscomplexobj(values):
+        raise ValueError("spectral operators expect a real field")
     n3 = grid.dims[2]
     weights = np.full(n3 // 2 + 1, 2.0)
     weights[0] = 1.0
@@ -237,16 +240,10 @@ def _parseval_norm2(power, weights, grid):
 
 
 def _spectrum(values, grid):
-    """(spec, ys, inverse) of a field over the grid axes.
-
-    A real field gets its half spectrum and an inverse (irfftn) that returns
-    a real field; a complex field gets its full spectrum and ifftn.  Every
-    operator below maps a Hermitian spectrum to a Hermitian one, so on real
-    fields both give the same result up to rounding.
+    """(spec, ys, inverse) of a real field over the grid axes: its half
+    spectrum and an inverse (irfftn) that returns a real field.  Every
+    operator below maps a Hermitian spectrum to a Hermitian one.
     """
-    if np.iscomplexobj(values):
-        spec = np.fft.fftn(values, axes=_AXES)
-        return spec, _wavevectors(grid), lambda s: np.fft.ifftn(s, axes=_AXES)
     spec, ys, _ = _half_spectrum(values, grid)
     return spec, ys, lambda s: np.fft.irfftn(s, s=grid.dims, axes=_AXES)
 
@@ -256,8 +253,8 @@ def spectral_gradient(f: ScalarField) -> CovectorField:
 
 
 def _gradient_nd(values, grid):
-    """Per-component partials: (...,C) -> (...,C,3), from one half spectrum
-    for a real field (the full spectrum for a complex one)."""
+    """Per-component partials: (...,C) -> (...,C,3), from one half
+    spectrum."""
     spec, ys, inverse = _spectrum(values, grid)
     trail = (1,) * (values.ndim - 3)
     return inverse(np.stack([1j * y.reshape(y.shape + trail) * spec for y in ys], axis=-1))
@@ -340,8 +337,6 @@ def solenoidal_project(u: SymField2) -> SymField2:
     have vanishing componentwise integral, so no information is lost.  The
     Nyquist planes are set to zero too.
     """
-    if np.iscomplexobj(u.values):
-        raise ValueError("solenoidal_project expects a real field")
     spec, ys, inverse = _spectrum(u.values, u.grid)
     _project_spectrum(spec, ys, _nyquist_mask(u.grid, half=True))
     return SymField2(u.grid, inverse(spec))
@@ -385,7 +380,7 @@ def inc_potential(a: SymField2) -> SymField2:
     spec, ys, inverse = _spectrum(a.values, grid)
     cross = _cross_matrix(ys)
     rhat = -(cross @ sym_to_matrix(spec) @ np.swapaxes(cross, -1, -2))
-    return SymField2(grid, inverse(matrix_to_sym(rhat)).real)
+    return SymField2(grid, inverse(matrix_to_sym(rhat)))
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,8 @@ class _ChordFamily:
     A family is a table of views: view m has the unit direction _dirs[m],
     an orthonormal frame _frames[m] = (e1, e2) of the plane orthogonal to
     it, and one chord of the ball through center + s1 e1 + s2 e2 for every
-    s1 in _off1 and s2 in _off2; records are stored over shape = (views,
-    off1, off2).  Every chord carries the same node count n_nodes, nodes
+    s1 in offsets and s2 in _off2; records are stored over shape = (views,
+    offsets, off2).  Every chord carries the same node count n_nodes, nodes
     equispaced on [0, L] and composite-trapezoid weights (chord_nodes), so
     empty chords (L = 0) contribute nothing.
     """
@@ -172,7 +172,7 @@ class _ChordFamily:
 
     @property
     def shape(self):
-        return (len(self._dirs), len(self._off1), len(self._off2))
+        return (len(self._dirs), len(self.offsets), len(self._off2))
 
     @property
     def n_nodes(self):
@@ -194,7 +194,7 @@ class _ChordFamily:
         empty chord)."""
         d = self._dirs[m]
         e1, e2 = self._frames[m]
-        s1 = self._off1[:, None]
+        s1 = self.offsets[:, None]
         s2 = self._off2[None, :]
         hl = self._half_lengths(s1, s2)
         starts = self.center + s1[..., None] * e1 + s2[..., None] * e2 - hl[..., None] * d
@@ -230,18 +230,19 @@ def chord_nodes(starts, d, lengths, n):
 class PlaneFamily(_ChordFamily):
     """Parallel-beam chords confined to planes x_axis = const.
 
+    The fields are the builder's parameters; the arrays derive from them.
     Every ray tangent is orthogonal to e_axis.  Per slice, a 2D parallel
-    geometry: angles theta_a = a*pi/A over the in-plane basis (u1, u2),
-    cell-centered offsets along the rotated axis w = (-sin, cos).  View a
-    has the frame (w, e_axis) and the offset axes (offsets, slices
-    relative to the center).  A chord at offset s1 spans the ball's
-    equator disk in every slice where its line meets the ball
+    geometry: angle_count angles thetas[a] = a*pi/A over the in-plane basis
+    (u1, u2), offset_count cell-centered offsets along the rotated axis w =
+    (-sin, cos).  View a has the frame (w, e_axis) and the offset axes
+    (offsets, slices relative to the center).  A chord at offset s1 spans
+    the ball's equator disk in every slice where its line meets the ball
     (_half_lengths), so one in-plane geometry serves every slice.
     """
 
     axis: int
-    thetas: np.ndarray
-    offsets: np.ndarray
+    angle_count: int
+    offset_count: int
     slices: np.ndarray
     center: np.ndarray
     radius: float
@@ -250,12 +251,13 @@ class PlaneFamily(_ChordFamily):
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
+        self.thetas = np.arange(self.angle_count) * np.pi / self.angle_count
         u1, u2, ek = np.roll(np.eye(3), -self.axis - 1, axis=0)
         c, s = np.cos(self.thetas)[:, None], np.sin(self.thetas)[:, None]
         self._dirs = c * u1 + s * u2
         w = -s * u1 + c * u2
         self._frames = np.stack([w, np.broadcast_to(ek, w.shape)], axis=1)
-        self._off1 = self.offsets
+        self.offsets = _cell_centered_offsets(self.radius, self.offset_count)
         self._off2 = self.slices - self.center[self.axis]
 
     def _half_lengths(self, s1, s2):
@@ -280,12 +282,14 @@ class PlaneFamily(_ChordFamily):
 class SphereFamily(_ChordFamily):
     """Chords along a dense set of sphere directions, 2D offset grid each.
 
-    Used by the truncated transverse transform: each direction carries a
-    fixed orthonormal frame (e1, e2) of its orthogonal plane.
+    Used by the truncated transverse transform.  The fields are the
+    builder's parameters: direction_count Fibonacci-sphere directions, each
+    with a fixed orthonormal frame (e1, e2) of its orthogonal plane, and
+    offset_count cell-centered offsets along e1 and along e2.
     """
 
-    directions: np.ndarray
-    offsets: np.ndarray
+    direction_count: int
+    offset_count: int
     center: np.ndarray
     radius: float
     step: float
@@ -293,9 +297,9 @@ class SphereFamily(_ChordFamily):
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        self.directions = self._dirs = np.asarray(self.directions, dtype=float)
+        self.directions = self._dirs = fibonacci_sphere(self.direction_count)
         self._frames = np.asarray([np.stack(_orthobasis(d)) for d in self.directions])
-        self._off1 = self._off2 = self.offsets
+        self.offsets = self._off2 = _cell_centered_offsets(self.radius, self.offset_count)
 
 
 def _cell_centered_offsets(radius, count):
@@ -306,7 +310,7 @@ def _cell_centered_offsets(radius, count):
 def _require_ball(grid):
     if grid.domain.kind != "ball" or grid.domain.radius <= 0:
         raise ValueError("ray families need a ball domain inside the grid")
-    return np.asarray(grid.domain.center, dtype=float), grid.domain.radius
+    return np.asarray(grid.domain.center, dtype=float), float(grid.domain.radius)
 
 
 def default_step(grid):
@@ -326,10 +330,8 @@ def build_line_families(grid: Grid3, angles: int, offsets: int, step=None):
         raise ValueError("need at least as many offsets as grid nodes per axis")
     center, radius = _require_ball(grid)
     step = step or default_step(grid)
-    thetas = np.arange(angles) * np.pi / angles
-    offs = _cell_centered_offsets(radius, offsets)
     return [
-        PlaneFamily(k, thetas, offs, grid.axes()[k].copy(), center, radius, step)
+        PlaneFamily(k, angles, offsets, grid.axes()[k], center, radius, step)
         for k in range(3)
     ]
 
@@ -346,15 +348,8 @@ def fibonacci_sphere(count):
 def build_sphere_family(grid: Grid3, directions: int, offsets=None, step=None):
     """Dense-sphere chord family with a 2D offset grid per direction."""
     center, radius = _require_ball(grid)
-    offsets = offsets or max(grid.dims)
-    step = step or default_step(grid)
-    return SphereFamily(
-        fibonacci_sphere(directions),
-        _cell_centered_offsets(radius, offsets),
-        center,
-        radius,
-        step,
-    )
+    return SphereFamily(directions, offsets or max(grid.dims), center, radius,
+                        step or default_step(grid))
 
 
 # ---------------------------------------------------------------------------

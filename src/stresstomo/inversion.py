@@ -480,7 +480,7 @@ def detangle_trace(m: SymField2, a) -> SymField2:
     trm = spec[..., 0] + spec[..., 1] + spec[..., 2]
     trf = trm / (1.0 + 2.0 * a)
     f = spec - a * trf[..., None] * eps6
-    return SymField2(m.grid, inverse(f).real)
+    return SymField2(m.grid, inverse(f))
 
 
 def pwave_pipeline(data, params, grid: Grid3, refine=1):
@@ -651,8 +651,10 @@ def recover_trace(ldata, Ftilde: SymField2, a, eta_tol=1e-6):
     polarizations is used, and their disagreement is reported as a data
     consistency warning.  Only the family orthogonal to the third axis is
     read, for both the trace and the warning: its scalar transform is
-    inverted slice by slice with Ram-Lak filtered backprojection.  Any
-    other family in ldata is ignored.
+    inverted slice by slice with Ram-Lak filtered backprojection, slice j
+    into grid plane j.  That family must therefore be a whole stack of the
+    grid's axis-3 planes (PlaneFamily.grid_plane), else ValueError naming
+    it.  Any other family in ldata is ignored.
     """
     _require_trace_recoverable(a)
     grid = Ftilde.grid
@@ -677,6 +679,9 @@ def recover_trace(ldata, Ftilde: SymField2, a, eta_tol=1e-6):
         return (diag - pred_diag) / (a + 2.0 / 3.0)
 
     fam = sinos[2].family
+    if fam.grid_plane(grid) != 2:
+        raise ValueError(f"trace recovery reads slice j into grid plane j: family "
+                         f"{fam.kind}{fam.axis} must be the grid's whole stack of axis-3 planes")
     p = scalar_rhs(sinos[2])  # (angles, offsets, slices)
     q = _ramlak_filter(np.moveaxis(p, 1, 2), fam.offsets)  # (angles, slices, offsets)
 
@@ -774,8 +779,6 @@ def verify_poincare(v: CovectorField):
     |y|^2 |V|^2 + 2 |y.V|^2 over the frequencies, with no inverse
     transform.
     """
-    if np.iscomplexobj(v.values):
-        raise ValueError("verify_poincare expects a real field")
     grid = v.grid
     vmax = float(np.max(np.abs(v.values)))
     if vmax == 0.0:

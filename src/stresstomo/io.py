@@ -1,9 +1,9 @@
 """File formats: binary fields, ray-family manifests, sinogram CSV, reports.
 
 Field files are a small self-describing binary format ("STF1"); ray
-families are stored as JSON manifests holding exactly the parameters their
-builders need, so geometry regenerates bit-identically; sinograms are CSV
-with one row per ray plus a JSON sidecar manifest; reports and material
+families are stored as JSON manifests of their fields, the parameters their
+arrays derive from, so geometry regenerates bit-identically; sinograms are
+CSV with one row per ray plus a JSON sidecar manifest; reports and material
 parameters are plain JSON.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .fields import CovectorField, Domain, Grid3, ScalarField, SymField2
 from .forward import Sinogram
-from .geometry import PlaneFamily, SphereFamily, _cell_centered_offsets, fibonacci_sphere
+from .geometry import PlaneFamily, SphereFamily
 from .inversion import ReconReport
 from .material import MaterialParams
 
@@ -110,26 +110,9 @@ def read_field(path):
 
 
 def family_manifest(family):
-    """JSON-ready description sufficient to regenerate the family exactly."""
-    base = {
-        "kind": family.kind,
-        "offset_count": len(family.offsets),
-        "center": list(np.asarray(family.center, dtype=float)),
-        "radius": float(family.radius),
-        "step": float(family.step),
-    }
-    if isinstance(family, PlaneFamily):
-        base["axis"] = int(family.axis)
-        base["angle_count"] = len(family.thetas)
-        base["slices"] = [float(s) for s in family.slices]
-    elif isinstance(family, SphereFamily):
-        base["direction_count"] = len(family.directions)
-        fib = fibonacci_sphere(len(family.directions))
-        if not np.array_equal(fib, family.directions):
-            base["directions"] = [list(map(float, d)) for d in family.directions]
-    else:
-        raise ValueError(f"cannot serialize family of type {type(family).__name__}")
-    return base
+    """The family's fields, JSON-ready; family_from_manifest inverts it."""
+    return {f.name: np.asarray(getattr(family, f.name)).tolist()
+            for f in dataclasses.fields(family)}
 
 
 def _count(man, key):
@@ -157,40 +140,46 @@ def _floats(man, key, shape):
     """A finite float array of man[key], nested lists of numbers; shape
     may hold -1 for any positive length."""
     v = man.get(key)
-    try:
-        v = np.asarray(v, dtype=float) if _numbers(v, len(shape)) else None
-    except ValueError:  # ragged
-        v = None
+    v = np.asarray(v, dtype=float) if _numbers(v, len(shape)) else None
     if (v is None or v.ndim != len(shape) or not v.size or not np.all(np.isfinite(v))
             or any(n not in (-1, m) for n, m in zip(shape, v.shape))):
         raise ValueError(f"family manifest: {key} must be finite floats of shape {shape}")
     return v
 
 
+def _axis(man, key):
+    v = man.get(key)
+    if type(v) is not int or v not in (0, 1, 2):
+        raise ValueError(f"family manifest: {key} must be 0, 1 or 2, got {v!r}")
+    return v
+
+
+# the check of each init field of the family classes
+_FIELD_CHECKS = {
+    "axis": _axis,
+    "angle_count": _count,
+    "offset_count": _count,
+    "direction_count": _count,
+    "slices": lambda man, key: _floats(man, key, (-1,)),
+    "center": lambda man, key: _floats(man, key, (3,)),
+    "radius": _length,
+    "step": _length,
+}
+
+
 def family_from_manifest(man):
-    """The family a manifest describes; a ValueError naming the field when
-    one is missing, of the wrong type or out of range."""
+    """The family of the class that kind names, built from the manifest's
+    fields; a key that is no field of that class, or a field missing, of the
+    wrong type or out of range, raises ValueError naming it."""
     if not isinstance(man, dict):
         raise ValueError(f"family manifest must be an object, got {man!r}")
-    radius, step = _length(man, "radius"), _length(man, "step")
-    offs = _cell_centered_offsets(radius, _count(man, "offset_count"))
-    center = _floats(man, "center", (3,))
-    if man.get("kind") == "plane":
-        axis = man.get("axis")
-        if type(axis) is not int or axis not in (0, 1, 2):
-            raise ValueError(f"family manifest: axis must be 0, 1 or 2, got {axis!r}")
-        n = _count(man, "angle_count")
-        thetas = np.arange(n) * np.pi / n
-        return PlaneFamily(axis, thetas, offs, _floats(man, "slices", (-1,)), center, radius, step)
-    if man.get("kind") == "sphere":
-        if "directions" in man:
-            dirs = _floats(man, "directions", (-1, 3))
-            if np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) > 1e-12:
-                raise ValueError("family manifest: directions must be unit vectors")
-        else:
-            dirs = fibonacci_sphere(_count(man, "direction_count"))
-        return SphereFamily(dirs, offs, center, radius, step)
-    raise ValueError(f"unknown family kind {man.get('kind')!r}")
+    cls = next((c for c in (PlaneFamily, SphereFamily) if c.kind == man.get("kind")), None)
+    if cls is None:
+        raise ValueError(f"unknown family kind {man.get('kind')!r}")
+    fields = dataclasses.fields(cls)
+    for key in sorted(man.keys() - {f.name for f in fields}):
+        raise ValueError(f"family manifest: {key!r} is not a field of a {cls.kind} family")
+    return cls(**{f.name: _FIELD_CHECKS[f.name](man, f.name) for f in fields if f.init})
 
 
 # ---------------------------------------------------------------------------

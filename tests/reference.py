@@ -123,7 +123,7 @@ def family_ray(family, m, i, j):
     offset's chord of the ball's equator disk (the line through center +
     s1 e1), moved by s2 e2 into its slice."""
     e1, e2 = family._frames[m]
-    s1, s2 = family._off1[i], family._off2[j]
+    s1, s2 = family.offsets[i], family._off2[j]
     entry, length = ball_chord(family.center, family.radius,
                                family.center + s1 * e1 + s2 * e2, family._dirs[m])
     if family.kind == "plane" and length > 0.0:

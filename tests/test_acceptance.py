@@ -84,14 +84,13 @@ def test_criterion_01_longitudinal_kernel():
     t0 = time.time()
     grid = Grid3.cube(48)
     rng = np.random.default_rng(1)
-    thetas = np.arange(13) * np.pi / 13
-    offs = np.linspace(-0.85, 0.85, 9)
+    slices = np.linspace(-0.85, 0.85, 9)
     worst = 0.0
     for _ in range(20):
         v = random_smooth_covector(grid, rng)
         u = spectral_upsample(inner_derivative(v), 2)
         h = min(u.grid.spacing)
-        fam = PlaneFamily(0, thetas, offs, offs, (0.0, 0.0, 0.0), 1.0, h / 8)
+        fam = PlaneFamily(0, 13, 9, slices, (0.0, 0.0, 0.0), 1.0, h / 8)
         data = np.abs(longitudinal_transform(u, fam).values)
         bound = 1e-5 * np.max(np.abs(u.values)) * 2.0
         worst = max(worst, float(np.max(data) / bound))
@@ -180,11 +179,8 @@ def test_criterion_04_trace_detangling():
     # null-space witness: at a = -1/2 the phase data are blind to S(alpha g)
     p = MaterialParams(nu=(-1.0, 0.0, 0.0, 0.0))
     h = min(grid.spacing)
-    offs = np.linspace(-0.9, 0.9, 9)
-    fams = [
-        PlaneFamily(k, np.arange(6) * np.pi / 6, offs, offs, (0, 0, 0), 1.0, h / 16)
-        for k in range(3)
-    ]
+    slices = np.linspace(-0.9, 0.9, 9)
+    fams = [PlaneFamily(k, 6, 9, slices, (0, 0, 0), 1.0, h / 16) for k in range(3)]
     wmax = 0.0
     for _ in range(10):
         w = spectral_upsample(null_space_witness(grid, rng, width=20.0), 2)

@@ -204,11 +204,8 @@ def test_pwave_null_space_witness(grid, rng):
     p = params_with((-1.0, 0.0, 0.0, 0.0))
     R = spectral_upsample(null_space_witness(grid, rng, width=14.0), 2)
     h = min(grid.spacing)
-    offs = np.linspace(-0.9, 0.9, 9)
-    fams = [
-        PlaneFamily(k, np.arange(6) * np.pi / 6, offs, offs, (0, 0, 0), 1.0, h / 16)
-        for k in range(3)
-    ]
+    slices = np.linspace(-0.9, 0.9, 9)
+    fams = [PlaneFamily(k, 6, 9, slices, (0, 0, 0), 1.0, h / 16) for k in range(3)]
     for fam in fams:
         assert np.max(np.abs(pwave_data(R, p, fam).values)) <= 5e-6
 
@@ -582,14 +579,15 @@ _PAIR_BOX = box_domain(_PAIR_GRID)  # operators on it keep every node
 
 @st.composite
 def random_families(draw, reach=0.95):
-    offsets = np.linspace(-reach, reach, draw(st.integers(1, 5)))
+    # plane families on a ball of radius reach; reach 1.4 carries chords
+    # past the grid box
+    offsets = draw(st.integers(1, 5))
     step = draw(st.floats(0.04, 0.5))
     if draw(st.booleans()):
         angles = draw(st.integers(1, 5))
-        thetas = draw(st.floats(0.0, np.pi)) + np.arange(angles) * np.pi / angles
         slices = np.linspace(-0.9, 0.9, draw(st.integers(1, 4)))
-        return PlaneFamily(draw(st.integers(0, 2)), thetas, offsets, slices, (0, 0, 0), 1.0, step)
-    return build_sphere_family(_PAIR_GRID, draw(st.integers(1, 6)), len(offsets), step)
+        return PlaneFamily(draw(st.integers(0, 2)), angles, offsets, slices, (0, 0, 0), reach, step)
+    return build_sphere_family(_PAIR_GRID, draw(st.integers(1, 6)), offsets, step)
 
 
 def _all_components_then_contract(values, family, dyads):
@@ -765,11 +763,11 @@ def test_plane_family_gather_samples_through_trilinear(grid, rng, monkeypatch):
 
 
 def test_grid_plane_view_without_live_chords(grid, rng):
-    # offsets all beyond the ball: no chord is sampled, every record exact
+    # a ball of radius h/2 between the two middle grid planes: no chord
+    # meets it, so none is sampled and every record is exact
     R = random_smooth_sym(grid, rng)
     on = build_line_families(grid, angles=4, offsets=24)[1]
-    fam = PlaneFamily(1, on.thetas, np.array([-1.1, 1.05]), on.slices, on.center, on.radius,
-                      on.step)
+    fam = PlaneFamily(1, 4, 2, on.slices, on.center, 0.5 * grid.spacing[1], on.step)
     assert fam.grid_plane(grid) == 1
     p = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
     assert np.all(pwave_data(R, p, fam).values == 0.0)
@@ -781,7 +779,7 @@ def test_off_grid_plane_family_keeps_trilinear_stencil(grid, rng):
     R = random_smooth_sym(grid, rng)
     on = build_line_families(grid, angles=6, offsets=24)[2]
     slices = on.slices[::3] + grid.spacing[2] / 3.0
-    fam = PlaneFamily(2, on.thetas, on.offsets, slices, on.center, on.radius, on.step)
+    fam = PlaneFamily(2, 6, 24, slices, on.center, on.radius, on.step)
     assert fam.grid_plane(grid) is None
     p = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
     dyads = _pwave_dyads(p)
@@ -880,16 +878,13 @@ def test_gather_and_operator_match_reference_bytes():
     grid = Grid3.cube(16)
     R = random_smooth_sym(grid, np.random.default_rng(3))
     on = build_line_families(grid, angles=5, offsets=16)
-    off = PlaneFamily(2, on[2].thetas, on[2].offsets, on[2].slices[::3] + grid.spacing[2] / 3.0,
+    off = PlaneFamily(2, 5, 16, on[2].slices[::3] + grid.spacing[2] / 3.0,
                       on[2].center, on[2].radius, on[2].step)
-    some = PlaneFamily(0, on[0].thetas, on[0].offsets,
-                       np.r_[on[0].slices[0] - grid.spacing[0], on[0].slices[1::3]],
+    some = PlaneFamily(0, 5, 16, np.r_[on[0].slices[0] - grid.spacing[0], on[0].slices[1::3]],
                        on[0].center, 1.3, on[0].step)
     sphere = build_sphere_family(grid, directions=5)
-    wide_plane = PlaneFamily(1, on[1].thetas, np.linspace(-1.4, 1.4, 9), on[1].slices,
-                             on[1].center, 1.6, on[1].step)
-    wide_sphere = SphereFamily(sphere.directions, np.linspace(-1.4, 1.4, 9), sphere.center,
-                               1.6, sphere.step)
+    wide_plane = PlaneFamily(1, 5, 9, on[1].slices, on[1].center, 1.6, on[1].step)
+    wide_sphere = SphereFamily(5, 9, sphere.center, 1.6, sphere.step)
     fams = on + [off, some, sphere, wide_plane, wide_sphere]
     assert [f.grid_plane(grid) for f in fams] == [0, 1, 2, None, None, None, 1, None]
     lo, hi = grid.box()

@@ -139,10 +139,9 @@ def test_family_chord_batch_matches_single_rays():
 
 
 def _plane_families(grid):
-    # the coordinate-plane families, and one whose offsets reach past the ball
+    # the coordinate-plane families, and one on a ball reaching past the grid's
     fams = build_line_families(grid, angles=5, offsets=12)
-    wide = PlaneFamily(2, fams[2].thetas, np.linspace(-1.3, 1.3, 11), fams[2].slices,
-                       fams[2].center, fams[2].radius, fams[2].step)
+    wide = PlaneFamily(2, 5, 11, fams[2].slices, fams[2].center, 1.3, fams[2].step)
     return fams + [wide]
 
 
@@ -386,10 +385,9 @@ def test_plane_family_grid_plane_needs_every_slice_on_the_grid():
     moved = fam.slices.copy()
     moved[5] = np.nextafter(moved[5], np.inf)
     for slices in (moved, fam.slices[::-1], fam.slices[::2]):
-        other = PlaneFamily(1, fam.thetas, fam.offsets, slices, fam.center, fam.radius, fam.step)
+        other = PlaneFamily(1, 6, 16, slices, fam.center, fam.radius, fam.step)
         assert other.grid_plane(grid) is None
-    same = PlaneFamily(1, fam.thetas, fam.offsets, fam.slices.copy(), fam.center, fam.radius,
-                       fam.step)
+    same = PlaneFamily(1, 6, 16, fam.slices.copy(), fam.center, fam.radius, fam.step)
     assert same.grid_plane(grid) == 1
 
 
@@ -500,8 +498,7 @@ def test_stencil_matches_reference_bytes_on_chord_nodes():
     # axis-major chord nodes of a family reaching past the box and of plane
     # families lying in grid planes
     grid = Grid3.cube(12)
-    wide = SphereFamily(build_sphere_family(grid, 7).directions, np.linspace(-1.3, 1.3, 9),
-                        np.zeros(3), 1.9, 0.08)
+    wide = SphereFamily(7, 9, np.zeros(3), 1.9, 0.08)
     cases = [(wide, None)] + [(f, f.grid_plane(grid)) for f in build_line_families(grid, 5, 12)]
     for fam, plane in cases:
         for m in range(fam.n_views):

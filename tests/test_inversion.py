@@ -34,7 +34,7 @@ from stresstomo.forward import (
     pwave_data,
     rytov_family,
 )
-from stresstomo.geometry import build_line_families, build_sphere_family
+from stresstomo.geometry import PlaneFamily, build_line_families, build_sphere_family
 from stresstomo.inversion import (
     CG_MAXITER,
     CG_TOL,
@@ -512,6 +512,20 @@ def test_recover_trace_needs_axis3_family(grid, rng):
     Ft = SymField2(grid, np.zeros(grid.dims + (6,)))
     with pytest.raises(ValueError, match="axis 3"):
         recover_trace(ldata, Ft, swave_weights(params).a)
+
+
+def test_recover_trace_needs_a_whole_grid_plane_stack(grid, rng):
+    # slice j is read into grid plane j: slices shifted by half a step, or
+    # on every second plane, are refused by the family's name
+    params = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
+    on = build_line_families(grid, 12, 16)[2]
+    R = random_bump_sym(grid, rng, radius=0.6)
+    tr = R.values[..., :3].sum(-1)
+    Ft = SymField2(grid, R.values - (tr[..., None] / 3.0) * identity_sym(grid).values)
+    for slices in (on.slices + 0.5 * grid.spacing[2], on.slices[::2]):
+        fam = PlaneFamily(2, 12, 16, slices, on.center, on.radius, on.step)
+        with pytest.raises(ValueError, match="family plane2"):
+            recover_trace(_normalized_ldata(R, params, [fam]), Ft, swave_weights(params).a)
 
 
 def test_recover_trace_on_trace_free_field(grid, rng):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import struct
@@ -21,7 +22,12 @@ from stresstomo.forward import (
     mixed_transform,
     rytov_family,
 )
-from stresstomo.geometry import SphereFamily, build_line_families, build_sphere_family
+from stresstomo.geometry import (
+    PlaneFamily,
+    SphereFamily,
+    build_line_families,
+    build_sphere_family,
+)
 from stresstomo.inversion import ReconReport
 from stresstomo.io import (
     _HEADER,
@@ -97,26 +103,35 @@ def test_field_rejects_bad_magic(tmp_path):
         read_field(p)
 
 
-def test_plane_family_manifest_regenerates_exactly(grid):
-    for fam in build_line_families(grid, 12, 16):
-        back = family_from_manifest(family_manifest(fam))
-        assert back.axis == fam.axis
-        assert np.array_equal(back.thetas, fam.thetas)
-        assert np.array_equal(back.offsets, fam.offsets)
-        assert np.array_equal(back.slices, fam.slices)
-        assert back.step == fam.step
+def test_plane_family_manifest_regenerates_exactly():
+    for n in (16, 17, 24):
+        for fam in build_line_families(Grid3.cube(n), 12, n):
+            man = family_manifest(fam)
+            back = family_from_manifest(man)
+            assert back.axis == fam.axis
+            assert np.array_equal(back.thetas, fam.thetas)
+            assert np.array_equal(back.offsets, fam.offsets)
+            assert np.array_equal(back.slices, fam.slices)
+            assert back.step == fam.step
+            assert family_manifest(back) == man
 
 
-def test_sphere_family_manifest_regenerates_exactly(grid):
-    fib = build_sphere_family(grid, 17)
-    # directions other than the Fibonacci set are written out and pass the
-    # unit-norm check on reading
-    turned = SphereFamily(fib.directions[::-1], fib.offsets, fib.center, fib.radius, fib.step)
-    for fam in (fib, turned):
-        back = family_from_manifest(json.loads(json.dumps(family_manifest(fam))))
+def test_sphere_family_manifest_regenerates_exactly():
+    for n in (16, 17, 24):
+        fam = build_sphere_family(Grid3.cube(n), 17)
+        man = family_manifest(fam)
+        back = family_from_manifest(json.loads(json.dumps(man)))
         assert np.array_equal(back.directions, fam.directions)
         assert np.array_equal(back.offsets, fam.offsets)
         assert back.step == fam.step
+        assert family_manifest(back) == man
+
+
+def test_manifest_field_checks_cover_exactly_the_family_init_fields():
+    # a family field added without a manifest check fails here
+    init = {f.name for cls in (PlaneFamily, SphereFamily) for f in dataclasses.fields(cls)
+            if f.init}
+    assert set(sio._FIELD_CHECKS) == init
 
 
 def test_sinogram_round_trip_each_kind(grid, rng, tmp_path):
@@ -215,6 +230,10 @@ _NAN, _INF = float("nan"), float("inf")
         ("sphere", "directions", [[0.0, 0.0, 0.0]]),
         ("sphere", "directions", [[0.0, 0.0, 2.0]]),
         ("sphere", "step", -0.1),
+        # derived arrays are not fields: the reader refuses them by name
+        ("plane", "thetas", [0.1, 0.7, 1.9]),
+        ("plane", "offsets", [-0.9, 0.0, 0.9]),
+        ("sphere", "offsets", [-0.9, 0.0, 0.9]),
     ],
 )
 def test_read_sinogram_rejects_edited_family_manifest(grid, rng, tmp_path, kind, key, value):
