@@ -579,14 +579,12 @@ _PAIR_BOX = box_domain(_PAIR_GRID)  # operators on it keep every node
 
 @st.composite
 def random_families(draw, reach=0.95):
-    # plane families on a ball of radius reach; reach 1.4 carries chords
-    # past the grid box
     offsets = draw(st.integers(1, 5))
     step = draw(st.floats(0.04, 0.5))
     if draw(st.booleans()):
         angles = draw(st.integers(1, 5))
-        slices = np.linspace(-0.9, 0.9, draw(st.integers(1, 4)))
-        return PlaneFamily(draw(st.integers(0, 2)), angles, offsets, slices, (0, 0, 0), reach, step)
+        slices = np.linspace(-reach, reach, draw(st.integers(1, 4)))
+        return PlaneFamily(draw(st.integers(0, 2)), angles, offsets, slices, (0, 0, 0), 1.0, step)
     return build_sphere_family(_PAIR_GRID, draw(st.integers(1, 6)), offsets, step)
 
 
@@ -638,7 +636,7 @@ def test_gather_scatter_pair_property(family, a, which, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_family_operator_property(family, a, which, seed):
-    # offsets reach past the unit radius, so some chords miss the ball
+    # plane slices reach past the unit radius, so some chords miss the ball
     dyads = _pair_dyads(which, a)
     rng = np.random.default_rng(seed)
     F = SymField2(_PAIR_GRID, rng.normal(size=_PAIR_GRID.dims + (6,)))
