@@ -45,6 +45,8 @@ from .inversion import (
     verify_poincare,
 )
 from .io import (
+    _json_object,
+    _numbers,
     family_manifest,
     read_field,
     read_report,
@@ -108,28 +110,16 @@ _REAL = ("material.lam", "material.mu", "material.rho", "noise")
 
 
 def _check_number(key, v, integer=False):
-    if (
-        isinstance(v, bool)
-        or not isinstance(v, int if integer else (int, float))
-        or isinstance(v, float) and not math.isfinite(v)
-    ):
-        raise ConfigError(f"{key} must be {'an integer' if integer else 'a finite number'}, got {v!r}")
+    if not _numbers(v, 0) or not math.isfinite(v):
+        raise ConfigError(f"{key} must be a finite number, got {v!r}")
+    if integer and type(v) is not int:
+        raise ConfigError(f"{key} must be an integer, got {v!r}")
     if v < _INTEGERS.get(key, -math.inf) or key in _POSITIVE and v <= 0:
         raise ConfigError(f"{key} is out of range: {v!r}")
 
 
 def load_config(path=None, seed=None):
-    user = {}
-    if path is not None:
-        try:
-            with open(path) as fh:
-                user = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"cannot read config {path}: {e}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
-    if not isinstance(user, dict):
-        raise ConfigError("config must be a JSON object")
+    user = {} if path is None else _read_artifact(_json_object, path, "config")
     cfg = _merge(_DEFAULTS, user)
     if seed is not None:
         cfg["seed"] = int(seed)
@@ -274,8 +264,7 @@ def cmd_invert(cfg, out):
     man_path = _require(os.path.join(out, "sinograms.json"), "sinogram manifest")
     names, families = _families(cfg, grid)
     try:
-        with open(man_path) as fh:
-            man = json.load(fh)
+        man = _json_object(man_path)
         if man["config_hash"] != config_hash(cfg):
             raise ConfigError("sinograms were produced under a different config")
         sinos = [read_sinogram(os.path.join(out, n)) for n in names]

@@ -175,37 +175,29 @@ def trig_upsample(values, factor, axis=0):
 _AXES = (0, 1, 2)
 
 
-def _wavevectors(grid, half=False):
-    """Wavevector components (y1, y2, y3) with the Nyquist planes zeroed, as
-    open (n1,1,1), (1,n2,1), (1,1,n3) arrays that broadcast to the grid.
+def _wavevectors(grid):
+    """Wavevector components (y1, y2, y3) of the half spectrum (rfftn) with
+    the Nyquist planes zeroed, as open (n1,1,1), (1,n2,1), (1,1,n3//2+1)
+    arrays that broadcast to it: the last axis keeps its n3 // 2 + 1
+    non-negative bins.
 
     For even axis lengths the Nyquist frequency has no negative partner, so
     odd-order spectral operators built from it break Hermitian symmetry.
     Zeroing it keeps every operator below exact on real fields; the dropped
-    content is at the aliasing level for resolved fields.  half=True gives
-    the wavevectors of the half spectrum (rfftn): the last axis keeps its
-    n3 // 2 + 1 non-negative bins.
+    content is at the aliasing level for resolved fields.
     """
     ks = grid.freqs()
     for k, n in zip(ks, grid.dims):
         if n % 2 == 0:
             k[n // 2] = 0.0
-    if half:
-        ks[2] = ks[2][: grid.dims[2] // 2 + 1]
+    ks[2] = ks[2][: grid.dims[2] // 2 + 1]
     return np.meshgrid(*ks, indexing="ij", sparse=True)
 
 
-def _nyquist_mask(grid, half=False):
-    """Boolean mask of frequency nodes lying on any Nyquist plane, on the
-    full spectrum or (half=True) on the half spectrum."""
-    masks = []
-    for n in grid.dims:
-        m = np.zeros(n, dtype=bool)
-        if n % 2 == 0:
-            m[n // 2] = True
-        masks.append(m)
-    if half:
-        masks[2] = masks[2][: grid.dims[2] // 2 + 1]
+def _nyquist_mask(grid):
+    """Boolean mask of the half-spectrum nodes lying on any Nyquist plane."""
+    masks = [(n % 2 == 0) & (np.arange(n) == n // 2) for n in grid.dims]
+    masks[2] = masks[2][: grid.dims[2] // 2 + 1]
     m1, m2, m3 = np.meshgrid(*masks, indexing="ij", sparse=True)
     return m1 | m2 | m3
 
@@ -214,7 +206,7 @@ def _half_spectrum(values, grid):
     """Half spectrum of a real field, its wavevectors and its Parseval weights.
 
     Returns (spec, ys, weights): spec = rfftn over the grid axes, ys as from
-    _wavevectors(grid, half=True), and weights (n3 // 2 + 1,) counting each
+    _wavevectors(grid), and weights (n3 // 2 + 1,) counting each
     last-axis bin for itself and its dropped conjugate partner: 1 for the
     zero bin and an even length's Nyquist bin, 2 for every other.  Then
     sum |f|^2 over the nodes = sum(weights * |spec|^2) / (n1 n2 n3).  A
@@ -227,7 +219,7 @@ def _half_spectrum(values, grid):
     weights[0] = 1.0
     if n3 % 2 == 0:
         weights[-1] = 1.0
-    return np.fft.rfftn(values, axes=_AXES), _wavevectors(grid, half=True), weights
+    return np.fft.rfftn(values, axes=_AXES), _wavevectors(grid), weights
 
 
 def _parseval_norm2(power, weights, grid):
@@ -306,15 +298,17 @@ def tangential_projector(y1, y2, y3):
     return eps
 
 
-def _project_spectrum(spec, ys, nyquist):
-    """P spec P in place on a (..., 6) spectrum, P = I - n n^T.
+def solenoidal_project(u: SymField2) -> SymField2:
+    """Solenoidal part S(u): Fourier-domain projection P uhat P, P = I - n n^T
+    with n = y/|y|, on the half spectrum.
 
-    ys: the spectrum's wavevectors (from _wavevectors, full or half);
-    nyquist: the matching _nyquist_mask.  With n = y/|y| and v = spec n,
-    P spec P = spec - n v^T - v n^T + (n.v) n n^T, evaluated in symmetric
-    storage.  The y = 0 node and the Nyquist planes are set to zero.
-    Returns spec.
+    With v = uhat n, P uhat P = uhat - n v^T - v n^T + (n.v) n n^T,
+    evaluated in symmetric storage.  The y = 0 node is set to zero:
+    compactly supported solenoidal fields have vanishing componentwise
+    integral, so no information is lost.  The Nyquist planes are set to
+    zero too.
     """
+    spec, ys, inverse = _spectrum(u.values, u.grid)
     y = np.stack(np.broadcast_arrays(*ys), axis=-1)
     ynorm = np.linalg.norm(y, axis=-1)
     n = y / np.where(ynorm == 0.0, 1.0, ynorm)[..., None]
@@ -325,20 +319,7 @@ def _project_spectrum(spec, ys, nyquist):
     nv = np.sum(n * v, axis=-1)
     j, k = np.array(SYM_PAIRS).T
     spec -= n[..., j] * v[..., k] + v[..., j] * n[..., k] - nv[..., None] * (n[..., j] * n[..., k])
-    spec[(ynorm == 0.0) | nyquist] = 0.0
-    return spec
-
-
-def solenoidal_project(u: SymField2) -> SymField2:
-    """Solenoidal part S(u): Fourier-domain projection P uhat P, P = I - y y^T/|y|^2,
-    in the closed form of _project_spectrum, on the half spectrum.
-
-    The y = 0 node is set to zero: compactly supported solenoidal fields
-    have vanishing componentwise integral, so no information is lost.  The
-    Nyquist planes are set to zero too.
-    """
-    spec, ys, inverse = _spectrum(u.values, u.grid)
-    _project_spectrum(spec, ys, _nyquist_mask(u.grid, half=True))
+    spec[(ynorm == 0.0) | _nyquist_mask(u.grid)] = 0.0
     return SymField2(u.grid, inverse(spec))
 
 

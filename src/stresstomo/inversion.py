@@ -22,16 +22,13 @@ from .fields import (
     ScalarField,
     SymField2,
     SYM_MULT,
-    _AXES,
     _half_spectrum,
-    _nyquist_mask,
     _parseval_norm2,
-    _project_spectrum,
     _spectrum,
-    _wavevectors,
     divergence_norm,
     identity_sym,
     matrix_to_sym,
+    solenoidal_project,
     tangential_projector,
     trig_upsample,
 )
@@ -152,22 +149,19 @@ def _sample_polar(spec, angle_idx, rows, pos, zeta_idx):
     (position pos, slice frequency zeta_idx).
 
     angle_idx and rows (from _polar_rows) are per in-plane position.  The
-    positions sharing a base angle share their four taps, whose spec rows
-    are one contiguous (4 * offsets, slices) window unless they wrap at pi:
-    every slice frequency of such a group is one matmul of its rows with
-    that window, so spec is never gathered per position.
+    positions sharing a base angle a share their four taps a - 1 to a + 2,
+    which are one contiguous (4 * offsets, slices) window of a copy of spec
+    wrap-padded by one angle before and two after: every slice frequency of
+    such a group is one matmul of its rows with that window, so spec is
+    never gathered per position.
     """
     ntheta, noff, nz = spec.shape
-    flat = spec.reshape(ntheta * noff, nz)
+    flat = np.take(spec, np.arange(-1, ntheta + 2), axis=0, mode="wrap").reshape(-1, nz)
     order = np.argsort(angle_idx, kind="stable")
     vals = np.empty((len(rows), nz), dtype=complex)
     for group in np.split(order, np.flatnonzero(np.diff(angle_idx[order])) + 1):
         a = angle_idx[group[0]]
-        if 1 <= a <= ntheta - 3:
-            window = flat[(a - 1) * noff : (a + 3) * noff]
-        else:
-            window = spec[np.mod(a + np.arange(-1, 3), ntheta)].reshape(-1, nz)
-        vals[group] = rows[group] @ window
+        vals[group] = rows[group] @ flat[a * noff : (a + 4) * noff]
     return vals[pos, zeta_idx]
 
 
@@ -390,7 +384,8 @@ def _regrid_geometry(families, grid: Grid3, cond_limit):
 
 def _regrid_pass(geo: _Regrid, values, grid: Grid3):
     """One Fourier-regrid inversion of the records `values` (dict axis ->
-    (views, offsets, slices) array) over the families geo was built for."""
+    (views, offsets, slices) array) over the families geo was built for:
+    the solenoidal projection of the real part of the assembled spectrum."""
     Q = np.zeros((len(geo.nodes), 3), dtype=complex)
     for k, (sel, angle_idx, rows, pos, zeta_idx) in geo.polar.items():
         spec = _family_slice_spectrum(values[k], geo.families[k])
@@ -410,10 +405,7 @@ def _regrid_pass(geo: _Regrid, values, grid: Grid3):
         nbA = np.einsum("ns,ncs->nc", est6 / zeros, dual)
         A[sel] += np.einsum("nc,nc->n", nbA - A[sel], u)[:, None] * u
         flat[geo.nodes[sel]] = np.einsum("nc,ncs->ns", A[sel], geo.dyads[sel])
-    # the solenoidal projection of the real part, applied to the spectrum:
-    # P is real and even in y, so it commutes with taking the real part
-    _project_spectrum(spec6, _wavevectors(grid), _nyquist_mask(grid))
-    return SymField2(grid, np.fft.ifftn(spec6, axes=_AXES).real)
+    return solenoidal_project(SymField2(grid, np.fft.ifftn(spec6, axes=(0, 1, 2)).real))
 
 
 def invert_I_solenoidal(sinograms, grid: Grid3, cond_limit=1e8, refine=1):

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -32,6 +33,26 @@ _MAGIC = b"STF1"
 # domain kind of each domain code: a code is its index
 _RANKS = ((ScalarField, ()), (CovectorField, (3,)), (SymField2, (6,)))
 _DOMAINS = ("box", "ball")
+
+
+# ---------------------------------------------------------------------------
+# JSON files
+
+
+def _json_object(path):
+    """The JSON object in the file at path.  Invalid JSON (with its line and
+    column) or a value that is not an object raises ValueError naming the
+    file; an unreadable file raises OSError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+        except ValueError as e:  # not UTF-8, or an integer of too many digits
+            raise ValueError(f"{path}: {e}") from None
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(d).__name__}")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +144,11 @@ def _count(man, key):
 
 
 def _numbers(v, depth):
-    """v is a number (not a bool) at depth 0, else a list of such."""
+    """Whether v is a JSON number (depth 0) or lists nesting such numbers
+    depth deep.  A JSON number is a float, or an int (not a bool) within
+    the float range, so that float(v) cannot overflow."""
     if depth == 0:
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
+        return isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max
     return isinstance(v, (list, tuple)) and all(_numbers(e, depth - 1) for e in v)
 
 
@@ -335,21 +358,19 @@ def _check_rows(rows, what, v):
 def read_sinogram(path):
     """Read a sinogram CSV and its manifest.
 
-    The manifest must be an object with a string family_id, a known kind
-    and a family, which family_from_manifest checks; its counts, and the
-    family's ray count, must fit the rows the CSV's size allows, which is
-    checked before anything of their size is allocated.  Every ray index of
-    the family must appear exactly once, and every row must name the
-    manifest's family and kind; a malformed manifest or record raises
-    ValueError and non-finite values FloatingPointError, both naming the
-    file.  A well-formed file is parsed in bulk; any other goes through
-    the row loop, which finds the first bad line.
+    The manifest must be a JSON object (_json_object) with a string
+    family_id, a known kind and a family, which family_from_manifest
+    checks; its counts, and the family's ray count, must fit the rows the
+    CSV's size allows, which is checked before anything of their size is
+    allocated.  Every ray index of the family must appear exactly once, and
+    every row must name the manifest's family and kind; a malformed
+    manifest or record raises ValueError and non-finite values
+    FloatingPointError, both naming the file.  A well-formed file is parsed
+    in bulk; any other goes through the row loop, which finds the first bad
+    line.
     """
-    with open(str(path) + ".manifest.json") as fh:
-        man = json.load(fh)
     try:
-        if not isinstance(man, dict):
-            raise ValueError(f"manifest must be an object, got {type(man).__name__}")
+        man = _json_object(str(path) + ".manifest.json")
         family_id, kind = man.get("family_id"), man.get("kind")
         if type(family_id) is not str:
             raise ValueError(f"manifest: family_id must be a string, got {family_id!r}")
@@ -401,8 +422,7 @@ def write_params(path, params: MaterialParams):
 
 
 def read_params(path) -> MaterialParams:
-    with open(path) as fh:
-        d = json.load(fh)
+    d = _json_object(path)
     return MaterialParams(d["lam"], d["mu"], d["rho"], tuple(d["nu"]))
 
 
@@ -423,18 +443,13 @@ _CONFIG_TYPES = {
 def read_report(path) -> ReconReport:
     """A report written by write_report.
 
-    Each section that ReconReport's fields name must be an object, errors
-    must map names to numbers, and the config's config_hash (a string or
-    null), pipeline (a string) and noise (a number) must have their types;
-    else ValueError naming the file and the section.
+    The file must hold a JSON object (_json_object).  Each section that
+    ReconReport's fields name must be an object, errors must map names to
+    numbers, and the config's config_hash (a string or null), pipeline (a
+    string) and noise (a number) must have their types; else ValueError
+    naming the file and the section.
     """
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
-    if not isinstance(d, dict):
-        raise ValueError(f"{path}: a report must be a JSON object")
+    d = _json_object(path)
     for f in dataclasses.fields(ReconReport):
         if not isinstance(d.get(f.name, {}), dict):
             raise ValueError(f"{path}: report section {f.name!r} must be an object")

@@ -44,6 +44,23 @@ def trace(u: SymField2) -> ScalarField:
     return ScalarField(u.grid, u.values[..., 0] + u.values[..., 1] + u.values[..., 2])
 
 
+def full_wavevectors(grid):
+    """Wavevectors (y1, y2, y3) of the full spectrum (fftn) with the Nyquist
+    planes zeroed, as dense grid-shaped arrays."""
+    ks = grid.freqs()
+    for k, n in zip(ks, grid.dims):
+        if n % 2 == 0:
+            k[n // 2] = 0.0
+    return np.meshgrid(*ks, indexing="ij")
+
+
+def full_nyquist_mask(grid):
+    """Boolean mask of the full-spectrum nodes on any Nyquist plane: those
+    whose fftfreq is -1/2 along some axis (an even axis's bin n // 2)."""
+    fs = np.meshgrid(*[np.fft.fftfreq(n) for n in grid.dims], indexing="ij")
+    return np.any([f == -0.5 for f in fs], axis=0)
+
+
 def spectral_upsample(field, factor):
     """Resample a field onto a factor-times finer grid by trig interpolation
     along each axis.

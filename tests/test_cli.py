@@ -1,11 +1,16 @@
 import dataclasses
+import functools
 import json
+import operator
 import os
 import shutil
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stresstomo import cli
 from stresstomo.cli import (
@@ -19,6 +24,9 @@ from stresstomo.cli import (
 )
 from stresstomo.inversion import ReconReport
 from stresstomo.io import read_field, read_report, write_field, write_report
+
+
+_HUGE = 10**400  # a JSON integer beyond the float range
 
 
 def write_cfg(tmp_path, **over):
@@ -253,10 +261,17 @@ def test_export_noise_table_keeps_reports_without_an_error(tmp_path, capsys):
         {"tolerances": {"cg_maxiter": True}},
         {"seed": -1},
         {"scale": 0.0},
+        # numbers beyond the float range
+        {"grid": {"n": 16, "halfwidth": _HUGE}},
+        {"truth_r0": _HUGE},
+        {"material": {"nu": [0.1, 0.4, -0.2, _HUGE]}},
+        {"noise": _HUGE},
     ],
 )
 def test_load_config_rejects_bad_types_and_ranges(tmp_path, over):
     cfg = write_cfg(tmp_path, **over)
+    with pytest.raises(cli.ConfigError):
+        load_config(cfg)
     assert main(["forward", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
 
 
@@ -322,8 +337,9 @@ def test_invert_rejects_another_familys_sinogram(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("step", 0), ("step", "x"), ("axis", 1), ("radius", -1), ("center", [0.0, 0.0])],
-    ids=["step-zero", "step-string", "axis", "radius", "center"],
+    [("step", 0), ("step", "x"), ("axis", 1), ("radius", -1), ("center", [0.0, 0.0]),
+     ("radius", _HUGE)],
+    ids=["step-zero", "step-string", "axis", "radius", "center", "radius-huge"],
 )
 def test_invert_rejects_edited_family_manifest(tmp_path, key, value):
     # the sidecar of one sinogram describes another family than the config's
@@ -357,11 +373,21 @@ def test_verify_pipeline_value_is_rejected(tmp_path):
     assert not out.exists()
 
 
-def test_invert_broken_sinogram_manifest_exits_config(tmp_path):
+def test_invert_broken_sinogram_manifest_exits_config(tmp_path, capsys):
+    # sinograms.json, then one family's manifest: the error names the file,
+    # the line and the column
     cfg, out, _, _ = _forwarded(tmp_path)
-    with open(os.path.join(out, "sinograms.json"), "w") as fh:
-        fh.write("{not json")
-    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    for name in ("sinograms.json", "pwave_plane1.csv.manifest.json"):
+        path = os.path.join(out, name)
+        with open(path) as fh:
+            good = fh.read()
+        with open(path, "w") as fh:
+            fh.write("{\n  not json")
+        capsys.readouterr()
+        assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONFIG
+        assert f"{path}:2:3: " in capsys.readouterr().err
+        with open(path, "w") as fh:
+            fh.write(good)
 
 
 @pytest.mark.parametrize(
@@ -549,3 +575,88 @@ def test_invert_numerical_failure_is_on_stderr(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "pwave_pipeline", not_finite)
     assert main(["invert", "--config", cfg, "--out", out]) == EXIT_NUMERICAL
     _failure_on_stderr(capsys, "numerical failure: reconstruction is not finite")
+
+
+# ---------------------------------------------------------------------------
+# artifact fuzz: a damaged artifact ends in an exit code, never in a traceback
+
+_FUZZ_RUNS = {
+    "pwave": {"grid": {"n": 16}, "families": {"angles": 12, "offsets": 16}},
+    "swave": {"grid": {"n": 16}, "families": {"angles": 6, "offsets": 16, "sphere_directions": 10},
+              "pipeline": "swave", "tolerances": {"cg_maxiter": 150}},
+}
+# the config is not damaged: a grid size can ask for any amount of memory
+_FUZZ_KEPT = ("config.json", "params.json", "reconstruction.stf")
+_JSON_VALUES = [None, True, -1, 0, 2.5, 1e308, 10**9, 10**400, -(10**400), float("nan"), "x",
+                [], {}, [1.0, 2.0]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_runs(tmp_path_factory):
+    """(config path, run directory) of a P-wave and an S-wave run at n=16,
+    each through invert."""
+    runs = {}
+    for pipeline, over in _FUZZ_RUNS.items():
+        root = tmp_path_factory.mktemp(pipeline)
+        cfg = root / "cfg.json"
+        cfg.write_text(json.dumps(dict(over, seed=3)))
+        out = str(root / "run")
+        for command in ("generate", "forward", "invert"):
+            assert main([command, "--config", str(cfg), "--out", out]) == EXIT_OK
+        runs[pipeline] = str(cfg), out
+    return runs
+
+
+def _json_paths(v, path=()):
+    """The path of every value in the parsed JSON v, v's own () first."""
+    yield path
+    items = v.items() if isinstance(v, dict) else enumerate(v) if isinstance(v, list) else ()
+    for k, e in items:
+        yield from _json_paths(e, path + (k,))
+
+
+def _damage(data, raw, is_json):
+    """raw with one drawn damage: a truncation, up to four byte edits, a
+    duplicated or deleted line, or (JSON files) one value replaced."""
+    how = data.draw(st.sampled_from(["truncate", "bytes", "duplicate", "delete"] + ["value"] * is_json))
+    if how == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if how == "bytes":
+        out = bytearray(raw)
+        for _ in range(data.draw(st.integers(1, 4))):
+            out[data.draw(st.integers(0, len(out) - 1))] = data.draw(st.integers(0, 255))
+        return bytes(out)
+    if how == "value":
+        doc = json.loads(raw)
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        value = data.draw(st.sampled_from(_JSON_VALUES))
+        if not path:
+            return json.dumps(value).encode()
+        functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+        return json.dumps(doc).encode()
+    lines = raw.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i : i + 1] = [lines[i]] * (2 if how == "duplicate" else 0)
+    return b"".join(lines)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_artifact_exits_with_a_code(fuzz_runs, data):
+    # one artifact of a run is damaged, and a command that reads it runs in
+    # a copy of the run: it may succeed or exit 1, 2 or 3, but not raise
+    cfg, run = fuzz_runs[data.draw(st.sampled_from(sorted(fuzz_runs)))]
+    name = data.draw(st.sampled_from(sorted(set(os.listdir(run)) - set(_FUZZ_KEPT))))
+    commands = {"truth.stf": ["forward", "invert"], "report.json": ["report", "export"]}
+    command = data.draw(st.sampled_from(commands.get(name, ["invert"])))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "run")
+        shutil.copytree(run, out)
+        path = os.path.join(out, name)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(_damage(data, raw, name.endswith(".json")))
+        inputs = {"report": [path], "export": [path, "--table", "noise"]}.get(command, [])
+        code = main([command, *inputs, "--config", cfg, "--out", out])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONDITION, EXIT_NUMERICAL)

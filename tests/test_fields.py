@@ -14,7 +14,6 @@ from stresstomo.fields import (
     _gradient_nd,
     _half_spectrum,
     _nyquist_mask,
-    _wavevectors,
     bump_profile,
     divergence,
     divergence_norm,
@@ -33,6 +32,8 @@ from stresstomo.inversion import verify_poincare
 from stresstomo.io import read_report
 
 from reference import (
+    full_nyquist_mask,
+    full_wavevectors,
     random_bump_covector,
     random_bump_scalar,
     spectral_upsample,
@@ -277,9 +278,9 @@ def test_projection_of_scalar_times_identity(grid, rng):
     # hand algebra: P g P = P = eps, so S(phi g)^hat = phi_hat eps
     su_hat = np.fft.fftn(solenoidal_project(u).values, axes=(0, 1, 2))
     phi_hat = np.fft.fftn(phi.values, axes=(0, 1, 2))
-    eps = matrix_to_sym(tangential_projector(*_wavevectors(grid)))
+    eps = matrix_to_sym(tangential_projector(*full_wavevectors(grid)))
     want = phi_hat[..., None] * eps
-    band = ~_nyquist_mask(grid)  # Nyquist planes are outside the projector's band
+    band = ~full_nyquist_mask(grid)  # Nyquist planes are outside the projector's band
     scale = np.max(np.abs(phi_hat))
     assert np.max(np.abs(su_hat[band] - want[band])) <= 1e-9 * scale
 
@@ -364,18 +365,10 @@ def ball_grid(dims):
     return Grid3(tuple(dims), h, origin, Domain("ball", (0.0, 0.0, 0.0), 1.0))
 
 
-def _reference_wavevectors(grid):
-    ks = grid.freqs()
-    for k, n in zip(ks, grid.dims):
-        if n % 2 == 0:
-            k[n // 2] = 0.0
-    return np.meshgrid(*ks, indexing="ij")
-
-
 def _reference_gradient_nd(values, grid):
     spec = np.fft.fftn(values, axes=(0, 1, 2))
     cols = []
-    for k in _reference_wavevectors(grid):
+    for k in full_wavevectors(grid):
         k = k.reshape(k.shape + (1,) * (values.ndim - 3))
         col = np.fft.ifftn(1j * k * spec, axes=(0, 1, 2))
         cols.append(col.real if np.isrealobj(values) else col)
@@ -396,9 +389,9 @@ def _reference_divergence(u):
 def _reference_solenoidal_project(u):
     """P uhat P with the 3x3 matrices, on the full spectrum."""
     grid = u.grid
-    eps = tangential_projector(*_reference_wavevectors(grid))
+    eps = tangential_projector(*full_wavevectors(grid))
     spec = matrix_to_sym(eps @ sym_to_matrix(np.fft.fftn(u.values, axes=(0, 1, 2))) @ eps)
-    spec[_nyquist_mask(grid)] = 0.0  # y = 0 is already zero: eps vanishes there
+    spec[full_nyquist_mask(grid)] = 0.0  # y = 0 is already zero: eps vanishes there
     return np.fft.ifftn(spec, axes=(0, 1, 2)).real
 
 
@@ -412,7 +405,7 @@ for _p in [(0, 2, 1), (2, 1, 0), (1, 0, 2)]:
 def _reference_inc_potential(a):
     """R_hat_jk = - eps_jpq eps_krs y_p y_r A_hat_qs on the full spectrum."""
     spec = sym_to_matrix(np.fft.fftn(a.values, axes=(0, 1, 2)))
-    y = np.stack(_reference_wavevectors(a.grid), axis=-1)
+    y = np.stack(full_wavevectors(a.grid), axis=-1)
     rhat = -np.einsum("jpq,krs,...p,...r,...qs->...jk", _LEVI, _LEVI, y, y, spec, optimize=True)
     return np.fft.ifftn(matrix_to_sym(rhat), axes=(0, 1, 2)).real
 
@@ -431,9 +424,9 @@ def test_half_spectrum_wavevectors_and_parseval(dims):
     assert spec.shape == dims[:2] + (m3, 2)
     full = np.fft.fftn(f, axes=(0, 1, 2))[:, :, :m3]
     assert np.max(np.abs(spec - full)) <= 1e-12 * np.max(np.abs(full))
-    for y, full in zip(np.broadcast_arrays(*ys), _reference_wavevectors(grid)):
+    for y, full in zip(np.broadcast_arrays(*ys), full_wavevectors(grid)):
         assert np.array_equal(y, full[:, :, :m3])
-    assert np.array_equal(_nyquist_mask(grid, half=True), _nyquist_mask(grid)[:, :, :m3])
+    assert np.array_equal(_nyquist_mask(grid), full_nyquist_mask(grid)[:, :, :m3])
     power = np.sum(np.abs(spec) ** 2, axis=-1)
     assert abs(np.sum(weights * power) / np.prod(dims) - np.sum(f**2)) <= 1e-12 * np.sum(f**2)
 

@@ -53,7 +53,7 @@ from stresstomo.inversion import (
 )
 from stresstomo.material import MaterialParams, swave_weights
 
-from reference import box_domain, random_bump_covector, random_smooth_covector
+from reference import box_domain, full_wavevectors, random_bump_covector, random_smooth_covector
 
 
 @pytest.fixture
@@ -131,24 +131,16 @@ def ball_grid(dims):
     return Grid3(tuple(dims), h, origin, Domain("ball", (0.0, 0.0, 0.0), 1.0))
 
 
-def _reference_wavevectors(grid):
-    ks = grid.freqs()
-    for k, n in zip(ks, grid.dims):
-        if n % 2 == 0:
-            k[n // 2] = 0.0
-    return np.meshgrid(*ks, indexing="ij")
-
-
 def _reference_partials(values, grid):
     """d_i of each component on the full spectrum: (...,C) -> (...,C,3)."""
     spec = np.fft.fftn(values, axes=(0, 1, 2))
-    ks = _reference_wavevectors(grid)
+    ks = full_wavevectors(grid)
     return np.stack([np.fft.ifftn(1j * k[..., None] * spec, axes=(0, 1, 2)).real for k in ks], axis=-1)
 
 
 def _reference_detangle_trace(m, a):
     spec = np.fft.fftn(m.values, axes=(0, 1, 2))
-    eps6 = matrix_to_sym(tangential_projector(*_reference_wavevectors(m.grid)))
+    eps6 = matrix_to_sym(tangential_projector(*full_wavevectors(m.grid)))
     trf = (spec[..., 0] + spec[..., 1] + spec[..., 2]) / (1.0 + 2.0 * a)
     return np.fft.ifftn(spec - a * trf[..., None] * eps6, axes=(0, 1, 2)).real
 

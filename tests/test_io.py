@@ -195,6 +195,7 @@ def test_sinogram_rejects_non_finite_values(grid, rng, tmp_path, bad):
 
 
 _NAN, _INF = float("nan"), float("inf")
+_HUGE = 10**400  # a JSON integer beyond the float range
 
 
 @pytest.mark.parametrize(
@@ -234,6 +235,11 @@ _NAN, _INF = float("nan"), float("inf")
         ("plane", "thetas", [0.1, 0.7, 1.9]),
         ("plane", "offsets", [-0.9, 0.0, 0.9]),
         ("sphere", "offsets", [-0.9, 0.0, 0.9]),
+        # JSON integers beyond the float range
+        pytest.param("plane", "radius", _HUGE, id="plane-radius-huge"),
+        pytest.param("plane", "step", _HUGE, id="plane-step-huge"),
+        pytest.param("sphere", "center", [0.0, -_HUGE, 0.0], id="sphere-center-huge"),
+        pytest.param("plane", "slices", [0.0, _HUGE], id="plane-slices-huge"),
     ],
 )
 def test_read_sinogram_rejects_edited_family_manifest(grid, rng, tmp_path, kind, key, value):
@@ -305,6 +311,24 @@ def test_report_round_trip(tmp_path):
     rep = ReconReport(stages={"R_norm": 1.0}, config={"pipeline": "pwave"})
     write_report(p, rep)
     assert read_report(p).to_dict() == rep.to_dict()
+
+
+@pytest.mark.parametrize("reader", [read_params, read_report], ids=["params", "report"])
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b'{\n  "lam": ,\n}', ":2:10: Expecting value"),
+        (b"[1.0]", ": expected a JSON object, got list"),
+        (b"\xff{}", ": 'utf-8' codec can't decode"),
+    ],
+    ids=["syntax", "not-object", "not-utf8"],
+)
+def test_json_readers_name_the_file(tmp_path, reader, raw, message):
+    p = tmp_path / "in.json"
+    p.write_bytes(raw)
+    with pytest.raises(ValueError) as err:
+        reader(p)
+    assert str(err.value).startswith(f"{p}{message}")
 
 
 # ---------------------------------------------------------------------------
