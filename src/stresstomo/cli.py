@@ -2,9 +2,10 @@
 
 Subcommands: generate | forward | invert | verify | report | export.
 Exit codes: 0 success, 1 invalid command line, config or missing artifact,
-2 solvability condition failure, 3 numerical failure.  Identical config +
-seed produce bit-identical sinogram CSVs and reports (timestamps excluded
-from hashing).
+2 solvability condition failure, 3 numerical failure.  Subcommands raise;
+main alone prints a failure and picks its code.  Identical config + seed
+produce bit-identical sinogram CSVs and reports (timestamps excluded from
+hashing).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .inversion import (
 from .io import (
     _json_object,
     _numbers,
+    _write_json,
     family_manifest,
     read_field,
     read_report,
@@ -168,16 +170,13 @@ def _params_from(cfg):
     return MaterialParams(m["lam"], m["mu"], m["rho"], tuple(m["nu"]))
 
 
-def _require(path, what):
+def _read_artifact(reader, path, what):
+    """reader(path) of an input artifact; a missing, unreadable or malformed
+    one is a config error that says what it is."""
     if not os.path.exists(path):
         raise ConfigError(f"missing {what}: {path}")
-    return path
-
-
-def _read_artifact(reader, path, what):
-    """Read an input artifact; a missing or malformed one is a config error."""
     try:
-        return reader(_require(path, what))
+        return reader(path)
     except (OSError, ValueError) as e:
         raise ConfigError(f"unreadable {what}: {e}")
 
@@ -224,10 +223,7 @@ def cmd_generate(cfg, out):
     R = inc_potential(random_admissible_potential(grid, rng, r0=cfg["truth_r0"]))
     write_field(os.path.join(out, "truth.stf"), R)
     write_params(os.path.join(out, "params.json"), _params_from(cfg))
-    resolved = dict(cfg, config_hash=config_hash(cfg))
-    with open(os.path.join(out, "config.json"), "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "config.json"), dict(cfg, config_hash=config_hash(cfg)))
     print(f"generate: wrote truth.stf ({R.norm():.6g} L2) to {out}")
     return EXIT_OK
 
@@ -245,15 +241,12 @@ def cmd_forward(cfg, out):
         nrng = np.random.default_rng(cfg["seed"] + 1)
         sinos = [add_noise(s, cfg["noise"], nrng) for s in sinos]
     for name, s in zip(names, sinos):
+        if not np.all(np.isfinite(s.values)):
+            raise FloatingPointError(f"{name}: non-finite sinogram value")
+    for name, s in zip(names, sinos):
         write_sinogram(os.path.join(out, name), s)
-    with open(os.path.join(out, "sinograms.json"), "w") as fh:
-        json.dump(
-            {"config_hash": config_hash(cfg), "files": names, "pipeline": cfg["pipeline"]},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(os.path.join(out, "sinograms.json"),
+                {"config_hash": config_hash(cfg), "files": names, "pipeline": cfg["pipeline"]})
     print(f"forward: wrote {len(names)} sinograms to {out}")
     return EXIT_OK
 
@@ -261,26 +254,21 @@ def cmd_forward(cfg, out):
 def cmd_invert(cfg, out):
     grid = _grid_from(cfg)
     params = _params_from(cfg)
-    man_path = _require(os.path.join(out, "sinograms.json"), "sinogram manifest")
+    man = _read_artifact(_json_object, os.path.join(out, "sinograms.json"), "sinogram manifest")
+    if man.get("config_hash") != config_hash(cfg):
+        raise ConfigError("sinograms were produced under a different config")
     names, families = _families(cfg, grid)
-    try:
-        man = _json_object(man_path)
-        if man["config_hash"] != config_hash(cfg):
-            raise ConfigError("sinograms were produced under a different config")
-        sinos = [read_sinogram(os.path.join(out, n)) for n in names]
-        for name, sino, expected in zip(names, sinos, families):
-            if family_manifest(sino.family) != family_manifest(expected):
-                raise ConfigError(f"{name}: the manifest's ray family is not the config's")
-    except (OSError, KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"unreadable sinograms: {e}")
+    sinos = [_read_artifact(read_sinogram, os.path.join(out, n), "sinograms") for n in names]
+    for name, sino, expected in zip(names, sinos, families):
+        if family_manifest(sino.family) != family_manifest(expected):
+            raise ConfigError(f"{name}: the manifest's ray family is not the config's")
     truth_path = os.path.join(out, "truth.stf")
     truth = _read_truth(truth_path, grid) if os.path.exists(truth_path) else None
     tol = cfg["tolerances"]
     cond = _conditions(cfg, params)
     if not cond.all_pass:
         bad = [k for k, ok in cond.passed.items() if not ok]
-        print(f"condition failure: {', '.join(bad)} below floor {cond.floor}", file=sys.stderr)
-        return EXIT_CONDITION
+        raise ConditionError(f"{', '.join(bad)} below floor {cond.floor}")
     if cfg["pipeline"] == "pwave":
         R, report = pwave_pipeline(sinos, params, grid)
     else:
@@ -300,8 +288,7 @@ def cmd_invert(cfg, out):
             np.linalg.norm(R.values - truth.values) / np.linalg.norm(truth.values)
         )
     if not np.all(np.isfinite(R.values)):
-        print("numerical failure: reconstruction is not finite", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise FloatingPointError("reconstruction is not finite")
     write_field(os.path.join(out, "reconstruction.stf"), R)
     write_report(os.path.join(out, "report.json"), report)
     err = report.errors.get("relative_l2")
@@ -325,7 +312,9 @@ def cmd_verify(cfg, out):
 
     verify.json's timing holds the wall time in seconds of each check
     (conditions, poincare, contraction, projection) and of the whole suite
-    (total).
+    (total).  verify.json is written and the values printed before a failed
+    condition raises ConditionError or an invariant out of tolerance
+    RuntimeError.
     """
     t0 = time.perf_counter()
     grid = _grid_from(cfg)
@@ -369,23 +358,16 @@ def cmd_verify(cfg, out):
     report.timing["projection"] = t4 - t3
     report.timing["total"] = t4 - t0
 
-    ok = (
-        not failed_conditions
-        and report.stages["poincare_max_ratio"] <= 1.0
-        and res < 1e-10
-        and report.errors["divergence_of_projection"] < 1e-8
-    )
     if out:
         os.makedirs(out, exist_ok=True)
         write_report(os.path.join(out, "verify.json"), report)
     for k, v in {**report.conditions, **report.stages, **report.errors}.items():
         print(f"verify: {k} = {v:.6g}")
     if failed_conditions:
-        print(f"condition failure: {', '.join(failed_conditions)}", file=sys.stderr)
-        return EXIT_CONDITION
-    if not ok:
-        print("numerical failure: an invariant check is out of tolerance", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise ConditionError(", ".join(failed_conditions))
+    if not (report.stages["poincare_max_ratio"] <= 1.0 and res < 1e-10
+            and report.errors["divergence_of_projection"] < 1e-8):
+        raise RuntimeError("an invariant check is out of tolerance")
     print("verify: all checks pass")
     return EXIT_OK
 
@@ -396,9 +378,8 @@ def cmd_report(cfg, out, inputs):
     reports = [_read_artifact(read_report, p, "report") for p in inputs]
     hashes = {r.config.get("config_hash") for r in reports}
     if len(hashes) > 1:
-        print(f"refusing to merge reports with mismatched config hashes: {sorted(hashes)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(
+            f"refusing to merge reports with mismatched config hashes: {sorted(hashes, key=str)}")
     os.makedirs(out, exist_ok=True)
     keys = sorted({k for r in reports for k in r.errors})
     path = os.path.join(out, "metrics.csv")

@@ -398,9 +398,9 @@ def unitarity_drift(U):
 
 
 def _checked_drift(U, tol):
-    """The unitarity drift of U; a RuntimeError above tol."""
+    """The unitarity drift of U; a RuntimeError above tol or not a number."""
     drift = unitarity_drift(U)
-    if drift > tol:
+    if not drift <= tol:
         raise RuntimeError(f"unitarity drift {drift:.3g} exceeds {tol:.3g}")
     return drift
 
@@ -409,7 +409,7 @@ def rytov_family(R: SymField2, params, family, scale=1.0, tol=1e-8) -> Sinogram:
     """Propagators for every chord of a family: _flow over each chord's
     equispaced nodes, vectorized per view; an empty chord's record is
     exactly the identity.  The unitarity drift of the records is kept as
-    `drift`; above tol it raises RuntimeError."""
+    `drift`; above tol, or not a number, it raises RuntimeError."""
 
     def per_view(g, w, dt):
         return _flow(g, dt[..., None])

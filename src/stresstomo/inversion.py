@@ -9,7 +9,6 @@ eta-averaged diagonal data.
 """
 
 import functools
-import json
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields
@@ -69,9 +68,6 @@ class ReconReport:
 
     def to_dict(self):
         return asdict(self)
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, d):

@@ -55,6 +55,13 @@ def _json_object(path):
     return d
 
 
+def _write_json(path, obj):
+    """obj as JSON with two-space indents, sorted keys and a final newline:
+    the layout of every JSON file the package writes."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # binary field files
 
@@ -259,41 +266,45 @@ def write_sinogram(path, sino: Sinogram):
             if ncol > 1:
                 vals = map(",".join, zip(*[vals] * ncol))
             fh.write("".join([a + str(v) + b + x + "\r\n" for (a, b), x in zip(heads, vals)]))
-    with open(str(path) + ".manifest.json", "w") as fh:
-        json.dump(
-            {"family_id": family_id, "kind": kind, "family": family_manifest(fam)},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(str(path) + ".manifest.json",
+                {"family_id": family_id, "kind": kind, "family": family_manifest(fam)})
 
 
 def _parse_rows(path, family_id, kind, count):
     """Row by row: ray keys (count, 3) in (angle, offset, slice) order and
     values (count, columns) of a sinogram CSV, or ValueError at the first
-    bad record, naming the file and the line."""
+    bad record, naming the file and the line.  Bytes that are not UTF-8,
+    or a record the csv module cannot split (an unmatched quote that runs
+    past its field limit), raise ValueError naming the file too, and for
+    the latter the line on which the record starts."""
     columns = _KINDS[kind].columns
     ncol = len(columns)
     keys = np.empty((count, 3), dtype=np.intp)
     cols = np.empty((count, ncol))
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         rd = csv.reader(fh)
-        if next(rd, None) != _HEADER + columns:
-            raise ValueError(f"{path}: bad sinogram header")
-        n = 0
-        for n, r in enumerate(rd, start=1):
-            if n > count or len(r) != 5 + ncol or r[4] != kind:
-                raise ValueError(f"{path}:{n + 1}: unexpected or malformed {kind} record")
-            if r[0] != family_id:
-                raise ValueError(
-                    f"{path}:{n + 1}: family {r[0]!r} where the manifest has {family_id!r}"
-                )
-            try:
-                keys[n - 1] = int(r[2]), int(r[3]), int(r[1])
-                cols[n - 1] = [float(v) for v in r[5:]]
-            except (OverflowError, ValueError) as e:
-                raise ValueError(f"{path}:{n + 1}: {e}") from None
+        n, line = 0, 1  # records read, and the line the next one starts on
+        try:
+            if next(rd, None) != _HEADER + columns:
+                raise ValueError(f"{path}: bad sinogram header")
+            line = rd.line_num + 1
+            for n, r in enumerate(rd, start=1):
+                if n > count or len(r) != 5 + ncol or r[4] != kind:
+                    raise ValueError(f"{path}:{n + 1}: unexpected or malformed {kind} record")
+                if r[0] != family_id:
+                    raise ValueError(
+                        f"{path}:{n + 1}: family {r[0]!r} where the manifest has {family_id!r}"
+                    )
+                try:
+                    keys[n - 1] = int(r[2]), int(r[3]), int(r[1])
+                    cols[n - 1] = [float(v) for v in r[5:]]
+                except (OverflowError, ValueError) as e:
+                    raise ValueError(f"{path}:{n + 1}: {e}") from None
+                line = rd.line_num + 1
+        except csv.Error as e:
+            raise ValueError(f"{path}:{line}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
     if n != count:
         raise ValueError(f"{path}: expected {count} rows, got {n}")
     return keys, cols
@@ -416,20 +427,24 @@ def read_sinogram(path):
 def write_params(path, params: MaterialParams):
     if not params.constants_mode:
         raise ValueError("only constants-mode parameters serialize to JSON")
-    with open(path, "w") as fh:
-        json.dump(dataclasses.asdict(params), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, dataclasses.asdict(params))
 
 
 def read_params(path) -> MaterialParams:
+    """Parameters written by write_params.  The file must hold a JSON
+    object (_json_object) whose lam, mu and rho are numbers and whose nu is
+    four numbers (_numbers); else ValueError naming the file and the key."""
     d = _json_object(path)
+    for key, depth in (("lam", 0), ("mu", 0), ("rho", 0), ("nu", 1)):
+        v = d.get(key)
+        if not _numbers(v, depth) or depth and len(v) != 4:
+            what = "four numbers" if depth else "a number"
+            raise ValueError(f"{path}: params key {key!r} must be {what}, got {v!r}")
     return MaterialParams(d["lam"], d["mu"], d["rho"], tuple(d["nu"]))
 
 
 def write_report(path, report: ReconReport):
-    with open(path, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    _write_json(path, report.to_dict())
 
 
 # the config fields that `stresstomo report` and `export` read, with their types

@@ -189,7 +189,7 @@ def test_report_merges_and_refuses_mismatch(tmp_path):
     other.config["config_hash"] = "deadbeef"
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:
-        fh.write(other.to_json())
+        fh.write(json.dumps(other.to_dict(), indent=2, sort_keys=True))
     assert main(["report", rep, bad, "--config", cfg, "--out", merged]) == EXIT_CONFIG
 
 
@@ -536,6 +536,16 @@ def test_report_refusal_is_on_stderr(tmp_path, capsys):
     _failure_on_stderr(capsys, "refusing to merge reports")
 
 
+def test_report_refusal_lists_a_missing_hash(tmp_path, capsys):
+    # a report without a config_hash against one with: None and a string
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    write_report(paths[0], ReconReport(config={"config_hash": "a"}))
+    write_report(paths[1], ReconReport())
+    assert main(["report", *paths, "--out", str(tmp_path / "m")]) == EXIT_CONFIG
+    _failure_on_stderr(capsys, "config error: refusing to merge reports with mismatched "
+                               "config hashes: [None, 'a']")
+
+
 def test_verify_condition_failure_is_on_stderr(tmp_path, capsys):
     cfg = write_cfg(tmp_path, material={"nu": [0.0, 0.0, -1.0, 0.0]})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_CONDITION
@@ -575,6 +585,59 @@ def test_invert_numerical_failure_is_on_stderr(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "pwave_pipeline", not_finite)
     assert main(["invert", "--config", cfg, "--out", out]) == EXIT_NUMERICAL
     _failure_on_stderr(capsys, "numerical failure: reconstruction is not finite")
+
+
+@pytest.mark.parametrize("byte", [b'"', b"\xff"], ids=["quote", "not-utf8"])
+def test_invert_unsplittable_sinogram_csv_exits_config(tmp_path, capsys, byte):
+    # 40 angles: each CSV holds about 326 kB, past the csv module's
+    # 131072-byte field limit; the byte replaces the first one of line 4
+    cfg, out = write_cfg(tmp_path, families={"angles": 40, "offsets": 16}), str(tmp_path / "run")
+    for command in ("generate", "forward"):
+        assert main([command, "--config", cfg, "--out", out]) == EXIT_OK
+    path = os.path.join(out, "pwave_plane1.csv")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    start = sum(len(line) + 2 for line in raw.split(b"\r\n")[:3])
+    with open(path, "wb") as fh:
+        fh.write(raw[:start] + byte + raw[start + 1 :])
+    capsys.readouterr()
+    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    _failure_on_stderr(capsys, f"config error: unreadable sinograms: {path}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that is refused
+@pytest.mark.parametrize(
+    "pipeline, message",
+    [("swave", "unitarity drift nan"), ("pwave", "pwave_plane0.csv: non-finite sinogram value")],
+    ids=["swave", "pwave-noise"],
+)
+def test_forward_refuses_non_finite_sinograms(tmp_path, capsys, pipeline, message):
+    # one truth value of 1e300: the S-wave propagators overflow, and the
+    # P-wave noise's rms squares it past the float range
+    if pipeline == "swave":
+        cfg = _swave_cfg(tmp_path, [0.1, 0.4, -0.2, 0.5])
+    else:
+        cfg = write_cfg(tmp_path, noise=0.01)
+    out = str(tmp_path / "run")
+    assert main(["generate", "--config", cfg, "--out", out]) == EXIT_OK
+    path = os.path.join(out, "truth.stf")
+    R = read_field(path)
+    R.values[8, 8, 8, 0] = 1e300
+    write_field(path, R)
+    written = sorted(os.listdir(out))
+    capsys.readouterr()
+    assert main(["forward", "--config", cfg, "--out", out]) == EXIT_NUMERICAL
+    _failure_on_stderr(capsys, f"numerical failure: {message}")
+    assert sorted(os.listdir(out)) == written
+
+
+def test_invert_sinogram_manifest_without_config_hash_exits_config(tmp_path, capsys):
+    cfg, out, _, _ = _forwarded(tmp_path)
+    with open(os.path.join(out, "sinograms.json"), "w") as fh:
+        fh.write("{}")
+    capsys.readouterr()
+    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    _failure_on_stderr(capsys, "config error: sinograms were produced under a different config")
 
 
 # ---------------------------------------------------------------------------

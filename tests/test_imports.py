@@ -1,8 +1,9 @@
 """Static checks on the package's source: every module-level import is
 used, every import names the standard library, numpy or the package, every
 function and method is referenced by the package itself, every parameter
-with a default is passed by some call, and every name the benchmark's tracer
-(perfbench/spans.py) wraps exists."""
+with a default is passed by some call, every name the benchmark's tracer
+(perfbench/spans.py) wraps exists, and only the CLI's main prints a failure
+or picks a failure exit code."""
 
 import ast
 import importlib
@@ -69,6 +70,52 @@ def test_foreign_import_is_found():
         "def f():\n    import scipy.linalg\n    from matplotlib import pyplot\n"
     )
     assert foreign_imports(src) == [(5, "scipy.linalg"), (6, "matplotlib")]
+
+
+# ---------------------------------------------------------------------------
+# the CLI has one failure path: its commands raise, and main alone prints the
+# failure and picks its exit code
+
+_FAILURE_CODES = {"EXIT_CONFIG", "EXIT_CONDITION", "EXIT_NUMERICAL"}
+_FAILURE_OWNERS = {"main", "_ArgumentParser.error"}
+
+
+def failure_sites(source):
+    """(line, qualified name of the enclosing def or class, "" at module
+    level) of every use of sys.stderr or read of a failure exit code
+    outside main and _ArgumentParser.error."""
+    found = []
+
+    def visit(node, qual):
+        for ch in ast.iter_child_nodes(node):
+            if isinstance(ch, (ast.FunctionDef, ast.ClassDef)):
+                visit(ch, f"{qual}.{ch.name}" if qual else ch.name)
+                continue
+            stderr = (isinstance(ch, ast.Attribute) and ch.attr == "stderr"
+                      and isinstance(ch.value, ast.Name) and ch.value.id == "sys")
+            code = (isinstance(ch, ast.Name) and ch.id in _FAILURE_CODES
+                    and isinstance(ch.ctx, ast.Load))
+            if (stderr or code) and qual not in _FAILURE_OWNERS:
+                found.append((ch.lineno, qual))
+            visit(ch, qual)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_cli_fails_through_main_only():
+    assert failure_sites((SRC / "cli.py").read_text()) == []
+
+
+def test_failure_site_is_found():
+    src = (
+        "import sys\nEXIT_CONFIG = 1\n\nclass _ArgumentParser:\n    def error(self, m):\n"
+        "        print(m, file=sys.stderr)\n        return EXIT_CONFIG\n\n"
+        "def cmd_x():\n    print('x', file=sys.stderr)\n    return EXIT_NUMERICAL\n\n"
+        "def main():\n    def inner():\n        return EXIT_CONDITION\n"
+        "    print('x', file=sys.stderr)\n    return EXIT_CONFIG\n"
+    )
+    assert failure_sites(src) == [(10, "cmd_x"), (11, "cmd_x"), (15, "main.inner")]
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,26 @@ def test_json_readers_name_the_file(tmp_path, reader, raw, message):
     assert str(err.value).startswith(f"{p}{message}")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("mu", ...), ("rho", "1.2"), ("lam", True), ("lam", 10**400), ("nu", [0.1, 0.2, 0.3]),
+     ("nu", [0.1, 0.2, None, 0.4]), ("nu", 0.5)],
+    ids=["missing", "string", "bool", "huge", "three-nu", "null-nu", "scalar-nu"],
+)
+def test_read_params_checks_its_fields(tmp_path, key, value):
+    p = tmp_path / "params.json"
+    write_params(p, MaterialParams(2.0, 1.5, 1.2, (0.1, 0.2, 0.3, 0.4)))
+    d = json.loads(p.read_text())
+    if value is ...:
+        del d[key]
+    else:
+        d[key] = value
+    p.write_text(json.dumps(d))
+    with pytest.raises(ValueError) as err:
+        read_params(p)
+    assert str(err.value).startswith(f"{p}: params key {key!r} must be ")
+
+
 # ---------------------------------------------------------------------------
 # CSV parity with the csv-module writer and the row-by-row reader
 
@@ -509,6 +529,28 @@ def test_read_sinogram_agrees_with_row_reader(grid, rng, tmp_path, name, which):
         assert str(err.value) == str(e)
     else:
         assert np.array_equal(read_sinogram(p).values, want)
+
+
+@pytest.mark.parametrize(
+    "byte, message",
+    [(b'"', ":4: field larger than field limit (131072)"),
+     (b"\xff", ": 'utf-8' codec can't decode byte 0xff")],
+    ids=["quote", "not-utf8"],
+)
+def test_read_sinogram_names_the_file_of_an_unsplittable_csv(grid, rng, tmp_path, byte, message):
+    # 40 angles x 16 offsets x 16 slices: about 326 kB, so that a quote at
+    # the start of line 4 opens a field that runs past the csv module's
+    # field limit; the byte replaces that line's first one
+    R = random_bump_sym(grid, rng, radius=0.6)
+    p = tmp_path / "s.csv"
+    write_sinogram(p, longitudinal_transform(R, build_line_families(grid, 40, 16)[1]))
+    raw = p.read_bytes()
+    assert len(raw) > 131072
+    start = sum(len(line) + 2 for line in raw.split(b"\r\n")[:3])
+    p.write_bytes(raw[:start] + byte + raw[start + 1 :])
+    with pytest.raises(ValueError) as err:
+        read_sinogram(p)
+    assert str(err.value).startswith(f"{p}{message}")
 
 
 def test_read_sinogram_rejects_another_familys_rows(grid, rng, tmp_path):
