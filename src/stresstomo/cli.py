@@ -251,6 +251,22 @@ def cmd_forward(cfg, out):
     return EXIT_OK
 
 
+def _relative_l2(values, truth):
+    """|values - truth| / |truth|, both divided first by the power of two at
+    or above max |truth|: a huge but finite truth no longer overflows the
+    norms, and elsewhere the quotient is the unscaled one bit for bit.  None
+    when the truth is all zero or the quotient is beyond the float range,
+    neither of which JSON can hold."""
+    peak = float(np.max(np.abs(truth)))
+    if peak == 0.0:
+        return None
+    e = -np.frexp(peak)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = float(np.linalg.norm(np.ldexp(values, e) - np.ldexp(truth, e))
+                    / np.linalg.norm(np.ldexp(truth, e)))
+    return err if np.isfinite(err) else None
+
+
 def cmd_invert(cfg, out):
     grid = _grid_from(cfg)
     params = _params_from(cfg)
@@ -283,15 +299,13 @@ def cmd_invert(cfg, out):
     report.config["config_hash"] = config_hash(cfg)
     report.config["seed"] = cfg["seed"]
     report.config["noise"] = cfg["noise"]
-    if truth is not None:
-        report.errors["relative_l2"] = float(
-            np.linalg.norm(R.values - truth.values) / np.linalg.norm(truth.values)
-        )
+    err = _relative_l2(R.values, truth.values) if truth is not None else None
+    if err is not None:
+        report.errors["relative_l2"] = err
     if not np.all(np.isfinite(R.values)):
         raise FloatingPointError("reconstruction is not finite")
     write_field(os.path.join(out, "reconstruction.stf"), R)
     write_report(os.path.join(out, "report.json"), report)
-    err = report.errors.get("relative_l2")
     msg = f" rel_error={err:.4f}" if err is not None else ""
     print(f"invert: wrote reconstruction.stf and report.json{msg}")
     return EXIT_OK

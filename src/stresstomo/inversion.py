@@ -528,23 +528,59 @@ CG_TOL = 1e-3
 CG_MAXITER = 300
 
 
+def _ramp_preconditioner(grid: Grid3, support):
+    """M = R F^-1 diag(sqrt(|y|^2 + y0^2)) F E on (support nodes, 5)
+    deviatoric coefficients: E puts them on the whole grid, zero off the
+    support; F is the half spectrum (rfftn) over the grid axes; y are the
+    wavevectors of grid.freqs() and y0 = 2 pi / (n h) the grid's
+    fundamental frequency; R reads the support's nodes back.
+
+    K*K smooths like |y|^-1, and the ramp undoes that, so CG on the normal
+    equations preconditioned by M needs about half the iterations.  The
+    multiplier is real, positive and even in y, so M is symmetric positive
+    definite on the support.  Returns apply(x), which reuses one whole-grid
+    buffer, components first so that each component's transform runs on
+    contiguous memory.
+    """
+    k1, k2, k3 = grid.freqs()
+    y1, y2, y3 = np.meshgrid(k1, k2, k3[: grid.dims[2] // 2 + 1], indexing="ij", sparse=True)
+    y0 = min(float(k[1]) for k in (k1, k2, k3))
+    ramp = np.sqrt(y1**2 + y2**2 + y3**2 + y0**2)
+    nodes = np.flatnonzero(support)
+    c = len(_DEV_BASIS)
+    buf = np.zeros((c,) + grid.dims)
+    axes = (1, 2, 3)
+
+    def apply(x):
+        buf.reshape(c, -1)[:, nodes] = x.T
+        spec = np.fft.rfftn(buf, axes=axes)
+        spec *= ramp
+        return np.fft.irfftn(spec, s=grid.dims, axes=axes).reshape(c, -1)[:, nodes].T
+
+    return apply
+
+
 def invert_K_tracefree(kdata: Sinogram, grid: Grid3, maxiter=CG_MAXITER, tol=CG_TOL):
     """Solve min |K F - kdata|^2 + lam |F|^2 over trace-free symmetric F
     supported in the ball grid.domain.
 
-    Conjugate gradient on the normal equations; trace-freeness is enforced
-    by working in a 5-component deviatoric basis per node, and the
-    unknowns are the coefficients of the ball's nodes only (the stress
+    Preconditioned conjugate gradient on the normal equations; trace-freeness
+    is enforced by working in a 5-component deviatoric basis per node, and
+    the unknowns are the coefficients of the ball's nodes only (the stress
     vanishes outside the body): F is exactly zero off them.  K and K* run
     on one FamilyOperator, whose support (op.support) is the grid's domain,
     built here and dropped on return: the right-hand side b is one
     kdata_adjoint, and every iteration one normal pass
     (FamilyOperator.normal) with the K dyads in the deviatoric basis, on
-    (support nodes, 5) vectors.  lam is 1e-6 |b| / |kdata|.  Returns (F,
-    info): info holds the iteration count, lam, the final relative
-    residual, the relative residual after every iteration, the support's
-    node count (support_nodes), the operator's entry count on the support
-    and its build time, and normal_s, the time spent in the normal passes.
+    (support nodes, 5) vectors, and one application of the Fourier ramp
+    preconditioner (_ramp_preconditioner).  The stopping rule is the
+    unpreconditioned relative normal-equation residual |r| / |b| <= tol.
+    lam is 1e-6 |b| / |kdata|.  Returns (F, info): info holds the iteration
+    count, lam, the final relative residual, the relative residual after
+    every iteration, the support's node count (support_nodes), the
+    operator's entry count on the support and its build time, normal_s, the
+    time spent in the normal passes, and precond_s, the time spent applying
+    the preconditioner.
     """
     if kdata.kind != "kpair":
         raise ValueError("invert_K_tracefree expects kpair records")
@@ -555,14 +591,20 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, maxiter=CG_MAXITER, tol=CG_
     b = _sym_to_coef(kdata_adjoint(op, kdata.values).values[support])
     if not np.any(b):
         F = SymField2(grid, np.zeros(grid.dims + (6,)))
-        return F, dict(info, iterations=0, lam=0.0, residual=0.0, residuals=[], normal_s=0.0)
+        return F, dict(info, iterations=0, lam=0.0, residual=0.0, residuals=[], normal_s=0.0,
+                       precond_s=0.0)
     rows = (SYM_MULT * _kpair_dyads(*op.family.views())) @ _DEV_BASIS.T
     data_norm = float(np.linalg.norm(kdata.values))
     lam = 1e-6 * float(np.linalg.norm(b)) / max(data_norm, 1e-300)
+    precondition = _ramp_preconditioner(grid, support)
     # x0 = 0, so r = b exactly
     x = np.zeros_like(b)
     r = b.copy()
-    p = r.copy()
+    t0 = time.perf_counter()
+    z = precondition(r)
+    precond_s = time.perf_counter() - t0
+    p = z
+    rz = float(np.sum(r * z))
     rs = float(np.sum(r * r))
     b0 = float(np.sum(b * b))
     history = []
@@ -573,16 +615,19 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, maxiter=CG_MAXITER, tol=CG_
         Ap = op.normal(p, rows)
         normal_s += time.perf_counter() - t0
         Ap += lam * p
-        alpha = rs / float(np.sum(p * Ap))
+        alpha = rz / float(np.sum(p * Ap))
         x += alpha * p
         r -= alpha * Ap
-        rs_new = float(np.sum(r * r))
-        history.append(float(np.sqrt(rs_new / b0)))
-        if rs_new <= tol**2 * b0:
-            rs = rs_new
+        rs = float(np.sum(r * r))
+        history.append(float(np.sqrt(rs / b0)))
+        if rs <= tol**2 * b0:
             break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        t0 = time.perf_counter()
+        z = precondition(r)
+        precond_s += time.perf_counter() - t0
+        rz_new = float(np.sum(r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     else:
         raise RuntimeError(
             f"normal-equation CG did not converge in {maxiter} iterations "
@@ -592,7 +637,7 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, maxiter=CG_MAXITER, tol=CG_
     coef[support] = x
     F = SymField2(grid, _coef_to_sym(coef))
     return F, dict(info, iterations=iters, lam=lam, residual=history[-1], residuals=history,
-                   normal_s=normal_s)
+                   normal_s=normal_s, precond_s=precond_s)
 
 
 # ---------------------------------------------------------------------------

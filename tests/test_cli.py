@@ -631,6 +631,37 @@ def test_forward_refuses_non_finite_sinograms(tmp_path, capsys, pipeline, messag
     assert sorted(os.listdir(out)) == written
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("peak, error", [(1e300, True), (0.0, False)], ids=["huge", "zero"])
+def test_invert_relative_error_is_json(tmp_path, peak, error):
+    # one truth value of 1e300 after forward overflowed both norms of the
+    # error to a NaN in report.json; an all-zero truth has no relative error
+    cfg, out, _, _ = _forwarded(tmp_path)
+    path = os.path.join(out, "truth.stf")
+    R = read_field(path)
+    if peak:
+        R.values[8, 8, 8, 0] = peak
+    else:
+        R.values[...] = 0.0
+    write_field(path, R)
+    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_OK
+    with open(os.path.join(out, "report.json")) as fh:
+        errors = json.loads(fh.read(), parse_constant=_refuse_constant)["errors"]
+    assert ("relative_l2" in errors) == error
+    if error:
+        assert np.isfinite(errors["relative_l2"]) and errors["relative_l2"] > 0.0
+
+
+def test_invert_relative_error_is_the_unscaled_quotient():
+    # the power-of-two scaling leaves ordinary errors bit for bit
+    truth, values = 3.7 * np.random.default_rng(5).standard_normal((2, 8, 8, 8, 6))
+    assert cli._relative_l2(values, truth) == float(
+        np.linalg.norm(values - truth) / np.linalg.norm(truth))
+
+
 def test_invert_sinogram_manifest_without_config_hash_exits_config(tmp_path, capsys):
     cfg, out, _, _ = _forwarded(tmp_path)
     with open(os.path.join(out, "sinograms.json"), "w") as fh:

@@ -421,6 +421,7 @@ def test_invert_K_zero_data(grid):
     F, info = invert_K_tracefree(kd, grid)
     assert np.max(np.abs(F.values)) == 0.0
     assert info["iterations"] == 0 and info["residuals"] == [] and info["normal_s"] == 0.0
+    assert info["precond_s"] == 0.0
 
 
 def test_invert_K_output_trace_free(grid, rng):
@@ -453,8 +454,9 @@ def test_kdata_blind_to_pure_trace(grid, rng):
 
 def test_invert_K_runs_one_normal_pass_per_iteration(grid, rng, monkeypatch):
     # the right-hand side is the one backprojection; every iteration is one
-    # fused K*K pass, and the x0 = 0 start costs none
-    calls = {"normal": 0, "kdata_adjoint": 0}
+    # fused K*K pass, and the x0 = 0 start costs none; the preconditioner
+    # runs on the start's residual and after every iteration but the last
+    calls = {"normal": 0, "kdata_adjoint": 0, "precondition": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -465,11 +467,15 @@ def test_invert_K_runs_one_normal_pass_per_iteration(grid, rng, monkeypatch):
 
     monkeypatch.setattr(FamilyOperator, "normal", counted("normal", FamilyOperator.normal))
     monkeypatch.setattr(inversion, "kdata_adjoint", counted("kdata_adjoint", inversion.kdata_adjoint))
+    build = inversion._ramp_preconditioner
+    monkeypatch.setattr(inversion, "_ramp_preconditioner",
+                        lambda *args: counted("precondition", build(*args)))
     fam = build_sphere_family(grid, 12)
     kd = kdata_transform(random_smooth_sym(grid, rng), fam)
     _, info = invert_K_tracefree(kd, grid, tol=1e-2, maxiter=50)
-    assert calls == {"normal": info["iterations"], "kdata_adjoint": 1}
-    assert info["iterations"] > 0 and 0.0 < info["normal_s"]
+    n = info["iterations"]
+    assert calls == {"normal": n, "kdata_adjoint": 1, "precondition": n}
+    assert n > 0 and 0.0 < info["normal_s"] and 0.0 < info["precond_s"]
 
 
 def test_invert_K_nonconvergence_raises(grid, rng):
@@ -477,6 +483,38 @@ def test_invert_K_nonconvergence_raises(grid, rng):
     kd = kdata_transform(random_smooth_sym(grid, rng), fam)
     with pytest.raises(RuntimeError, match="did not converge"):
         invert_K_tracefree(kd, grid, tol=1e-14, maxiter=2)
+
+
+def test_invert_K_is_steady_under_rounding(grid):
+    # swave's specimen: the truth and five copies perturbed by 1e-16 of its
+    # largest value take the same CG path to solutions equal to far below
+    # the solve's tolerance
+    R = inc_potential(random_admissible_potential(grid, np.random.default_rng(11), r0=0.25)).values
+    noise = np.random.default_rng(7)
+    truths = [R] + [R + 1e-16 * np.max(np.abs(R)) * noise.standard_normal(R.shape)
+                    for _ in range(5)]
+    fam = build_sphere_family(grid, 30)
+    runs = [invert_K_tracefree(kdata_transform(SymField2(grid, v), fam), grid) for v in truths]
+    iterations = {info["iterations"] for _, info in runs}
+    assert len(iterations) == 1 and iterations.pop() <= 70
+    for F, _ in runs[1:]:
+        assert rel(F.values, runs[0][0].values) < 1e-9
+
+
+@pytest.mark.parametrize("n", [16, 15])
+@pytest.mark.parametrize("nodes", ["ball", "all"])
+def test_ramp_preconditioner_is_symmetric_positive(rng, n, nodes):
+    # on the ball's nodes and on the whole grid, for even and odd lengths
+    # (an even length's Nyquist bin has no conjugate partner)
+    grid = Grid3.cube(n)
+    support = grid.domain_mask() if nodes == "ball" else np.ones(grid.dims, bool)
+    M = inversion._ramp_preconditioner(grid, support)
+    for _ in range(3):
+        x, z = rng.standard_normal((2, int(support.sum()), 5))
+        Mx, Mz = M(x), M(z)
+        assert Mx.shape == x.shape
+        assert abs(np.sum(Mx * z) - np.sum(x * Mz)) <= 1e-12 * abs(np.sum(Mx * z))
+        assert np.sum(Mx * x) > 0.0 and np.sum(Mz * z) > 0.0
 
 
 # ---------------------------------------------------------------------------
