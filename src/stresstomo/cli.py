@@ -254,16 +254,17 @@ def cmd_forward(cfg, out):
 def _relative_l2(values, truth):
     """|values - truth| / |truth|, both divided first by the power of two at
     or above max |truth|: a huge but finite truth no longer overflows the
-    norms, and elsewhere the quotient is the unscaled one bit for bit.  None
-    when the truth is all zero or the quotient is beyond the float range,
-    neither of which JSON can hold."""
-    peak = float(np.max(np.abs(truth)))
+    norms, and since the scaling is exact, an ordinary quotient is the
+    unscaled one bit for bit.  None when the truth is all zero or the
+    quotient is beyond the float range, neither of which JSON can hold."""
+    peak = max(float(np.max(truth)), -float(np.min(truth)))
     if peak == 0.0:
         return None
     e = -np.frexp(peak)[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        err = float(np.linalg.norm(np.ldexp(values, e) - np.ldexp(truth, e))
-                    / np.linalg.norm(np.ldexp(truth, e)))
+        buf = np.subtract(values, truth)  # the one temporary, as for the plain quotient
+        diff = np.linalg.norm(np.ldexp(buf, e, out=buf))
+        err = float(diff / np.linalg.norm(np.ldexp(truth, e, out=buf)))
     return err if np.isfinite(err) else None
 
 
