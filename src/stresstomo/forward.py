@@ -10,18 +10,19 @@ Every family-level transform is one operation with its own dyad table,
 evaluated once per call on the family's stacked views: per view, the field
 is contracted on the grid with k <= 3 dyads fixed by the view's direction
 and frame, and only those k scalars are interpolated at the chord nodes and
-summed with the family's trapezoid weights (_gather).  Only chords that
-cross the ball are sampled; an empty chord (L = 0) gets the record of zero
-samples, exactly 0 for the integrals and exactly the identity for the
-propagators.  The adjoints run over the same chords' merged interpolation
-weights, held by a FamilyOperator.  Built once for one family, it lets a
-solver apply K* and K*K, the latter in one pass per view
+summed with the family's trapezoid weights (_gather): a sphere family's
+grid-plane crossings, read bilinearly within their planes, or a plane
+family's equispaced nodes (family.nodes).  Only chords that cross the ball
+are sampled; an empty chord (L = 0), and a sphere chord with fewer than two
+crossings, records exactly 0 for the integrals and exactly the identity
+for the propagators.  The adjoints run over the same chords' unmerged
+interpolation weights, held by a FamilyOperator.  Built once for one
+family, it lets a solver apply K* and K*K, the latter in one pass per view
 (FamilyOperator.normal), without rebuilding the geometry.  An operator
 keeps only the entries on the nodes of its grid's domain (the ball, or
 every node of a box domain), numbered over those nodes, so a solver's
-unknowns are the domain's nodes alone.  Every transform takes a
-family (the adjoint, an operator); references that follow single rays live
-with the tests.
+unknowns are the domain's nodes alone.  Every transform takes a family
+(the adjoint, an operator); single-ray references live with the tests.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SYM_MULT, SYM_PAIRS, SymField2
-from .geometry import _stencil, chord_nodes, trilinear
+from .geometry import _stencil, trilinear
 from .material import ConditionError, check_pwave_conditions, pwave_weights, swave_weights
 
 _EYE2 = np.eye(2)
@@ -111,7 +112,7 @@ def _sym2(g):
 # the gather/scatter pair
 
 
-def _trapezoid(samples, w, dt):
+def _trapezoid(samples, w, steps):
     return np.sum(samples * w[..., None], axis=-2)
 
 
@@ -121,22 +122,19 @@ def _gather(values, grid, family, dyads, per_view=_trapezoid):
     The dyad table dyads(directions, frames) (views, k, 6) is evaluated once.
     Per view the grid field (dims + (6,)) is first contracted with the
     view's k dyads, so trilinear samples only k scalars, and only on the
-    chords that cross the ball.  A whole stack of the grid's planes
-    (grid_plane: slice j lies in plane j) is sampled bilinearly within them,
-    with one in-plane stencil per offset: every live chord of an offset has
-    the same in-plane nodes (PlaneFamily._half_lengths), so trilinear reads
-    the samples of every plane at them in one pass, and the chord at
-    (offset, slice j) takes plane j's.  Every other family, a plane family
-    on only some planes or off them included, takes the trilinear samples
-    at its chord nodes.  per_view(samples (..., n, k), weights (..., n),
-    step (...)) maps them to the view's records, by default the k
-    trapezoid integrals per ray.  Every empty chord gets per_view's record
-    for zero samples, weights and step.
+    chords that cross the ball, at the nodes of family.nodes.  The live
+    chords of an offset of a whole stack of the grid's planes (grid_plane)
+    share their in-plane nodes (PlaneFamily._half_lengths): trilinear reads
+    every plane at them in one pass, and the chord at (offset, slice j)
+    takes plane j's.  per_view(samples (..., n, k), weights (..., n), steps
+    broadcastable to (..., n - 1)) maps them to the view's records, by
+    default the k trapezoid integrals per ray; an empty chord's is that of
+    one zero sample and no step.
     """
     flat = values.reshape(-1, 6)
     tables = SYM_MULT * dyads(*family.views())
-    n, k = family.n_nodes, tables.shape[-2]
-    empty = per_view(np.zeros((n, k)), np.zeros(n), np.zeros(()))
+    k = tables.shape[-2]
+    empty = per_view(np.zeros((1, k)), np.zeros(1), np.zeros(0))
     out = np.empty(family.shape + empty.shape, empty.dtype)
     plane = family.grid_plane(grid)
     for m, D in enumerate(tables):
@@ -145,34 +143,30 @@ def _gather(values, grid, family, dyads, per_view=_trapezoid):
         contracted = (flat @ D.T).reshape(grid.dims + (k,))
         out[m] = empty
         if plane is None:
-            pts, w, dt = chord_nodes(starts[live], d, lengths[live], n)
-            samples = trilinear(grid, contracted, pts)
+            pts, w, steps, axis = family.nodes(grid, starts[live], d, lengths[live])
+            samples = trilinear(grid, contracted, pts, plane=axis)
         else:
             off, sl = np.nonzero(live)
-            new = np.diff(off, prepend=-1) != 0
-            first, row = np.flatnonzero(new), np.cumsum(new) - 1
-            pts, w, dt = chord_nodes(starts[off[first], sl[first]], d,
-                                     lengths[off[first], sl[first]], n)
+            _, first, row = np.unique(off, return_index=True, return_inverse=True)
+            pts, w, steps, _ = family.nodes(grid, starts[off[first], sl[first]], d,
+                                            lengths[off[first], sl[first]])
             inplane = np.delete(pts, plane, axis=-1)
             # (offsets, n, planes, k) -> the live chords' (n, k) blocks
             samples = trilinear(grid, contracted, inplane, plane=plane).swapaxes(1, 2)[row, sl]
-            w, dt = w[row], dt[row]
-        out[m][live] = per_view(samples, w, dt)
+            w, steps = w[row], steps[row]
+        out[m][live] = per_view(samples, w, steps)
     return out
-
-
-_STEP_ENTRIES = 16384  # chords x nodes x corners per build step: below 1 MB of temporaries
 
 
 @dataclass
 class _ViewStencil:
-    """Merged interpolation weights of one view's chords.
+    """Interpolation weights of one view's chords.
 
     rays: flat indices (into the view's offsets) of the chords that carry
-    entries, in order; counts: entries per such chord, and starts: the
-    index of each such chord's first entry; nodes (int32) and weights: the
-    flat grid node and the trapezoid-weighted trilinear weight of every
-    entry, merged per (chord, node) and ordered by chord, then node.
+    entries, in order; counts: entries per such chord, and starts: the index
+    of each such chord's first entry; nodes (int32) and weights: the grid
+    node and quadrature-weighted interpolation weight of every stencil
+    corner, by chord, node, corner, unmerged (a sphere chord's are distinct).
     """
 
     rays: np.ndarray
@@ -183,58 +177,37 @@ class _ViewStencil:
 
 
 def _view_stencils(family, grid):
-    """Yield the merged stencil of every view of a family, chunk by chunk.
+    """Yield the stencil of every view of a family.
 
-    The entries on nodes outside the grid's domain (grid.domain_mask()) are
-    dropped before merging, so the merged weights of the kept nodes are
-    those of the whole grid, and nodes are numbered over the domain's nodes
-    in flat order.
+    The entries of zero weight and those on nodes outside the grid's domain
+    (grid.domain_mask()) are dropped, and nodes are numbered over the
+    domain's nodes in flat order.
     """
-    size = int(np.prod(grid.dims))
     inside = grid.domain_mask().ravel()
     number = (np.cumsum(inside) - 1).astype(np.int32)
-    plane = family.grid_plane(grid)
-    corners = 8 if plane is None else 4
-    chunk = max(1, _STEP_ENTRIES // (family.n_nodes * corners))
     for m in range(family.n_views):
         starts, d, lengths = family.chords(m)
-        flat_starts, flat_lengths = starts.reshape(-1, 3), lengths.ravel()
-        live = np.flatnonzero(flat_lengths > 0.0)
-        parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0))]
-        for c in range(0, len(live), chunk):
-            sel = live[c : c + chunk]
-            pts, w, _ = chord_nodes(flat_starts[sel], d, flat_lengths[sel], family.n_nodes)
-            keys = np.empty((len(sel), corners, family.n_nodes), np.int64)
-            wts = np.empty(keys.shape)
-            for j, (idx, cw) in enumerate(_stencil(grid, pts, plane=plane)):
-                keys[:, j] = idx
-                np.multiply(cw, w, out=wts[:, j])
-            keep = (wts != 0.0) & inside[keys]
-            if not np.any(keep):
-                continue
-            keys += sel[:, None, None] * size
-            keys, wts = keys[keep], wts[keep]
-            order = np.argsort(keys, kind="stable")
-            keys, wts = keys[order], wts[order]
-            first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-            rays, counts = np.unique(keys[first] // size, return_counts=True)
-            nodes = number[keys[first] % size]
-            parts.append((rays, counts, nodes, np.add.reduceat(wts, first)))
-        rays, counts, nodes, weights = (np.concatenate(p) for p in zip(*parts))
-        yield _ViewStencil(rays, counts, np.cumsum(counts) - counts, nodes, weights)
+        live = np.flatnonzero(lengths.ravel() > 0.0)
+        pts, w, _, plane = family.nodes(grid, starts.reshape(-1, 3)[live], d, lengths.ravel()[live])
+        corners = list(_stencil(grid, pts, plane=plane))
+        keys = np.stack([idx for idx, _ in corners], axis=-1)
+        wts = np.stack([cw * w for _, cw in corners], axis=-1)
+        keep = (wts != 0.0) & inside[keys]
+        counts = np.count_nonzero(keep, axis=(-2, -1))
+        rays, counts = live[counts > 0], counts[counts > 0]
+        yield _ViewStencil(rays, counts, np.cumsum(counts) - counts, number[keys[keep]], wts[keep])
 
 
 class FamilyOperator:
     """One family's chord stencils on one grid, built once for repeated
     transforms (the CG solve of invert_K_tracefree).
 
-    adjoint(data, dyads) is the exact transpose of the merged stencils'
-    trapezoid integrals, which are _gather's up to the summation order, and
+    adjoint(data, dyads) is the exact transpose of the stencils' weighted
+    sums, which are _gather's integrals up to the summation order, and
     normal(x, rows) the integrals and their transpose in one pass.  An entry
     is an int32 node and a float64 weight, 12 bytes.  Forward transforms use
-    _gather: building costs more than one gather, so an adjoint pays for
-    an operator only when the caller applies it repeatedly, and kdata_adjoint
-    takes the caller's operator rather than building one per call.
+    _gather, and kdata_adjoint takes the caller's operator: building one
+    costs more than a gather, so it pays only when applied repeatedly.
 
     The support is the grid's domain, grid.domain_mask(): the ball on the
     grids the pipelines build, every node on a box-domain grid.  The
@@ -254,6 +227,11 @@ class FamilyOperator:
     @property
     def entries(self):
         return sum(len(v.nodes) for v in self.views)
+
+    @property
+    def chords(self):
+        """The number of chords that carry entries."""
+        return sum(len(v.rays) for v in self.views)
 
     def adjoint(self, data, dyads):
         """Per view each of the k data streams is repeated over its chord's
@@ -407,14 +385,12 @@ def _checked_drift(U, tol):
 
 def rytov_family(R: SymField2, params, family, scale=1.0, tol=1e-8) -> Sinogram:
     """Propagators for every chord of a family: _flow over each chord's
-    equispaced nodes, vectorized per view; an empty chord's record is
-    exactly the identity.  The unitarity drift of the records is kept as
-    `drift`; above tol, or not a number, it raises RuntimeError."""
-
-    def per_view(g, w, dt):
-        return _flow(g, dt[..., None])
-
-    U = _gather(R.values, R.grid, family, _shear_dyads(params, scale), per_view)
+    nodes (family.nodes), vectorized per view; an empty chord's record, and
+    a sphere chord's with fewer than two crossings, is exactly the
+    identity.  The unitarity drift of the records is kept as `drift`;
+    above tol, or not a number, it raises RuntimeError."""
+    U = _gather(R.values, R.grid, family, _shear_dyads(params, scale),
+                lambda g, w, steps: _flow(g, steps))
     return Sinogram(family, "propagator", U, drift=_checked_drift(U, tol))
 
 

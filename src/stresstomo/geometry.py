@@ -35,19 +35,18 @@ def _stencil(grid: Grid3, points, mode="zero", plane=None):
     clamps them to the nearest node.  Interpolation and its transpose
     (scatter onto the nodes) share this stencil.
 
-    plane is None, or an axis on whose grid planes every point lies (for
-    chord nodes, a whole grid-plane stack's: _ChordFamily.grid_plane).  The
-    stencil then takes each point's nearest plane and yields only the
-    four bilinear corners within it; the other four would carry the
-    weight of the coordinate's roundoff.  Points (..., 2) with a plane are
-    in-plane points: their two coordinates are the other axes', in order,
-    and the index addresses the nodes flattened over those two axes.
+    plane is None, or an axis on whose grid planes every point lies (the
+    nodes of _ChordFamily.nodes that name it).  The stencil then takes each
+    point's nearest plane and yields only the four bilinear corners within
+    it; the other four would carry the weight of the coordinate's roundoff.
+    Points (..., 2) with a plane are in-plane points: their two coordinates
+    are the other axes', in order, and the index addresses the nodes
+    flattened over those two axes.
 
-    The stencil is built axis by axis.  Chord nodes lie in the ball, which
-    Grid3 keeps inside the box, so one min/max per axis usually shows that
-    no coordinate leaves [0, top]; the out-of-box mask and the clip are
-    computed only for an axis where one does.  Points stored axis-major, as
-    chord_nodes returns them, are read one contiguous axis at a time.
+    The stencil is built axis by axis: the out-of-box mask and the clip are
+    computed only for an axis whose min/max leaves [0, top] (chord nodes in
+    the ball, which Grid3 keeps inside the box, usually do not).  Points
+    stored axis-major (chord_nodes) are read one contiguous axis at a time.
     """
     if mode not in ("zero", "clamp"):
         raise ValueError(f"unknown interpolation mode {mode!r}")
@@ -93,8 +92,7 @@ def trilinear(grid: Grid3, values, points, mode="zero", plane=None):
     axes in order, give the bilinear samples at them of every grid plane of
     that axis, shape points.shape[:-1] + (planes,) + (m,): the values are
     read as rows of (in-plane node, planes x components), one row per
-    corner and point.  A whole grid-plane stack's gather reads its chords
-    so (forward._gather).
+    corner and point (a whole grid-plane stack's gather, forward._gather).
     """
     values = np.asarray(values)
     comp_shape = values.shape[3:]
@@ -161,9 +159,9 @@ class _ChordFamily:
     an orthonormal frame _frames[m] = (e1, e2) of the plane orthogonal to
     it, and one chord of the ball through center + s1 e1 + s2 e2 for every
     s1 in offsets and s2 in _off2; records are stored over shape = (views,
-    offsets, off2).  Every chord carries the same node count n_nodes, nodes
-    equispaced on [0, L] and composite-trapezoid weights (chord_nodes), so
-    empty chords (L = 0) contribute nothing.
+    offsets, off2).  nodes(grid, starts, d, lengths) places the quadrature
+    nodes on a view's chords: a sphere family's grid-plane crossings, a
+    plane family's equispaced nodes at its step.
     """
 
     @property
@@ -174,13 +172,8 @@ class _ChordFamily:
     def shape(self):
         return (len(self._dirs), len(self.offsets), len(self._off2))
 
-    @property
-    def n_nodes(self):
-        return int(np.ceil(2.0 * self.radius / self.step)) + 1
-
     def grid_plane(self, grid):
-        """The axis of a whole stack of the grid's planes (PlaneFamily), or
-        None."""
+        """The axis of a whole stack of the grid's planes (PlaneFamily)."""
         return None
 
     def views(self):
@@ -271,6 +264,15 @@ class PlaneFamily(_ChordFamily):
         live = s1**2 + s2**2 < self.radius**2
         return np.where(live, np.sqrt(np.maximum(self.radius**2 - s1**2, 0.0)), 0.0)
 
+    @property
+    def n_nodes(self):
+        return int(np.ceil(2.0 * self.radius / self.step)) + 1
+
+    def nodes(self, grid, starts, d, lengths):
+        """chord_nodes, the steps broadcastable, and grid_plane."""
+        pts, w, dt = chord_nodes(starts, d, lengths, self.n_nodes)
+        return pts, w, dt[..., None], self.grid_plane(grid)
+
     def grid_plane(self, grid):
         """The family's axis when it is a whole stack of the grid's planes
         of that axis (slices equal to grid.axes()[axis], in order), so that
@@ -285,14 +287,13 @@ class SphereFamily(_ChordFamily):
     Used by the truncated transverse transform.  The fields are the
     builder's parameters: direction_count Fibonacci-sphere directions, each
     with a fixed orthonormal frame (e1, e2) of its orthogonal plane, and
-    offset_count cell-centered offsets along e1 and along e2.
+    offset_count cell-centered offsets along e1 and along e2; no step.
     """
 
     direction_count: int
     offset_count: int
     center: np.ndarray
     radius: float
-    step: float
     kind: str = field(default="sphere", init=False)
 
     def __post_init__(self):
@@ -300,6 +301,27 @@ class SphereFamily(_ChordFamily):
         self.directions = self._dirs = fibonacci_sphere(self.direction_count)
         self._frames = np.asarray([np.stack(_orthobasis(d)) for d in self.directions])
         self.offsets = self._off2 = _cell_centered_offsets(self.radius, self.offset_count)
+
+    def nodes(self, grid, starts, d, lengths):
+        """Points (..., n, 3), weights (..., n), steps (..., n - 1) and axis k
+        of the chords' crossings with the grid planes of k = argmax |d_k|, in
+        chord order (Joseph's rule: P. M. Joseph, IEEE TMI 1(3), 1982), each
+        read bilinearly in its plane.  Steps are h_k / |d_k|; the trapezoid
+        weights, half at the first and last crossing, are _flow's first-order
+        term.  Chords are padded to n nodes at their last crossing (or, with
+        none, their first plane) with zero weight and step."""
+        k = int(np.argmax(np.abs(d)))
+        planes = grid.axes()[k][:: 1 if d[k] > 0.0 else -1]
+        t = (planes - starts[..., k, None]) / d[k]
+        on = (t >= 0.0) & (t <= lengths[..., None])
+        count = np.count_nonzero(on, axis=-1)
+        n = max(int(np.max(count, initial=0)), 1)
+        i = np.minimum(np.arange(n), np.maximum(count, 1)[..., None] - 1)
+        t = np.take_along_axis(t, np.argmax(on, axis=-1)[..., None] + i, axis=-1)
+        steps = np.where(np.arange(n - 1) < count[..., None] - 1, grid.spacing[k] / abs(d[k]), 0.0)
+        pad = [(0, 0)] * count.ndim
+        w = 0.5 * (np.pad(steps, pad + [(0, 1)]) + np.pad(steps, pad + [(1, 0)]))
+        return starts[..., None, :] + t[..., None] * d, w, steps, k
 
 
 def _cell_centered_offsets(radius, count):
@@ -345,11 +367,10 @@ def fibonacci_sphere(count):
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
-def build_sphere_family(grid: Grid3, directions: int, offsets=None, step=None):
+def build_sphere_family(grid: Grid3, directions: int, offsets=None):
     """Dense-sphere chord family with a 2D offset grid per direction."""
     center, radius = _require_ball(grid)
-    return SphereFamily(directions, offsets or max(grid.dims), center, radius,
-                        step or default_step(grid))
+    return SphereFamily(directions, offsets or max(grid.dims), center, radius)
 
 
 # ---------------------------------------------------------------------------

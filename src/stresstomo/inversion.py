@@ -578,16 +578,17 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, maxiter=CG_MAXITER, tol=CG_
     lam is 1e-6 |b| / |kdata|.  Returns (F, info): info holds the iteration
     count, lam, the final relative residual, the relative residual after
     every iteration, the support's node count (support_nodes), the
-    operator's entry count on the support and its build time, normal_s, the
-    time spent in the normal passes, and precond_s, the time spent applying
-    the preconditioner.
+    operator's entries on the support and the chords that carry them
+    (operator_entries, operator_chords), its build time, normal_s, the time
+    spent in the normal passes, and precond_s, the time spent applying the
+    preconditioner.
     """
     if kdata.kind != "kpair":
         raise ValueError("invert_K_tracefree expects kpair records")
     op = FamilyOperator(kdata.family, grid)
     support = op.support
     info = {"support_nodes": op.size, "operator_entries": op.entries,
-            "operator_build_s": op.build_s}
+            "operator_chords": op.chords, "operator_build_s": op.build_s}
     b = _sym_to_coef(kdata_adjoint(op, kdata.values).values[support])
     if not np.any(b):
         F = SymField2(grid, np.zeros(grid.dims + (6,)))

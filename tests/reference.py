@@ -22,7 +22,7 @@ from stresstomo.forward import (
     _shear_dyads,
     _tangent_dyads,
 )
-from stresstomo.geometry import Ray, _orthobasis, _transport, trilinear
+from stresstomo.geometry import Ray, _orthobasis, _transport, chord_nodes, trilinear
 
 # ---------------------------------------------------------------------------
 # fields
@@ -132,13 +132,18 @@ def ball_chord(center, radius, point, direction):
     return entry, 2.0 * hl
 
 
-def family_ray(family, m, i, j):
+def family_ray(family, m, i, j, step=None):
     """The chord (i, j) of view m of a family as a Ray carrying the view
     frame; cut from the ball by ball_chord, independently of chords().
+    Its nodes are step apart: by default a plane family's own step, or a
+    64th of a sphere family's diameter (the family itself samples at grid
+    plane crossings, crossing_samples).
 
     A plane family's chord whose line meets the ball is instead its
     offset's chord of the ball's equator disk (the line through center +
     s1 e1), moved by s2 e2 into its slice."""
+    if step is None:
+        step = family.step if family.kind == "plane" else family.radius / 32
     e1, e2 = family._frames[m]
     s1, s2 = family.offsets[i], family._off2[j]
     entry, length = ball_chord(family.center, family.radius,
@@ -147,9 +152,73 @@ def family_ray(family, m, i, j):
         entry, length = ball_chord(family.center, family.radius, family.center + s1 * e1,
                                    family._dirs[m])
         entry = entry + s2 * e2
-    r = line_ray(entry, family._dirs[m], length, family.step, with_frame=False)
+    r = line_ray(entry, family._dirs[m], length, step, with_frame=False)
     r.frames = np.broadcast_to(family._frames[m], (len(r.tau), 2, 3)).copy()
     return r
+
+
+def chord_crossings(grid, start, d, length):
+    """The grid-plane crossings of one chord start + [0, length] d, found
+    plane by plane: k, the dominant axis of d, and the chord parameters t of
+    the chord's crossings with the grid planes of axis k in chord order.
+    Also the parameter of the first plane along the chord, crossed or not."""
+    k = int(np.argmax(np.abs(d)))
+    ts = sorted((x - start[k]) / d[k] for x in grid.axes()[k])
+    return k, [t for t in ts if 0.0 <= t <= length], ts[0]
+
+
+def plane_corners(grid, point, k):
+    """The bilinear stencil of a point on a grid plane of axis k, by hand:
+    (node, weight) for the four corners of its cell in that plane, in the
+    order (0, 0), (0, 1), (1, 0), (1, 1) of the two in-plane axes (lower
+    axis first), each weighted by the product of its two hat functions.  A
+    point off the grid box has none."""
+    u = [(point[a] - grid.origin[a]) / grid.spacing[a] for a in range(3)]
+    if not all(0.0 <= u[a] <= grid.dims[a] - 1 for a in range(3)):
+        return []
+    a, b = (x for x in range(3) if x != k)
+    ia, ib = (min(int(u[x]), grid.dims[x] - 2) for x in (a, b))
+    fa, fb = u[a] - ia, u[b] - ib
+    corners = []
+    for ca in (0, 1):
+        for cb in (0, 1):
+            node = [int(np.rint(u[k]))] * 3
+            node[a], node[b] = ia + ca, ib + cb
+            corners.append((tuple(node), (fa if ca else 1.0 - fa) * (fb if cb else 1.0 - fb)))
+    return corners
+
+
+def plane_bilinear(grid, values, point, k):
+    """values (dims + comps) at a point on a grid plane of axis k: the sum
+    over its plane_corners of corner value times weight; zero off the box."""
+    out = np.zeros(values.shape[3:])
+    for node, w in plane_corners(grid, point, k):
+        out = out + values[node] * w
+    return out
+
+
+def crossing_samples(grid, values, start, d, length, pad=None):
+    """The per-ray crossing reference of one chord: its crossings
+    (chord_crossings) as points (c, 3), the values read bilinearly by hand
+    at them (plane_bilinear), trapezoid weights (c,) on the crossings, half
+    at the first and last and all zero below two crossings, and the steps
+    (c - 1,) h_k / |d_k| between them.  With pad, the chord is padded to pad
+    nodes by the family's rule: copies of the last crossing, or the first
+    plane's point when there is none, with zero weight and zero step."""
+    k, ts, first = chord_crossings(grid, start, d, length)
+    c = len(ts)
+    if pad is not None:
+        ts = ts + [ts[-1] if ts else first] * (pad - c)
+    pts = np.asarray([start + t * d for t in ts]).reshape(-1, 3)
+    samples = np.asarray([plane_bilinear(grid, values, p, k) for p in pts])
+    samples = samples.reshape((len(pts),) + values.shape[3:])
+    delta = grid.spacing[k] / abs(d[k])
+    steps = np.where(np.arange(len(pts) - 1) < c - 1, delta, 0.0)
+    w = np.zeros(len(pts))
+    if c > 1:
+        w[:c] = delta
+        w[0] = w[c - 1] = 0.5 * delta
+    return pts, samples, w, steps
 
 
 def family_rays(family):
@@ -237,22 +306,47 @@ def transverse_transform(F: SymField2, ray: Ray, eta):
     return float(np.trapezoid(sym_qform(vals, eta, eta), ray.tau))
 
 
-def rytov_propagate(R: SymField2, params, ray: Ray, scale=1.0, tol=1e-8):
+def rytov_propagate(R: SymField2, params, ray: Ray, scale=1.0, tol=1e-8, samples=None):
     """Propagator U of the polarization ODE dU/dtau = -i G U along one ray.
 
     G is sampled at the ray's nodes in its per-node frames and stepped by
     _flow over the ray's own intervals (a short last one included), so a
     Ray built from a family chord gives rytov_family's record for that
-    chord.  scale multiplies the stress (Born-regime studies); a unitarity
-    drift of U above tol raises RuntimeError.
+    chord.  The samples (n, 6) of R at the nodes are trilinear unless given
+    (a sphere chord's, read within the crossed planes: crossing_samples).
+    scale multiplies the stress (Born-regime studies); a unitarity drift of
+    U above tol raises RuntimeError.
     """
     if ray.frames is None:
         raise ValueError("ray frame not populated")
+    if samples is None:
+        samples = trilinear(R.grid, R.values, ray.points)
     d = ray.tangents / np.linalg.norm(ray.tangents, axis=-1, keepdims=True)
     D = SYM_MULT * _shear_dyads(params, scale)(d, ray.frames)
-    U = _flow(np.einsum("nc,nkc->nk", trilinear(R.grid, R.values, ray.points), D), np.diff(ray.tau))
+    U = _flow(np.einsum("nc,nkc->nk", samples, D), np.diff(ray.tau))
     _checked_drift(U, tol)
     return U
+
+
+def honest_rytov_family(R: SymField2, params, family, step, factor, scale=1.0) -> Sinogram:
+    """Propagator records of every chord of a family from data the package's
+    models did not make: R's band-limited interpolant (spectral_upsample by
+    factor), contracted with each view's generator dyads, read trilinearly
+    at equispaced chord nodes step / factor apart (chord_nodes) and stepped
+    by _flow, one view at a time.  An empty chord's record is the identity."""
+    fine = spectral_upsample(R, factor)
+    flat = fine.values.reshape(-1, 6)
+    n = int(np.ceil(2.0 * family.radius * factor / step)) + 1
+    tables = SYM_MULT * _shear_dyads(params, scale)(*family.views())
+    U = np.empty(family.shape + (2, 2), complex)
+    U[:] = np.eye(2)
+    for m, D in enumerate(tables):
+        starts, d, lengths = family.chords(m)
+        live = lengths > 0.0
+        pts, _, dt = chord_nodes(starts[live], d, lengths[live], n)
+        g = trilinear(fine.grid, (flat @ D.T).reshape(fine.grid.dims + (len(D),)), pts)
+        U[m][live] = _flow(g, dt[..., None])
+    return Sinogram(family, "propagator", U, drift=_checked_drift(U, 1e-8))
 
 
 def longitudinal_adjoint(family, values, grid) -> SymField2:

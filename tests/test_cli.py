@@ -756,3 +756,29 @@ def test_damaged_artifact_exits_with_a_code(fuzz_runs, data):
         inputs = {"report": [path], "export": [path, "--table", "noise"]}.get(command, [])
         code = main([command, *inputs, "--config", cfg, "--out", out])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONDITION, EXIT_NUMERICAL)
+
+
+def test_swave_run_counts_operator_chords_and_writes_no_sphere_step(fuzz_runs, tmp_path, capsys):
+    # report.json's CG record counts the chords that carry operator entries
+    # beside the entries; the sphere manifest has no step (its chords are
+    # sampled at their grid-plane crossings), the plane manifests keep
+    # theirs, and a sphere manifest written with a step is a config error
+    cfg, run = fuzz_runs["swave"]
+    cg = read_report(os.path.join(run, "report.json")).stages["cg"]
+    assert 0 < cg["operator_chords"] < cg["operator_entries"]
+    families = {}
+    for name in ["swave_sphere.csv"] + [f"swave_plane{k}.csv" for k in range(3)]:
+        with open(os.path.join(run, name + ".manifest.json")) as fh:
+            families[name] = json.load(fh)["family"]
+    assert "step" not in families.pop("swave_sphere.csv")
+    assert all(fam["step"] > 0.0 for fam in families.values())
+    out = str(tmp_path / "run")
+    shutil.copytree(run, out)
+    path = os.path.join(out, "swave_sphere.csv.manifest.json")
+    with open(path) as fh:
+        man = json.load(fh)
+    man["family"]["step"] = families["swave_plane0.csv"]["step"]
+    with open(path, "w") as fh:
+        json.dump(man, fh)
+    assert main(["invert", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert "'step' is not a field of a sphere family" in capsys.readouterr().err

@@ -58,10 +58,13 @@ from stresstomo.material import ConditionError, MaterialParams, swave_weights
 
 from reference import (
     box_domain,
+    chord_crossings,
+    crossing_samples,
     family_ray,
     line_ray,
     longitudinal_adjoint,
     longitudinal_rays,
+    plane_corners,
     random_bump_scalar,
     random_smooth_covector,
     ray_integral_scalar,
@@ -85,7 +88,7 @@ def rng():
 
 def _view_nodes(family, m):
     """Node points, direction, trapezoid weights and step of every chord of
-    view m, empty chords included."""
+    view m of a plane family, empty chords included."""
     starts, d, lengths = family.chords(m)
     pts, w, dt = chord_nodes(starts, d, lengths, family.n_nodes)
     return pts, d, w, dt
@@ -223,7 +226,8 @@ def test_transverse_identity_field(grid):
 
 
 def test_mixed_three_term_reassembly(grid, rng):
-    # L_11 = s (J(R)(eta1) + I(R) + a * integral of tr R)
+    # L_11 = s (J(R)(eta1) + I(R) + a * integral of tr R), each term from
+    # the per-ray crossing reference
     R = random_bump_sym(grid, rng)
     p = params_with((0.1, 0.4, -0.2, 0.5), vs=1.0)
     sw = swave_weights(p)
@@ -233,18 +237,14 @@ def test_mixed_three_term_reassembly(grid, rng):
     for m in (0, 3):
         e1, e2 = fam.views()[1][m]
         starts, d, lengths = fam.chords(m)
-        n = fam.n_nodes
-        t = np.linspace(0.0, 1.0, n)
-        pts = starts[..., None, :] + (lengths[..., None] * t)[..., None] * d
-        w = np.repeat((lengths / (n - 1))[..., None], n, axis=-1)
-        w[..., 0] *= 0.5
-        w[..., -1] *= 0.5
-        vals = trilinear(grid, R.values, pts)
-        tr = trilinear(grid, trR.values, pts)
-        J11 = np.sum(sym_qform(vals, e1, e1) * w, axis=-1)
-        I = np.sum(sym_qform(vals, d, d) * w, axis=-1)
-        T = np.sum(tr * w, axis=-1)
-        want = sw.scale * (J11 + I + sw.a * T)
+        want = np.zeros(lengths.shape)
+        for idx in zip(*np.nonzero(lengths > 0.0)):
+            _, vals, w, _ = crossing_samples(grid, R.values, starts[idx], d, lengths[idx])
+            _, tr, _, _ = crossing_samples(grid, trR.values, starts[idx], d, lengths[idx])
+            J11 = np.sum(sym_qform(vals, e1, e1) * w)
+            I = np.sum(sym_qform(vals, d, d) * w)
+            T = np.sum(tr * w)
+            want[idx] = sw.scale * (J11 + I + sw.a * T)
         assert np.max(np.abs(lm.values[m][..., 0, 0] - want)) <= 1e-9
 
 
@@ -384,7 +384,9 @@ def test_rytov_fourth_order_convergence(grid, rng):
 
 
 def test_rytov_propagate_is_the_family_stepper(grid, rng):
-    # one chord of a family, as a Ray, gives the family's record for it
+    # one chord of a family, as a Ray, gives the family's record for it: a
+    # plane chord at its equispaced nodes, a sphere chord at its crossings
+    # with the samples and steps of the per-ray crossing reference
     R = random_smooth_sym(grid, rng)
     p = params_with((0.1, 0.4, -0.2, 0.5), vs=1.0)
     fams = [build_sphere_family(grid, directions=6, offsets=16),
@@ -392,19 +394,24 @@ def test_rytov_propagate_is_the_family_stepper(grid, rng):
     for fam in fams:
         U = rytov_family(R, p, fam, scale=3.0).values
         m = 3
-        pts, d, w, dt = _view_nodes(fam, m)
-        n = pts.shape[-2]
+        starts, d, lengths = fam.chords(m)
         away = np.max(np.abs(U[m] - np.eye(2)), axis=(-2, -1))
         for flat in np.argsort(away, axis=None)[-3:]:  # the three strongest chords
             idx = np.unravel_index(flat, away.shape)
-            ray = Ray(
-                pts[idx],
-                np.broadcast_to(d, (n, 3)).copy(),
-                dt[idx] * np.arange(n),
-                np.broadcast_to(fam.views()[1][m], (n, 2, 3)).copy(),
-            )
+            if fam.kind == "sphere":
+                pts, samples, _, steps = crossing_samples(grid, R.values, starts[idx], d,
+                                                          lengths[idx])
+                tau = np.r_[0.0, np.cumsum(steps)]
+            else:
+                pts, _, _, dt = _view_nodes(fam, m)
+                pts, samples = pts[idx], None
+                tau = dt[idx] * np.arange(len(pts))
+            n = len(pts)
+            ray = Ray(pts, np.broadcast_to(d, (n, 3)).copy(), tau,
+                      np.broadcast_to(fam.views()[1][m], (n, 2, 3)).copy())
             assert np.max(np.abs(U[m][idx] - np.eye(2))) > 0.1
-            assert np.max(np.abs(rytov_propagate(R, p, ray, scale=3.0) - U[m][idx])) <= 1e-13
+            got = rytov_propagate(R, p, ray, scale=3.0, samples=samples)
+            assert np.max(np.abs(got - U[m][idx])) <= 1e-13
 
 
 def _sequential_flow(G, h):
@@ -580,21 +587,32 @@ _PAIR_BOX = box_domain(_PAIR_GRID)  # operators on it keep every node
 @st.composite
 def random_families(draw, reach=0.95):
     offsets = draw(st.integers(1, 5))
-    step = draw(st.floats(0.04, 0.5))
     if draw(st.booleans()):
+        step = draw(st.floats(0.04, 0.5))
         angles = draw(st.integers(1, 5))
         slices = np.linspace(-reach, reach, draw(st.integers(1, 4)))
         return PlaneFamily(draw(st.integers(0, 2)), angles, offsets, slices, (0, 0, 0), 1.0, step)
-    return build_sphere_family(_PAIR_GRID, draw(st.integers(1, 6)), offsets, step)
+    return build_sphere_family(_PAIR_GRID, draw(st.integers(1, 6)), offsets)
 
 
 def _all_components_then_contract(values, family, dyads):
-    """Reference: interpolate all six components, contract per node."""
+    """Reference: interpolate all six components, contract per node; at a
+    plane family's equispaced nodes, trilinearly, and at a sphere chord's
+    crossings, per ray (crossing_samples)."""
     out = []
     for m in range(family.n_views):
-        pts, d, w, _ = _view_nodes(family, m)
-        D = SYM_MULT * dyads(d, family.views()[1][m])
-        out.append(np.einsum("...nc,kc,...n->...k", trilinear(_PAIR_GRID, values, pts), D, w))
+        d, frame = family.views()[0][m], family.views()[1][m]
+        D = SYM_MULT * dyads(d, frame)
+        if family.kind == "plane":
+            pts, _, w, _ = _view_nodes(family, m)
+            out.append(np.einsum("...nc,kc,...n->...k", trilinear(_PAIR_GRID, values, pts), D, w))
+            continue
+        starts, _, lengths = family.chords(m)
+        rec = np.zeros(lengths.shape + D.shape[:1])
+        for idx in np.ndindex(lengths.shape):
+            _, samples, w, _ = crossing_samples(_PAIR_GRID, values, starts[idx], d, lengths[idx])
+            rec[idx] = np.einsum("nc,kc,n->k", samples, D, w)
+        out.append(rec)
     return np.stack(out)
 
 
@@ -712,6 +730,51 @@ def test_family_operator_stores_twelve_bytes_per_entry(grid):
         assert 0 < op.entries and total <= 12 * op.entries + 24 * chords
 
 
+def test_sphere_operator_entries_are_crossing_corners():
+    # at the swave size: within every chord the entries name distinct grid
+    # nodes, at most 4 on each plane of the dominant axis, and only on the
+    # planes the chord crosses (per-ray crossing reference)
+    grid = Grid3.cube(16)
+    fam = build_sphere_family(grid, 30)
+    op = FamilyOperator(fam, box_domain(grid))
+    crossings = 0
+    for m, v in enumerate(op.views):
+        starts, d, lengths = fam.chords(m)
+        k = int(np.argmax(np.abs(d)))
+        for ray, start, count in zip(v.rays, v.starts, v.counts):
+            i = np.unravel_index(ray, lengths.shape)
+            _, ts, _ = chord_crossings(grid, starts[i], d, lengths[i])
+            planes = {int(np.rint((starts[i][k] + t * d[k] - grid.origin[k]) / grid.spacing[k]))
+                      for t in ts}
+            nodes = v.nodes[start : start + count]
+            assert len(np.unique(nodes)) == count <= 4 * len(ts)
+            on, per_plane = np.unique(np.unravel_index(nodes, grid.dims)[k], return_counts=True)
+            assert set(on.tolist()) <= planes and np.all(per_plane <= 4)
+            crossings += len(ts)
+    assert op.entries > 3 * crossings
+
+
+@pytest.mark.parametrize("crossed", [0, 1])
+def test_sphere_chords_with_fewer_than_two_crossings_are_exact(grid, rng, crossed):
+    # a ball of radius 0.4 h midway between two grid planes of every axis,
+    # or around a grid node: every live chord crosses no plane, or at most
+    # one, so its K record is exactly 0 and its propagator exactly the
+    # identity, and the operator has no entry
+    R = random_smooth_sym(grid, rng)
+    p = params_with((0.1, 0.4, -0.2, 0.5), vs=1.0)
+    h = grid.spacing[0]
+    center = np.full(3, grid.axes()[0][12] - (0.0 if crossed else 0.5 * h))
+    fam = SphereFamily(6, 8, center, 0.4 * h)
+    for m in range(fam.n_views):
+        starts, d, lengths = fam.chords(m)
+        counts = {len(chord_crossings(grid, starts[i], d, lengths[i])[1])
+                  for i in zip(*np.nonzero(lengths > 0.0))}
+        assert counts <= {0, crossed} and crossed in counts
+    assert np.all(kdata_transform(R, fam).values == 0.0)
+    assert np.all(rytov_family(R, p, fam, scale=3.0).values == np.eye(2))
+    assert FamilyOperator(fam, box_domain(grid)).entries == 0
+
+
 # ---------------------------------------------------------------------------
 # plane families: bilinear stencils within the grid planes
 
@@ -818,8 +881,9 @@ def _reference_stencil(grid, u, plane):
 
 
 def _reference_nodes(grid, family, m, live):
-    """Grid coordinates (chords, n, 3) of view m's live chords, from the
-    point array built row-major, and their trapezoid weights and steps."""
+    """Grid coordinates (chords, n, 3) of a plane family's view m's live
+    chords, from the point array built row-major, and their trapezoid
+    weights and steps."""
     starts, d, lengths = family.chords(m)
     starts, lengths = starts.reshape(-1, 3)[live], lengths.ravel()[live]
     n = family.n_nodes
@@ -831,11 +895,15 @@ def _reference_nodes(grid, family, m, live):
     return (pts - np.asarray(grid.origin)) / np.asarray(grid.spacing), w, dt
 
 
+def _empty_record(per_view, k):
+    return per_view(np.zeros((1, k)), np.zeros(1), np.zeros(0))
+
+
 def _reference_gather(values, grid, family, dyads, per_view=_trapezoid):
     flat = values.reshape(-1, 6)
     tables = SYM_MULT * dyads(*family.views())
-    n, k = family.n_nodes, tables.shape[-2]
-    empty = per_view(np.zeros((n, k)), np.zeros(n), np.zeros(()))
+    k = tables.shape[-2]
+    empty = _empty_record(per_view, k)
     out = np.empty(family.shape + empty.shape, empty.dtype)
     plane = family.grid_plane(grid)
     for m, D in enumerate(tables):
@@ -846,33 +914,81 @@ def _reference_gather(values, grid, family, dyads, per_view=_trapezoid):
         for idx, cw in _reference_stencil(grid, u, plane):
             samples += cw[..., None] * np.take(contracted, idx, axis=0)
         out[m] = empty
-        out[m].reshape((-1,) + empty.shape)[live] = per_view(samples, w, dt)
+        out[m].reshape((-1,) + empty.shape)[live] = per_view(samples, w, dt[..., None])
+    return out
+
+
+def _live_chords(family, m):
+    """Index tuples of view m's live chords, in flat order."""
+    return list(zip(*np.nonzero(family.chords(m)[2] > 0.0)))
+
+
+def _reference_crossing_gather(values, grid, family, dyads, per_view=_trapezoid):
+    """A sphere family's gather from the per-ray crossing reference, every
+    chord padded by the family's rule to its view's largest crossing count."""
+    flat = values.reshape(-1, 6)
+    tables = SYM_MULT * dyads(*family.views())
+    k = tables.shape[-2]
+    empty = _empty_record(per_view, k)
+    out = np.empty(family.shape + empty.shape, empty.dtype)
+    for m, D in enumerate(tables):
+        starts, d, lengths = family.chords(m)
+        contracted = (flat @ D.T).reshape(grid.dims + (k,))
+        live = _live_chords(family, m)
+        pad = max([len(chord_crossings(grid, starts[i], d, lengths[i])[1]) for i in live] + [1])
+        out[m] = empty
+        if live:
+            recs = [crossing_samples(grid, contracted, starts[i], d, lengths[i], pad) for i in live]
+            _, samples, w, steps = (np.stack(a) for a in zip(*recs))
+            out[m][lengths > 0.0] = per_view(samples, w, steps)
     return out
 
 
 def _reference_view_stencils(family, grid):
+    """A plane family's unmerged entries per view: every node's corners of
+    nonzero weight, ordered by chord, node, corner."""
     size = int(np.prod(grid.dims))
     plane = family.grid_plane(grid)
     for m in range(family.n_views):
         live = np.flatnonzero(family.chords(m)[2].ravel() > 0.0)
         u, w, _ = _reference_nodes(grid, family, m, live)
         corners = list(_reference_stencil(grid, u, plane))
-        keys = np.stack([idx for idx, _ in corners], axis=1) + live[:, None, None] * size
-        wts = np.stack([cw * w for _, cw in corners], axis=1)
+        keys = np.stack([idx for idx, _ in corners], axis=-1) + live[:, None, None] * size
+        wts = np.stack([cw * w for _, cw in corners], axis=-1)
         keep = wts != 0.0
         keys, wts = keys[keep], wts[keep]
-        order = np.argsort(keys, kind="stable")
-        keys, wts = keys[order], wts[order]
-        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        rays, counts = np.unique(keys[first] // size, return_counts=True)
-        yield rays, counts, (keys[first] % size).astype(np.int32), np.add.reduceat(wts, first)
+        rays, counts = np.unique(keys // size, return_counts=True)
+        yield rays, counts, (keys % size).astype(np.int32), wts
+
+
+def _reference_crossing_stencils(family, grid):
+    """A sphere family's entries per view from the per-ray crossing
+    reference: per live chord, the corners of nonzero weight of each
+    crossing (plane_corners), in chord order."""
+    for m in range(family.n_views):
+        starts, d, lengths = family.chords(m)
+        rays, counts, nodes, weights = [], [], [], []
+        for i in _live_chords(family, m):
+            k, _, _ = chord_crossings(grid, starts[i], d, lengths[i])
+            pts, _, w, _ = crossing_samples(grid, np.zeros(grid.dims), starts[i], d, lengths[i])
+            entries = [(np.ravel_multi_index(node, grid.dims), cw * wn)
+                       for p, wn in zip(pts, w) for node, cw in plane_corners(grid, p, k)]
+            entries = [e for e in entries if e[1] != 0.0]
+            if entries:
+                rays.append(np.ravel_multi_index(i, lengths.shape))
+                counts.append(len(entries))
+                nodes += [e[0] for e in entries]
+                weights += [e[1] for e in entries]
+        yield (np.asarray(rays, dtype=np.intp), np.asarray(counts, dtype=np.intp),
+               np.asarray(nodes, dtype=np.int32), np.asarray(weights, dtype=float))
 
 
 def test_gather_and_operator_match_reference_bytes():
     # whole grid-plane stacks, an off-grid plane family, a family on every
     # third grid plane plus one slice below the box, a sphere family, and
     # families reaching past the grid box, whose outside nodes read the zero
-    # extension
+    # extension; plane families against their first implementation, sphere
+    # families against the per-ray crossing reference
     grid = Grid3.cube(16)
     R = random_smooth_sym(grid, np.random.default_rng(3))
     on = build_line_families(grid, angles=5, offsets=16)
@@ -882,7 +998,7 @@ def test_gather_and_operator_match_reference_bytes():
                        on[0].center, 1.3, on[0].step)
     sphere = build_sphere_family(grid, directions=5)
     wide_plane = PlaneFamily(1, 5, 9, on[1].slices, on[1].center, 1.6, on[1].step)
-    wide_sphere = SphereFamily(5, 9, sphere.center, 1.6, sphere.step)
+    wide_sphere = SphereFamily(5, 9, sphere.center, 1.6)
     fams = on + [off, some, sphere, wide_plane, wide_sphere]
     assert [f.grid_plane(grid) for f in fams] == [0, 1, 2, None, None, None, 1, None]
     lo, hi = grid.box()
@@ -896,17 +1012,20 @@ def test_gather_and_operator_match_reference_bytes():
     p = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
     inside = grid.domain_mask()
 
-    def rytov(g, w, dt):
-        return _flow(g, dt[..., None])
+    def rytov(g, w, steps):
+        return _flow(g, steps)
 
     for fam in fams:
+        sphere_family = fam.kind == "sphere"
+        gather = _reference_crossing_gather if sphere_family else _reference_gather
+        stencils = _reference_crossing_stencils if sphere_family else _reference_view_stencils
         for dyads, per_view in [(_pwave_dyads(p), _trapezoid), (_kpair_dyads, _trapezoid),
                                 (_shear_dyads(p, 2.0), rytov)]:
             got = _gather(R.values, grid, fam, dyads, per_view)
-            want = _reference_gather(R.values, grid, fam, dyads, per_view)
+            want = gather(R.values, grid, fam, dyads, per_view)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         op = FamilyOperator(fam, box_domain(grid))
-        for v, want in zip(op.views, _reference_view_stencils(fam, grid), strict=True):
+        for v, want in zip(op.views, stencils(fam, grid), strict=True):
             for got, ref in zip((v.rays, v.counts, v.nodes, v.weights), want):
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
         # on the ball's nodes: the whole grid's entries there, weights to the

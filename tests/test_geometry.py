@@ -495,20 +495,24 @@ def test_stencil_faces_are_exact_on_the_dyadic_grid():
 
 
 def test_stencil_matches_reference_bytes_on_chord_nodes():
-    # axis-major chord nodes of a family reaching past the box and of plane
-    # families lying in grid planes
+    # the nodes of families reaching past the box: an off-grid plane family's
+    # axis-major chord nodes and a sphere family's grid-plane crossings; and
+    # of plane families lying in grid planes
     grid = Grid3.cube(12)
-    wide = SphereFamily(7, 9, np.zeros(3), 1.9, 0.08)
-    cases = [(wide, None)] + [(f, f.grid_plane(grid)) for f in build_line_families(grid, 5, 12)]
-    for fam, plane in cases:
+    wide = PlaneFamily(0, 7, 9, np.linspace(-1.7, 1.7, 5), np.zeros(3), 1.9, 0.08)
+    sphere = SphereFamily(7, 9, np.zeros(3), 1.9)
+    lo, hi = grid.box()
+    for fam in [wide, sphere] + build_line_families(grid, 5, 12):
+        beyond = False
         for m in range(fam.n_views):
             starts, d, lengths = fam.chords(m)
-            pts, _, _ = chord_nodes(starts, d, lengths, fam.n_nodes)
-            t = np.linspace(0.0, 1.0, fam.n_nodes)
-            row_major = starts[..., None, :] + (lengths[..., None] * t)[..., None] * d
-            assert pts.shape == row_major.shape
-            assert np.ascontiguousarray(pts).tobytes() == row_major.tobytes()
+            pts, _, _, plane = fam.nodes(grid, starts, d, lengths)
+            if fam.kind == "plane":
+                t = np.linspace(0.0, 1.0, fam.n_nodes)
+                row_major = starts[..., None, :] + (lengths[..., None] * t)[..., None] * d
+                assert pts.shape == row_major.shape
+                assert np.ascontiguousarray(pts).tobytes() == row_major.tobytes()
             for mode in ("zero", "clamp"):
                 _assert_stencil_bytes(grid, pts, mode, plane)
-    lo, hi = grid.box()
-    assert np.any(chord_nodes(*wide.chords(0), wide.n_nodes)[0] > hi)
+            beyond |= bool(np.any((pts < lo) | (pts > hi)))
+        assert beyond == (fam.radius > 1.5)

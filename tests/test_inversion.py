@@ -422,6 +422,10 @@ def test_invert_K_zero_data(grid):
     assert np.max(np.abs(F.values)) == 0.0
     assert info["iterations"] == 0 and info["residuals"] == [] and info["normal_s"] == 0.0
     assert info["precond_s"] == 0.0
+    # the operator is built before the data are seen: its record stands
+    op = FamilyOperator(fam, grid)
+    assert (info["operator_entries"], info["operator_chords"]) == (op.entries, op.chords)
+    assert 0 < op.chords < op.entries
 
 
 def test_invert_K_output_trace_free(grid, rng):

@@ -123,8 +123,22 @@ def test_sphere_family_manifest_regenerates_exactly():
         back = family_from_manifest(json.loads(json.dumps(man)))
         assert np.array_equal(back.directions, fam.directions)
         assert np.array_equal(back.offsets, fam.offsets)
-        assert back.step == fam.step
+        assert "step" not in man
         assert family_manifest(back) == man
+
+
+def test_read_sinogram_refuses_a_sphere_manifest_with_a_step(grid, rng, tmp_path):
+    # sphere chords are sampled at their grid-plane crossings, so a sphere
+    # family has no step: a manifest written with one describes other data
+    R = random_bump_sym(grid, rng, radius=0.6)
+    p = tmp_path / "s.csv"
+    write_sinogram(p, kdata_transform(R, build_sphere_family(grid, 5)))
+    side = tmp_path / "s.csv.manifest.json"
+    man = json.loads(side.read_text())
+    man["family"]["step"] = 0.5 * min(grid.spacing)
+    side.write_text(json.dumps(man))
+    with pytest.raises(ValueError, match="'step' is not a field of a sphere family"):
+        read_sinogram(p)
 
 
 def test_manifest_field_checks_cover_exactly_the_family_init_fields():
