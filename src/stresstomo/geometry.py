@@ -269,7 +269,7 @@ class PlaneFamily(_ChordFamily):
         return int(np.ceil(2.0 * self.radius / self.step)) + 1
 
     def nodes(self, grid, starts, d, lengths):
-        """chord_nodes, the steps broadcastable, and grid_plane."""
+        """Equispaced chord_nodes, their steps (..., 1) and grid_plane."""
         pts, w, dt = chord_nodes(starts, d, lengths, self.n_nodes)
         return pts, w, dt[..., None], self.grid_plane(grid)
 
