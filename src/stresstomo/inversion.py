@@ -595,8 +595,9 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, maxiter=CG_MAXITER, tol=CG_
         return F, dict(info, iterations=0, lam=0.0, residual=0.0, residuals=[], normal_s=0.0,
                        precond_s=0.0)
     rows = (SYM_MULT * _kpair_dyads(*op.family.views())) @ _DEV_BASIS.T
-    data_norm = float(np.linalg.norm(kdata.values))
-    lam = 1e-6 * float(np.linalg.norm(b)) / max(data_norm, 1e-300)
+    b0 = float(np.sum(b * b))  # not np.linalg.norm: its BLAS dot leaves threads spinning 0.1 s
+    data_norm = float(np.sqrt(np.sum(kdata.values * kdata.values)))
+    lam = 1e-6 * np.sqrt(b0) / max(data_norm, 1e-300)
     precondition = _ramp_preconditioner(grid, support)
     # x0 = 0, so r = b exactly
     x = np.zeros_like(b)
@@ -606,8 +607,7 @@ def invert_K_tracefree(kdata: Sinogram, grid: Grid3, maxiter=CG_MAXITER, tol=CG_
     precond_s = time.perf_counter() - t0
     p = z
     rz = float(np.sum(r * z))
-    rs = float(np.sum(r * r))
-    b0 = float(np.sum(b * b))
+    rs = b0
     history = []
     iters = 0
     normal_s = 0.0
