@@ -12,17 +12,21 @@ is contracted on the grid with k <= 3 dyads fixed by the view's direction
 and frame, and only those k scalars are interpolated at the chord nodes and
 summed with the family's trapezoid weights (_gather): a sphere family's
 grid-plane crossings, read bilinearly within their planes, or a plane
-family's equispaced nodes (family.nodes).  Only chords that cross the ball
-are sampled; an empty chord (L = 0), and a sphere chord with fewer than two
-crossings, records exactly 0 for the integrals and exactly the identity
-for the propagators.  The adjoints run over the same chords' unmerged
-interpolation weights, held by a FamilyOperator.  Built once for one
-family, it lets a solver apply K* and K*K, the latter in one pass per view
-(FamilyOperator.normal), without rebuilding the geometry.  An operator
-keeps only the entries on the nodes of its grid's domain (the ball, or
-every node of a box domain), numbered over those nodes, so a solver's
-unknowns are the domain's nodes alone.  Every transform takes a family
-(the adjoint, an operator); single-ray references live with the tests.
+family's equispaced nodes (family.nodes).  Where the nodes lie depends on
+the family and the grid alone, so the family locates them once per grid,
+in its sampling table (family.sampling: per node an int32 base index and
+its interpolation fractions), and every later transform forms the corner
+weights from it.  Only chords that cross the ball are sampled; an empty
+chord (L = 0), and a sphere chord with fewer than two crossings, records
+exactly 0 for the integrals and exactly the identity for the propagators.
+The adjoints run over the same chords' unmerged interpolation weights,
+taken from the same table and held by a FamilyOperator.  Built once for
+one family, it lets a solver apply K* and K*K, the latter in one pass per
+view (FamilyOperator.normal).  An operator keeps only the entries on the
+nodes of its grid's domain (the ball, or every node of a box domain),
+numbered over those nodes, so a solver's unknowns are the domain's nodes
+alone.  Every transform takes a family (the adjoint, an operator);
+single-ray references live with the tests.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SYM_MULT, SYM_PAIRS, SymField2
-from .geometry import _stencil, trilinear
+from .geometry import _plane_nodes, trilinear
 from .material import ConditionError, check_pwave_conditions, pwave_weights, swave_weights
 
 _EYE2 = np.eye(2)
@@ -122,39 +126,33 @@ def _gather(values, grid, family, dyads, per_view=_trapezoid):
     The dyad table dyads(directions, frames) (views, k, 6) is evaluated once.
     Per view the grid field (dims + (6,)) is first contracted with the
     view's k dyads, so trilinear samples only k scalars, and only on the
-    chords that cross the ball, at the nodes of family.nodes.  The live
-    chords of an offset of a whole stack of the grid's planes (grid_plane)
-    share their in-plane nodes (PlaneFamily._half_lengths): trilinear reads
-    every plane at them in one pass, and the chord at (offset, slice j)
-    takes plane j's.  per_view(samples (..., n, k), weights (..., n), steps
-    broadcastable to (..., n - 1)) maps them to the view's records, by
-    default the k trapezoid integrals per ray; an empty chord's is that of
-    one zero sample and no step.
+    chords that cross the ball, through the stencil of the family's
+    sampling table (family.sampling, built once per grid).  The live chords
+    of an offset of a whole stack of the grid's planes share their in-plane
+    nodes (PlaneFamily._half_lengths): trilinear reads every plane at them
+    in one pass, and the chord at (offset, slice j) takes plane j's.
+    per_view(samples (..., n, k), weights (..., n), steps broadcastable to
+    (..., n - 1)) maps them to the view's records, by default the k
+    trapezoid integrals per ray; an empty chord's is that of one zero
+    sample and no step.
     """
     flat = values.reshape(-1, 6)
     tables = SYM_MULT * dyads(*family.views())
     k = tables.shape[-2]
     empty = per_view(np.zeros((1, k)), np.zeros(1), np.zeros(0))
     out = np.empty(family.shape + empty.shape, empty.dtype)
-    plane = family.grid_plane(grid)
-    for m, D in enumerate(tables):
-        starts, d, lengths = family.chords(m)
-        live = lengths > 0.0
+    for m, (D, view) in enumerate(zip(tables, family.sampling(grid))):
         contracted = (flat @ D.T).reshape(grid.dims + (k,))
-        out[m] = empty
-        if plane is None:
-            pts, w, steps, axis = family.nodes(grid, starts[live], d, lengths[live])
-            samples = trilinear(grid, contracted, pts, plane=axis)
-        else:
-            off, sl = np.nonzero(live)
-            _, first, row = np.unique(off, return_index=True, return_inverse=True)
-            pts, w, steps, _ = family.nodes(grid, starts[off[first], sl[first]], d,
-                                            lengths[off[first], sl[first]])
-            inplane = np.delete(pts, plane, axis=-1)
+        samples = trilinear(grid, contracted, view.stencil, plane=view.plane)
+        w, steps = view.quadrature()
+        stack = view.stack_chords(family.shape[1:])
+        if stack is not None:
             # (offsets, n, planes, k) -> the live chords' (n, k) blocks
-            samples = trilinear(grid, contracted, inplane, plane=plane).swapaxes(1, 2)[row, sl]
-            w, steps = w[row], steps[row]
-        out[m][live] = per_view(samples, w, steps)
+            samples = samples.swapaxes(1, 2)[stack]
+            w, steps = w[stack[0]], steps[stack[0]]
+        records = out[m].reshape((-1,) + empty.shape)
+        records[:] = empty
+        records[view.live] = per_view(samples, w, steps)
     return out
 
 
@@ -177,7 +175,7 @@ class _ViewStencil:
 
 
 def _view_stencils(family, grid):
-    """Yield the stencil of every view of a family.
+    """Yield the stencil of every view of a family, from its sampling table.
 
     The entries of zero weight and those on nodes outside the grid's domain
     (grid.domain_mask()) are dropped, and nodes are numbered over the
@@ -185,16 +183,19 @@ def _view_stencils(family, grid):
     """
     inside = grid.domain_mask().ravel()
     number = (np.cumsum(inside) - 1).astype(np.int32)
-    for m in range(family.n_views):
-        starts, d, lengths = family.chords(m)
-        live = np.flatnonzero(lengths.ravel() > 0.0)
-        pts, w, _, plane = family.nodes(grid, starts.reshape(-1, 3)[live], d, lengths.ravel()[live])
-        corners = list(_stencil(grid, pts, plane=plane))
+    for view in family.sampling(grid):
+        w, _ = view.quadrature()
+        corners = list(view.stencil)
         keys = np.stack([idx for idx, _ in corners], axis=-1)
         wts = np.stack([cw * w for _, cw in corners], axis=-1)
+        stack = view.stack_chords(family.shape[1:])
+        if stack is not None:
+            off, sl = stack
+            keys = _plane_nodes(keys[off], view.plane, sl[:, None, None], grid.dims)
+            wts = wts[off]
         keep = (wts != 0.0) & inside[keys]
         counts = np.count_nonzero(keep, axis=(-2, -1))
-        rays, counts = live[counts > 0], counts[counts > 0]
+        rays, counts = view.live[counts > 0].astype(np.intp), counts[counts > 0]
         yield _ViewStencil(rays, counts, np.cumsum(counts) - counts, number[keys[keep]], wts[keep])
 
 
@@ -206,8 +207,11 @@ class FamilyOperator:
     sums, which are _gather's integrals up to the summation order, and
     normal(x, rows) the integrals and their transpose in one pass.  An entry
     is an int32 node and a float64 weight, 12 bytes.  Forward transforms use
-    _gather, and kdata_adjoint takes the caller's operator: building one
-    costs more than a gather, so it pays only when applied repeatedly.
+    _gather, and kdata_adjoint takes the caller's operator.  Both read the
+    family's sampling table (family.sampling), so building an operator only
+    forms, filters and keeps the corners of the table's nodes, at about the
+    cost of one gather; it holds those entries for its lifetime, so it pays
+    when applied repeatedly.
 
     The support is the grid's domain, grid.domain_mask(): the ball on the
     grids the pipelines build, every node on a box-domain grid.  The

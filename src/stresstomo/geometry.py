@@ -26,22 +26,56 @@ class TrappedRayError(RuntimeError):
 # interpolation
 
 
-def _stencil(grid: Grid3, points, mode="zero", plane=None):
-    """Yield (flat node index, weight) for the trilinear corners.
+@dataclass
+class Stencil:
+    """The interpolation corners of a set of points, located once.
 
-    Each has shape points.shape[:-1]; the index addresses the node array
-    flattened over the grid axes.  mode "zero" gives points outside the
-    grid box zero weights (the field is extended by zero), mode "clamp"
-    clamps them to the nearest node.  Interpolation and its transpose
-    (scatter onto the nodes) share this stencil.
+    shape is the points' shape, (..., 3) or in-plane (..., 2), so that
+    np.shape reads a stencil as it reads its points.  index holds the flat
+    node index of each point's lowest corner, frac each interpolated axis's
+    fractions and strides its flat stride; outside is mode "zero"'s mask of
+    the points outside the grid box, or None when there are none (or in
+    mode "clamp").  Iterating yields (flat node index, weight) per corner:
+    the weights are formed from the fractions on every pass, so a kept
+    stencil holds no per-corner arrays (in a sampling table, an int32 index
+    and two fractions: 20 bytes per point).
+    """
+
+    shape: tuple
+    index: np.ndarray
+    frac: tuple
+    strides: tuple
+    outside: np.ndarray | None
+
+    def __iter__(self):
+        weights = [(1.0 - f, f) for f in self.frac]
+        if self.outside is not None:
+            # every corner weight carries the first axis's factor
+            weights[0] = tuple(np.where(self.outside, 0.0, g) for g in weights[0])
+        for corner in itertools.product((0, 1), repeat=len(weights)):
+            w = weights[0][corner[0]]
+            for g, c in zip(weights[1:], corner[1:]):
+                w = w * g[c]
+            yield np.add(self.index, sum(c * s for c, s in zip(corner, self.strides)),
+                         dtype=np.intp), w
+
+
+def _stencil(grid: Grid3, points, mode="zero", plane=None):
+    """The Stencil of the trilinear corners of points.
+
+    Its index addresses the node array flattened over the grid axes.  mode
+    "zero" gives points outside the grid box zero weights (the field is
+    extended by zero), mode "clamp" clamps them to the nearest node.
+    Interpolation and its transpose (scatter onto the nodes) share this
+    stencil.
 
     plane is None, or an axis on whose grid planes every point lies (the
     nodes of _ChordFamily.nodes that name it).  The stencil then takes each
-    point's nearest plane and yields only the four bilinear corners within
-    it; the other four would carry the weight of the coordinate's roundoff.
-    Points (..., 2) with a plane are in-plane points: their two coordinates
-    are the other axes', in order, and the index addresses the nodes
-    flattened over those two axes.
+    point's nearest plane, rounded before the box test, and yields only the
+    four bilinear corners within it; the other four would carry the weight
+    of the coordinate's roundoff.  Points (..., 2) with a plane are in-plane
+    points: their two coordinates are the other axes', in order, and the
+    index addresses the nodes flattened over those two axes.
 
     The stencil is built axis by axis: the out-of-box mask and the clip are
     computed only for an axis whose min/max leaves [0, top] (chord nodes in
@@ -52,60 +86,58 @@ def _stencil(grid: Grid3, points, mode="zero", plane=None):
         raise ValueError(f"unknown interpolation mode {mode!r}")
     p = np.asarray(points, dtype=float)
     axes = [a for a in range(3) if p.shape[-1] == 3 or a != plane]
-    outside, index, weights = False, 0, []
+    outside, index, frac = False, 0, []
     for j, a in enumerate(axes):
         n, h, o = grid.dims[a], grid.spacing[a], grid.origin[a]
         u, top = (p[..., j] - o) / h, n - 1
+        if a == plane:
+            u = np.rint(u)
         lo, hi = (u.min(), u.max()) if u.size else (0.0, 0.0)
         if lo < 0.0 or hi > top:
             outside = outside | (u < 0.0) | (u > top)
             u = np.clip(u, 0.0, top)
         if a == plane:
-            i = np.rint(u).astype(int)
+            i = u.astype(int)
         else:
             i = u.astype(int) if hi < top else np.minimum(u.astype(int), top - 1)
-            f = u - i
-            weights.append((1.0 - f, f))
+            frac.append(u - i)
         index = index * n + i
-    if mode == "zero" and np.any(outside):
-        # every corner weight carries the first axis's factor
-        weights[0] = tuple(np.where(outside, 0.0, g) for g in weights[0])
     sizes = [grid.dims[a] for a in axes]
-    strides = [int(np.prod(sizes[j + 1 :])) for j, a in enumerate(axes) if a != plane]
-    for corner in itertools.product((0, 1), repeat=len(weights)):
-        w = weights[0][corner[0]]
-        for g, c in zip(weights[1:], corner[1:]):
-            w = w * g[c]
-        yield index + sum(c * s for c, s in zip(corner, strides)), w
+    strides = tuple(int(np.prod(sizes[j + 1 :])) for j, a in enumerate(axes) if a != plane)
+    masked = mode == "zero" and np.any(outside)
+    return Stencil(p.shape, index, tuple(frac), strides, outside if masked else None)
 
 
 def trilinear(grid: Grid3, values, points, mode="zero", plane=None):
     """Trilinear interpolation of a node-sampled array at arbitrary points.
 
-    values has shape dims or dims + (m,); points has shape (..., 3).
-    mode "zero" treats the field as extended by zero outside the grid box,
-    mode "clamp" clamps to the nearest node (for strictly positive metric
-    coefficients that must not vanish outside); the mask or the clamp is
-    applied only when a point leaves the box.  With plane, points on grid
-    planes of that axis are interpolated bilinearly within them (_stencil).
-    In-plane points (..., 2) with a plane, the coordinates of the other two
-    axes in order, give the bilinear samples at them of every grid plane of
-    that axis, shape points.shape[:-1] + (planes,) + (m,): the values are
-    read as rows of (in-plane node, planes x components), one row per
-    corner and point (a whole grid-plane stack's gather, forward._gather).
+    values has shape dims or dims + (m,); points has shape (..., 3), or is
+    their Stencil (located once, as in a family's sampling table, which
+    then carries the mode).  mode "zero" treats the field as extended by
+    zero outside the grid box, mode "clamp" clamps to the nearest node (for
+    strictly positive metric coefficients that must not vanish outside);
+    the mask or the clamp is applied only when a point leaves the box.
+    With plane, points on grid planes of that axis are interpolated
+    bilinearly within them (_stencil).  In-plane points (..., 2) with a
+    plane, the coordinates of the other two axes in order, give the
+    bilinear samples at them of every grid plane of that axis, shape
+    points.shape[:-1] + (planes,) + (m,): the values are read as rows of
+    (in-plane node, planes x components), one row per corner and point (a
+    whole grid-plane stack's gather, forward._gather).
     """
+    stencil = points if isinstance(points, Stencil) else _stencil(grid, points, mode, plane)
     values = np.asarray(values)
     comp_shape = values.shape[3:]
-    if np.shape(points)[-1] == 3:
+    if stencil.shape[-1] == 3:
         flat = values.reshape((-1,) + comp_shape)
-        shape = np.shape(points)[:-1] + comp_shape
+        shape = stencil.shape[:-1] + comp_shape
     else:
         rows = np.moveaxis(values, plane, 2)
         flat = rows.reshape(rows.shape[0] * rows.shape[1], -1)
-        shape = np.shape(points)[:-1] + rows.shape[2:]
-    out = np.zeros(np.shape(points)[:-1] + flat.shape[1:], dtype=values.dtype)
+        shape = stencil.shape[:-1] + rows.shape[2:]
+    out = np.zeros(stencil.shape[:-1] + flat.shape[1:], dtype=values.dtype)
     corner = np.empty_like(out)
-    for idx, w in _stencil(grid, points, mode, plane):
+    for idx, w in stencil:
         # the indices are in range: "clip" only spares take a buffered copy
         np.take(flat, idx, axis=0, out=corner, mode="clip")
         corner *= w.reshape(w.shape + (1,) * (flat.ndim - 1))
@@ -152,6 +184,59 @@ class Ray:
 # straight-line families
 
 
+@dataclass
+class _ViewSampling:
+    """Where one view of a family samples a grid: independent of the field.
+
+    - live: flat indices (into the view's offsets) of the chords that cross
+      the ball, in order;
+    - stencil: the mode-"zero" Stencil of the sampled nodes, (rows, n, 3)
+      with row c the live chord c's nodes, or, on a whole stack of the
+      grid's planes (PlaneFamily.grid_plane), in-plane nodes (rows, n, 2)
+      with row o the nodes that offset o's live chords share;
+    - plane: the axis whose grid planes stencil reads bilinearly, or None;
+    - step: the node spacing, one per row (rows,) or one for the view;
+    - counts: nodes sampled per row (a sphere chord's crossings, the rest
+      padding), or None (all n).
+
+    The integers are int32: the table holds about 20 bytes per node.
+    """
+
+    live: np.ndarray
+    stencil: Stencil
+    plane: int | None
+    step: object
+    counts: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.live = self.live.astype(np.int32)
+        self.stencil.index = self.stencil.index.astype(np.int32)
+        if self.counts is not None:
+            self.counts = self.counts.astype(np.int32)
+
+    def quadrature(self):
+        """Trapezoid weights (rows, n) and steps, broadcastable to (rows,
+        n - 1), of the rows' nodes."""
+        n = self.stencil.shape[-2]
+        if self.counts is None:
+            return _trapezoid_weights(self.step, n), self.step[:, None]
+        return _crossing_quadrature(self.counts, self.step, n)
+
+    def stack_chords(self, shape):
+        """On a whole stack, the offset and slice indices of the live chords
+        of a view of shape (offsets, slices); else None."""
+        return np.unravel_index(self.live, shape) if self.stencil.shape[-1] == 2 else None
+
+
+def _plane_nodes(index, plane, slices, dims):
+    """Flat grid node indices of in-plane node indices (over the two axes
+    other than plane, in order) in the grid planes slices of that axis."""
+    other = [a for a in range(3) if a != plane]
+    ijk = dict(zip(other, np.divmod(index, dims[other[1]])))
+    ijk[plane] = slices
+    return (ijk[0] * dims[1] + ijk[1]) * dims[2] + ijk[2]
+
+
 class _ChordFamily:
     """View geometry shared by the straight-line families.
 
@@ -161,7 +246,10 @@ class _ChordFamily:
     s1 in offsets and s2 in _off2; records are stored over shape = (views,
     offsets, off2).  nodes(grid, starts, d, lengths) places the quadrature
     nodes on a view's chords: a sphere family's grid-plane crossings, a
-    plane family's equispaced nodes at its step.
+    plane family's equispaced nodes at its step.  sampling(grid) keeps
+    where every view samples a grid (_ViewSampling), built on first use:
+    it depends on the family and the grid alone, and a family's fields are
+    not changed after it is built.
     """
 
     @property
@@ -199,6 +287,39 @@ class _ChordFamily:
         misses."""
         return np.sqrt(np.maximum(self.radius**2 - s1**2 - s2**2, 0.0))
 
+    def sampling(self, grid):
+        """The _ViewSampling of every view on grid (a hashable Grid3), built
+        on the first call for that grid and kept by the family."""
+        tables = self.__dict__.setdefault("_sampling", {})
+        if grid not in tables:
+            tables[grid] = [self._view_sampling(grid, m) for m in range(self.n_views)]
+        return tables[grid]
+
+    def _view_sampling(self, grid, m):
+        """The nodes of view m's live chords, one row per chord."""
+        starts, d, lengths = self.chords(m)
+        live = lengths > 0.0
+        pts, counts, step, plane = self.nodes(grid, starts[live], d, lengths[live])
+        return _ViewSampling(np.flatnonzero(live), _stencil(grid, pts, plane=plane), plane,
+                             step, counts)
+
+
+def _trapezoid_weights(dt, n):
+    """Trapezoid weights (..., n) of n nodes dt (...) apart."""
+    w = np.repeat(dt[..., None], n, axis=-1)
+    w[..., 0] *= 0.5
+    w[..., -1] *= 0.5
+    return w
+
+
+def _crossing_quadrature(counts, step, n):
+    """Trapezoid weights (..., n) and steps (..., n - 1) of chords with
+    counts (...) nodes step apart, padded to n nodes with zero weight and
+    zero step."""
+    steps = np.where(np.arange(n - 1) < counts[..., None] - 1, step, 0.0)
+    pad = [(0, 0)] * counts.ndim
+    return 0.5 * (np.pad(steps, pad + [(0, 1)]) + np.pad(steps, pad + [(1, 0)])), steps
+
 
 def chord_nodes(starts, d, lengths, n):
     """Node points (..., n, 3), trapezoid weights (..., n) and step (...) of
@@ -213,10 +334,7 @@ def chord_nodes(starts, d, lengths, n):
         np.add(starts[..., None, a], s * d[a], out=pts[a])
     pts = np.moveaxis(pts, 0, -1)
     dt = lengths / (n - 1)
-    w = np.repeat(dt[..., None], n, axis=-1)
-    w[..., 0] *= 0.5
-    w[..., -1] *= 0.5
-    return pts, w, dt
+    return pts, _trapezoid_weights(dt, n), dt
 
 
 @dataclass
@@ -269,15 +387,31 @@ class PlaneFamily(_ChordFamily):
         return int(np.ceil(2.0 * self.radius / self.step)) + 1
 
     def nodes(self, grid, starts, d, lengths):
-        """Equispaced chord_nodes, their steps (..., 1) and grid_plane."""
-        pts, w, dt = chord_nodes(starts, d, lengths, self.n_nodes)
-        return pts, w, dt[..., None], self.grid_plane(grid)
+        """Equispaced chord_nodes, no counts (every chord has n_nodes),
+        their steps (...) and grid_plane."""
+        pts, _, dt = chord_nodes(starts, d, lengths, self.n_nodes)
+        return pts, None, dt, self.grid_plane(grid)
 
     def grid_plane(self, grid):
         """The family's axis when it is a whole stack of the grid's planes
         of that axis (slices equal to grid.axes()[axis], in order), so that
         slice j lies in plane j; else None."""
         return self.axis if np.array_equal(self.slices, grid.axes()[self.axis]) else None
+
+    def _view_sampling(self, grid, m):
+        """On a whole stack, the live chords of an offset share one row of
+        in-plane nodes (_half_lengths), read bilinearly in every plane: the
+        nodes of the offset's first live chord (of an empty chord where it
+        has none)."""
+        plane = self.grid_plane(grid)
+        if plane is None:
+            return super()._view_sampling(grid, m)
+        starts, d, lengths = self.chords(m)
+        live = lengths > 0.0
+        first = (np.arange(len(live)), np.argmax(live, axis=1))
+        pts, _, dt, _ = self.nodes(grid, starts[first], d, lengths[first])
+        stencil = _stencil(grid, np.delete(pts, plane, axis=-1), plane=plane)
+        return _ViewSampling(np.flatnonzero(live), stencil, plane, dt)
 
 
 @dataclass
@@ -303,13 +437,14 @@ class SphereFamily(_ChordFamily):
         self.offsets = self._off2 = _cell_centered_offsets(self.radius, self.offset_count)
 
     def nodes(self, grid, starts, d, lengths):
-        """Points (..., n, 3), weights (..., n), steps (..., n - 1) and axis k
+        """Points (..., n, 3), crossing counts (...), the step and axis k
         of the chords' crossings with the grid planes of k = argmax |d_k|, in
         chord order (Joseph's rule: P. M. Joseph, IEEE TMI 1(3), 1982), each
-        read bilinearly in its plane.  Steps are h_k / |d_k|; the trapezoid
-        weights, half at the first and last crossing, are _flow's first-order
-        term.  Chords are padded to n nodes at their last crossing (or, with
-        none, their first plane) with zero weight and step."""
+        read bilinearly in its plane.  The step is h_k / |d_k|; the
+        trapezoid weights, half at the first and last crossing, are _flow's
+        first-order term (_crossing_quadrature).  Chords are padded to n
+        nodes at their last crossing (or, with none, their first plane) with
+        zero weight and step."""
         k = int(np.argmax(np.abs(d)))
         planes = grid.axes()[k][:: 1 if d[k] > 0.0 else -1]
         t = (planes - starts[..., k, None]) / d[k]
@@ -318,10 +453,7 @@ class SphereFamily(_ChordFamily):
         n = max(int(np.max(count, initial=0)), 1)
         i = np.minimum(np.arange(n), np.maximum(count, 1)[..., None] - 1)
         t = np.take_along_axis(t, np.argmax(on, axis=-1)[..., None] + i, axis=-1)
-        steps = np.where(np.arange(n - 1) < count[..., None] - 1, grid.spacing[k] / abs(d[k]), 0.0)
-        pad = [(0, 0)] * count.ndim
-        w = 0.5 * (np.pad(steps, pad + [(0, 1)]) + np.pad(steps, pad + [(1, 0)]))
-        return starts[..., None, :] + t[..., None] * d, w, steps, k
+        return starts[..., None, :] + t[..., None] * d, count, grid.spacing[k] / abs(d[k]), k
 
 
 def _cell_centered_offsets(radius, count):

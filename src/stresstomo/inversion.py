@@ -274,15 +274,15 @@ def _regrid_geometry(families, grid: Grid3, cond_limit):
     b1, b2 = _plane_basis(yv, yn)
 
     nact = len(yv)
-    # the data integrate the trilinear interpolant of the field, whose
-    # transform carries the separable kernel prod_i sinc^2(y_i h_i / 2);
-    # divide it out to recover the sample-grid spectrum.  The origin phase
+    # family k's slices are the grid planes of axis k, read bilinearly: its
+    # data integrate the field's in-plane interpolant, whose transform
+    # carries the kernel sinc^2(y_i1 h_i1 / 2) sinc^2(y_i2 h_i2 / 2) of the
+    # two in-plane axes, while the slice axis is exact.  Each family's rows
+    # carry its kernel, so the solve divides it out.  The origin phase
     # undoes the node-(0,0,0) offset of the sample grid.
-    wtri = np.prod(
-        np.sinc(yv * np.asarray(grid.spacing) / (2.0 * np.pi)) ** 2, axis=-1
-    )
+    hat = np.sinc(yv * np.asarray(grid.spacing) / (2.0 * np.pi)) ** 2
     origin_phase = np.exp(1j * np.sum(yv * np.asarray(grid.origin), axis=-1))
-    scale = origin_phase / (grid.cell_volume() * wtri)
+    scale = origin_phase / grid.cell_volume()
     rows_M = np.zeros((nact, 3, 3))
 
     # fft-ordered index of each active node along every grid axis
@@ -303,9 +303,10 @@ def _regrid_geometry(families, grid: Grid3, cond_limit):
         xi = xis[sel, k]
         c = np.sum(xi * b1[sel], axis=-1)
         s = np.sum(xi * b2[sel], axis=-1)
-        rows_M[sel, k, 0] = c * c
-        rows_M[sel, k, 1] = s * s
-        rows_M[sel, k, 2] = 2.0 * c * s
+        kernel = hat[sel, i1] * hat[sel, i2]
+        rows_M[sel, k, 0] = kernel * c * c
+        rows_M[sel, k, 1] = kernel * s * s
+        rows_M[sel, k, 2] = kernel * 2.0 * c * s
         # angle, radius and phases depend only on the in-plane frequency:
         # build them once per position (y_i1, y_i2) of the queries
         _, first, pos = np.unique(

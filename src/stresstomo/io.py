@@ -251,21 +251,22 @@ def write_sinogram(path, sino: Sinogram):
     families put the direction there and the two transverse offsets in
     the offset and slice columns.  The bytes are those of the csv module's
     default writer: CRLF rows, numbers unquoted, every value its float
-    repr.  Rows are assembled and written one view at a time.
+    repr.  Each view's rows are one %-template, with the family, slice,
+    offset and kind filled in once: the view index is substituted, then
+    every value as %r (its repr).
     """
     fam = sino.family
     family_id = fam.kind + str(getattr(fam, "axis", ""))
     kind = sino.kind
     flat = _flatten_records(kind, sino.values)
     views, offsets, slices, ncol = flat.shape
-    heads = [(f"{family_id},{s},", f",{o},{kind},") for o in range(offsets) for s in range(slices)]
+    values = ",".join(["%%r"] * ncol)
+    rows = "".join([f"{family_id},{s},%(view)d,{o},{kind},{values}\r\n"
+                    for o in range(offsets) for s in range(slices)])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_HEADER + _KINDS[kind].columns) + "\r\n")
         for v in range(views):
-            vals = map(repr, flat[v].ravel().tolist())
-            if ncol > 1:
-                vals = map(",".join, zip(*[vals] * ncol))
-            fh.write("".join([a + str(v) + b + x + "\r\n" for (a, b), x in zip(heads, vals)]))
+            fh.write(rows % {"view": v} % tuple(flat[v].ravel().tolist()))
     _write_json(str(path) + ".manifest.json",
                 {"family_id": family_id, "kind": kind, "family": family_manifest(fam)})
 

@@ -172,8 +172,10 @@ def plane_corners(grid, point, k):
     (node, weight) for the four corners of its cell in that plane, in the
     order (0, 0), (0, 1), (1, 0), (1, 1) of the two in-plane axes (lower
     axis first), each weighted by the product of its two hat functions.  A
-    point off the grid box has none."""
+    point off the grid box has none; its plane is rounded first, so that a
+    point on a boundary plane is inside whatever its coordinate's roundoff."""
     u = [(point[a] - grid.origin[a]) / grid.spacing[a] for a in range(3)]
+    u[k] = np.rint(u[k])
     if not all(0.0 <= u[a] <= grid.dims[a] - 1 for a in range(3)):
         return []
     a, b = (x for x in range(3) if x != k)
@@ -182,7 +184,7 @@ def plane_corners(grid, point, k):
     corners = []
     for ca in (0, 1):
         for cb in (0, 1):
-            node = [int(np.rint(u[k]))] * 3
+            node = [int(u[k])] * 3
             node[a], node[b] = ia + ca, ib + cb
             corners.append((tuple(node), (fa if ca else 1.0 - fa) * (fb if cb else 1.0 - fb)))
     return corners

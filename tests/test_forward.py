@@ -823,6 +823,43 @@ def test_plane_family_gather_samples_through_trilinear(grid, rng, monkeypatch):
     assert calls == [(2, 1)] * fam.n_views
 
 
+def test_family_samples_a_grid_from_one_table(monkeypatch):
+    # a family places its chords on a grid once: every later gather and
+    # operator build reads the kept table, with the bytes of a fresh family;
+    # another grid gets its own table.  The table keeps no per-corner
+    # arrays: an int32 base index and two fractions per node, about 20 bytes
+    grid = Grid3.cube(16)
+    R = random_smooth_sym(grid, np.random.default_rng(5))
+    p = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
+    calls = []
+    for cls in (PlaneFamily, SphereFamily):
+        chords = cls.chords
+        monkeypatch.setattr(cls, "chords", lambda self, m, f=chords: calls.append(m) or f(self, m))
+
+    def fresh():
+        return [build_sphere_family(grid, directions=6)] + build_line_families(grid, 5, 16)
+
+    for fam, new in zip(fresh(), fresh()):
+        want = rytov_family(R, p, new).values
+        calls.clear()
+        first = rytov_family(R, p, fam).values
+        assert len(calls) == fam.n_views
+        again = rytov_family(R, p, fam).values
+        kdata_transform(R, fam)
+        FamilyOperator(fam, grid)
+        assert len(calls) == fam.n_views
+        assert first.tobytes() == again.tobytes() == want.tobytes()
+        FamilyOperator(fam, box_domain(grid))
+        assert len(calls) == 2 * fam.n_views
+        table = fam.sampling(grid)
+        nodes = sum(np.prod(v.stencil.shape[:-1]) for v in table)
+        per_node = sum(v.stencil.index.nbytes + sum(f.nbytes for f in v.stencil.frac)
+                       for v in table) / nodes
+        assert all(v.stencil.index.dtype == np.int32 and v.stencil.outside is None
+                   for v in table)
+        assert per_node == 20
+
+
 def test_grid_plane_view_without_live_chords(grid, rng):
     # a ball of radius h/2 between the two middle grid planes: no chord
     # meets it, so none is sampled and every record is exact

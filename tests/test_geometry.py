@@ -393,14 +393,17 @@ def test_plane_family_grid_plane_needs_every_slice_on_the_grid():
 
 def _reference_stencil(grid, points, mode="zero", plane=None):
     """The corner stencil as first written, clipping, masking and flooring
-    all three axes of every point; _stencil must give its bytes."""
+    all three axes of every point, the plane axis rounded to its plane
+    before the box test; _stencil must give its bytes."""
     u = (np.asarray(points, dtype=float) - np.asarray(grid.origin)) / np.asarray(grid.spacing)
+    if plane is not None:
+        u[..., plane] = np.rint(u[..., plane])
     top = np.asarray(grid.dims) - 1
     outside = np.any((u < 0.0) | (u > top), axis=-1)
     u = np.clip(u, 0.0, top)
     i0 = np.minimum(u.astype(int), top - 1)
     if plane is not None:
-        i0[..., plane] = np.rint(u[..., plane])
+        i0[..., plane] = u[..., plane]
     _, ny, nz = grid.dims
     base = (i0[..., 0] * ny + i0[..., 1]) * nz + i0[..., 2]
     axes = [a for a in range(3) if a != plane]
@@ -484,6 +487,20 @@ def test_stencil_matches_reference_bytes(g, mode, plane, inside_only, where, see
     _assert_stencil_bytes(grid, pts, mode, plane)
     _assert_stencil_bytes(grid, pts[0], mode, plane)
     _assert_stencil_bytes(grid, pts[:0], mode, plane)
+
+
+def test_point_on_the_last_grid_plane_reads_its_bilinear_value():
+    # the last grid plane of axis 0 of Grid3.cube(8) lies at grid coordinate
+    # 7 + 9e-16: rounded to its plane before the box test it is inside, so
+    # mode "zero" reads the bilinear value there, not the zero extension
+    grid = Grid3.cube(8)
+    x = grid.axes()[0][-1]
+    assert (x - grid.origin[0]) / grid.spacing[0] > grid.dims[0] - 1
+    c = grid.coords()
+    vals = 1.0 + c[..., 0] + 2.0 * c[..., 1] - 3.0 * c[..., 2]
+    pt = np.array([x, 0.1, -0.2])
+    want = 1.0 + x + 2.0 * 0.1 + 3.0 * 0.2
+    assert trilinear(grid, vals, pt, plane=0) == pytest.approx(want, abs=1e-12)
 
 
 def test_stencil_faces_are_exact_on_the_dyadic_grid():
