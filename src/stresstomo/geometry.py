@@ -220,7 +220,13 @@ class _ViewSampling:
         n = self.stencil.shape[-2]
         if self.counts is None:
             return _trapezoid_weights(self.step, n), self.step[:, None]
-        return _crossing_quadrature(self.counts, self.step, n)
+        # a sphere chord's padding has zero weight and zero step
+        steps = np.where(np.arange(n - 1) < self.counts[:, None] - 1, self.step, 0.0)
+        w = np.zeros(steps.shape[:-1] + (n,))
+        w[:, :-1] += steps
+        w[:, 1:] += steps
+        w *= 0.5
+        return w, steps
 
     def stack_chords(self, shape):
         """On a whole stack, the offset and slice indices of the live chords
@@ -310,15 +316,6 @@ def _trapezoid_weights(dt, n):
     w[..., 0] *= 0.5
     w[..., -1] *= 0.5
     return w
-
-
-def _crossing_quadrature(counts, step, n):
-    """Trapezoid weights (..., n) and steps (..., n - 1) of chords with
-    counts (...) nodes step apart, padded to n nodes with zero weight and
-    zero step."""
-    steps = np.where(np.arange(n - 1) < counts[..., None] - 1, step, 0.0)
-    pad = [(0, 0)] * counts.ndim
-    return 0.5 * (np.pad(steps, pad + [(0, 1)]) + np.pad(steps, pad + [(1, 0)])), steps
 
 
 def chord_nodes(starts, d, lengths, n):
@@ -442,7 +439,7 @@ class SphereFamily(_ChordFamily):
         chord order (Joseph's rule: P. M. Joseph, IEEE TMI 1(3), 1982), each
         read bilinearly in its plane.  The step is h_k / |d_k|; the
         trapezoid weights, half at the first and last crossing, are _flow's
-        first-order term (_crossing_quadrature).  Chords are padded to n
+        first-order term (_ViewSampling.quadrature).  Chords are padded to n
         nodes at their last crossing (or, with none, their first plane) with
         zero weight and step."""
         k = int(np.argmax(np.abs(d)))
