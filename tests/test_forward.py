@@ -827,7 +827,7 @@ def test_family_samples_a_grid_from_one_table(monkeypatch):
     # a family places its chords on a grid once: every later gather and
     # operator build reads the kept table, with the bytes of a fresh family;
     # another grid gets its own table.  The table keeps no per-corner
-    # arrays: an int32 base index and two fractions per node, about 20 bytes
+    # arrays: an int32 base index and two fractions per node, 20 bytes
     grid = Grid3.cube(16)
     R = random_smooth_sym(grid, np.random.default_rng(5))
     p = MaterialParams(nu=(0.1, 0.4, -0.2, 0.5))
